@@ -137,30 +137,26 @@ def _as_matrix(rows, expect_rows: int, expect_cols: int, where: str) -> Matrix:
 # --- based complexes ---
 
 
-@dataclass(frozen=True, slots=True)
-class BasedComplex:
-    """Finitely supported complex of free Z[G]-modules with ordered bases.
+class _GradedComplex:
+    """Degree bookkeeping shared by BasedComplex and FieldComplex.
 
     ``ranks[k]`` is the rank in degree ``min_degree + k``; ``differentials[k]``
-    maps that degree to the next one.
+    maps that degree to the next one.  Subclasses name, in ``_zero``, the
+    entry that fills the differentials outside the support window.
     """
 
-    spec: GroupSpec
-    min_degree: int
-    max_degree: int
-    ranks: tuple[int, ...]
-    differentials: tuple[Matrix, ...]
-    labels: tuple[tuple[str, ...], ...]
+    __slots__ = ()
 
     def rank(self, degree: int) -> int:
         if self.min_degree <= degree <= self.max_degree:
             return self.ranks[degree - self.min_degree]
         return 0
 
-    def diff(self, degree: int) -> Matrix:
+    def diff(self, degree: int):
         if self.min_degree <= degree < self.max_degree:
             return self.differentials[degree - self.min_degree]
-        return mat_zero(self.rank(degree + 1), self.rank(degree))
+        z = self._zero()
+        return tuple((z,) * self.rank(degree) for _ in range(self.rank(degree + 1)))
 
     def degree_labels(self, degree: int) -> tuple[str, ...]:
         if self.min_degree <= degree <= self.max_degree:
@@ -173,6 +169,21 @@ class BasedComplex:
 
     def total_rank(self) -> int:
         return sum(self.ranks)
+
+
+@dataclass(frozen=True, slots=True)
+class BasedComplex(_GradedComplex):
+    """Finitely supported complex of free Z[G]-modules with ordered bases."""
+
+    spec: GroupSpec
+    min_degree: int
+    max_degree: int
+    ranks: tuple[int, ...]
+    differentials: tuple[Matrix, ...]
+    labels: tuple[tuple[str, ...], ...]
+
+    def _zero(self) -> GroupRingElem:
+        return ZERO_ELEM
 
 
 def based_complex(
@@ -255,7 +266,7 @@ def validate(c: BasedComplex) -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class FieldComplex:
+class FieldComplex(_GradedComplex):
     """Same shape as BasedComplex with entries in Q(zeta_n)."""
 
     modulus: int
@@ -265,20 +276,8 @@ class FieldComplex:
     differentials: tuple[FieldMatrix, ...]
     labels: tuple[tuple[str, ...], ...]
 
-    def rank(self, degree: int) -> int:
-        if self.min_degree <= degree <= self.max_degree:
-            return self.ranks[degree - self.min_degree]
-        return 0
-
-    def diff(self, degree: int) -> FieldMatrix:
-        if self.min_degree <= degree < self.max_degree:
-            return self.differentials[degree - self.min_degree]
-        z = cyclo_zero(self.modulus)
-        return tuple((z,) * self.rank(degree) for _ in range(self.rank(degree + 1)))
-
-    @property
-    def degrees(self) -> range:
-        return range(self.min_degree, self.max_degree + 1)
+    def _zero(self) -> CycloNum:
+        return cyclo_zero(self.modulus)
 
 
 def base_change(c: BasedComplex, rep: Representation) -> FieldComplex:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 
 from .grouprings import GroupRingElem, GroupSpec, validate_word
 
@@ -63,7 +64,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             num, rem = _poly_divmod_monic(num, list(cyclotomic_polynomial(d)))
-            assert not rem
+            if rem:
+                raise ArithmeticError(f"Phi_{d} does not divide x^{n} - 1")
     return tuple(num)
 
 
@@ -113,10 +115,6 @@ class CycloNum:
 
     def __bool__(self) -> bool:
         return any(self.nums)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
         return cyclo_add(self, other)
@@ -224,12 +222,9 @@ def cyclo_inv(a: CycloNum) -> CycloNum:
         if gcd(k, n) == 1:
             conj_prod = cyclo_mul(conj_prod, galois_conjugate(ipart, k))
     norm = cyclo_mul(ipart, conj_prod)
-    assert not any(norm.nums[1:]) and norm.den == 1, "norm must be a plain integer"
+    if any(norm.nums[1:]) or norm.den != 1:
+        raise ArithmeticError("norm must be a plain integer")
     return _make(n, [a.den * c for c in conj_prod.nums], norm.nums[0])
-
-
-def cyclo_div(a: CycloNum, b: CycloNum) -> CycloNum:
-    return cyclo_mul(a, cyclo_inv(b))
 
 
 def cyclo_pow(a: CycloNum, k: int) -> CycloNum:
@@ -239,11 +234,6 @@ def cyclo_pow(a: CycloNum, k: int) -> CycloNum:
     for _ in range(k):
         out = cyclo_mul(out, a)
     return out
-
-
-def coeff_key(a: CycloNum) -> tuple[Fraction, ...]:
-    """Total order key: coefficient vector, rationals by value."""
-    return a.coeffs
 
 
 def cyclo_str(a: CycloNum) -> str:
@@ -279,6 +269,8 @@ class Representation:
 
     def __post_init__(self) -> None:
         n = self.modulus
+        if n < 1:
+            raise ValueError(f"modulus must be >= 1, got {n}")
         exps = tuple(e % n for e in self.generator_exponents)
         object.__setattr__(self, "generator_exponents", exps)
         if len(exps) != self.spec.num_factors:
@@ -337,10 +329,15 @@ def unit_subgroup(rep: Representation) -> UnitSubgroup:
 
 def canonical_rep(u: CycloNum, units: UnitSubgroup) -> CycloNum:
     """Deterministic coset representative: the lexicographic minimum of the
-    orbit {w*u} under the coefficient-vector order."""
+    orbit {w*u} under the coefficient-vector order.
+
+    Each unit +-zeta^k acts on the power basis by a unimodular integer
+    matrix, which keeps the content of ``nums`` and hence ``den``; so the
+    order of the integer ``nums`` is the order of the rational coefficients.
+    """
     if not u:
         raise ZeroDivisionError("zero has no torsion class")
-    return min((cyclo_mul(w, u) for w in units.elements), key=coeff_key)
+    return min((cyclo_mul(w, u) for w in units.elements), key=attrgetter("nums"))
 
 
 def torsion_class_eq(u: CycloNum, v: CycloNum, units: UnitSubgroup) -> bool:

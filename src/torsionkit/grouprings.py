@@ -192,12 +192,6 @@ def ring_mul(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingEl
     return elem_from_dict(acc)
 
 
-def ring_scale(a: GroupRingElem, m: int) -> GroupRingElem:
-    if m == 0:
-        return ZERO_ELEM
-    return GroupRingElem(tuple((w, c * m) for w, c in a.terms))
-
-
 def augmentation(a: GroupRingElem) -> int:
     """Sum of coefficients: the ring map Z[G] -> Z killing all generators."""
     return sum(c for _, c in a.terms)
@@ -249,35 +243,3 @@ def spec_from_obj(obj) -> GroupSpec:
     if kind == "free_product":
         return GroupSpec.free_product(obj["factor_orders"])
     raise ValueError(f"unknown group kind: {kind!r}")
-
-
-def word_str(spec: GroupSpec, w: GroupWord) -> str:
-    if not w.letters:
-        return "1"
-    names = "tuvwxyz" if spec.num_factors == 1 else "abcdefgh"
-    parts = []
-    for f, e in w.letters:
-        name = names[f % len(names)]
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
-
-
-def elem_str(spec: GroupSpec, a: GroupRingElem) -> str:
-    if not a.terms:
-        return "0"
-    out = []
-    for w, c in a.terms:
-        ws = word_str(spec, w)
-        if ws == "1":
-            piece = str(c)
-        elif c == 1:
-            piece = ws
-        elif c == -1:
-            piece = f"-{ws}"
-        else:
-            piece = f"{c}*{ws}"
-        if out and not piece.startswith("-"):
-            out.append("+" + piece)
-        else:
-            out.append(piece)
-    return "".join(out)

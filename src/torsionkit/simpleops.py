@@ -26,7 +26,6 @@ from .grouprings import (
     monomial,
     ring_add,
     ring_mul,
-    ring_sub,
     validate_word,
     word_inverse,
 )
@@ -110,8 +109,7 @@ def _delete_col(m: Matrix, at: int) -> Matrix:
 def _with_degree_window(c: BasedComplex, lo: int, hi: int):
     """Ranks, differentials and labels over the widened range [lo, hi]."""
     ranks = [c.rank(i) for i in range(lo, hi + 1)]
-    labels = [list(c.degree_labels(i)) or [f"c{i}_{j}" for j in range(c.rank(i))]
-              for i in range(lo, hi + 1)]
+    labels = [list(c.degree_labels(i)) for i in range(lo, hi + 1)]
     diffs = [c.diff(i) for i in range(lo, hi)]
     return ranks, diffs, labels
 
@@ -191,6 +189,37 @@ def _apply_retraction(c: BasedComplex, op: Retraction) -> BasedComplex:
     return based_complex(c.spec, lo, ranks, diffs, labels)
 
 
+def _change_basis(
+    c: BasedComplex, d: int, target: int, source: int,
+    left: GroupRingElem, right: GroupRingElem,
+) -> BasedComplex:
+    """Replace basis element ``target`` of degree d by left*c_source, added
+    to c_target when the indices differ.
+
+    The outgoing differential's column ``target`` takes ``left`` times column
+    ``source`` on the left; the incoming differential's row ``source`` takes
+    row ``target`` times ``right``, the matching entry of the inverse change,
+    on the right.
+    """
+    spec = c.spec
+    lo = c.min_degree
+    diffs = list(c.differentials)
+    if d < c.max_degree:
+        m = [list(row) for row in c.diff(d)]
+        for row in m:
+            x = ring_mul(spec, left, row[source])
+            row[target] = x if target == source else ring_add(spec, row[target], x)
+        diffs[d - lo] = tuple(tuple(row) for row in m)
+    if d > lo:
+        m = list(c.diff(d - 1))
+        moved = [ring_mul(spec, x, right) for x in m[target]]
+        if target != source:
+            moved = [ring_add(spec, x, y) for x, y in zip(m[source], moved)]
+        m[source] = tuple(moved)
+        diffs[d - 1 - lo] = tuple(m)
+    return based_complex(spec, lo, c.ranks, diffs, c.labels)
+
+
 def _apply_handle_slide(c: BasedComplex, op: HandleSlide) -> BasedComplex:
     d, a, b, x = op.degree, op.target, op.source, op.coefficient
     r = c.rank(d)
@@ -198,43 +227,17 @@ def _apply_handle_slide(c: BasedComplex, op: HandleSlide) -> BasedComplex:
         raise InvalidOpError("handle slide needs distinct indices")
     if not (0 <= a < r and 0 <= b < r):
         raise InvalidOpError(f"slide indices ({a}, {b}) out of range at degree {d}")
-    spec = c.spec
-    lo, hi = c.min_degree, c.max_degree
-    ranks, diffs, labels = _with_degree_window(c, lo, hi)
-    if d < hi:
-        m = [list(row) for row in c.diff(d)]
-        for g in range(len(m)):
-            m[g][a] = ring_add(spec, m[g][a], ring_mul(spec, x, m[g][b]))
-        diffs[d - lo] = tuple(tuple(row) for row in m)
-    if d > lo:
-        m = [list(row) for row in c.diff(d - 1)]
-        for j in range(len(m[0]) if m else 0):
-            m[b][j] = ring_sub(spec, m[b][j], ring_mul(spec, m[a][j], x))
-        diffs[d - 1 - lo] = tuple(tuple(row) for row in m)
-    return based_complex(spec, lo, ranks, diffs, labels)
+    return _change_basis(c, d, a, b, x, -x)
 
 
 def _apply_deck(c: BasedComplex, op: DeckTransform) -> BasedComplex:
     d, idx, w = op.degree, op.index, op.word
     if not (0 <= idx < c.rank(d)):
         raise InvalidOpError(f"deck index {idx} out of range at degree {d}")
-    spec = c.spec
-    validate_word(spec, w)
-    g = monomial(w)
-    ginv = monomial(word_inverse(spec, w))
-    lo, hi = c.min_degree, c.max_degree
-    ranks, diffs, labels = _with_degree_window(c, lo, hi)
-    if d < hi:
-        m = [list(row) for row in c.diff(d)]
-        for r in range(len(m)):
-            m[r][idx] = ring_mul(spec, g, m[r][idx])
-        diffs[d - lo] = tuple(tuple(row) for row in m)
-    if d > lo:
-        m = [list(row) for row in c.diff(d - 1)]
-        for j in range(len(m[0]) if m else 0):
-            m[idx][j] = ring_mul(spec, m[idx][j], ginv)
-        diffs[d - 1 - lo] = tuple(tuple(row) for row in m)
-    return based_complex(spec, lo, ranks, diffs, labels)
+    validate_word(c.spec, w)
+    return _change_basis(
+        c, d, idx, idx, monomial(w), monomial(word_inverse(c.spec, w))
+    )
 
 
 def apply_op(c: BasedComplex, op: SimpleOp) -> BasedComplex:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,13 @@ class TestRepSpecParsing:
             parse_rep_spec("n=7;g0=x", GroupSpec.cyclic(7))
         with pytest.raises(CliError):
             parse_rep_spec("n=12;g0=1", GroupSpec.cyclic(7))  # no hom Z/7 -> zeta_12
+
+    @pytest.mark.parametrize("modulus", ["0", "-7"])
+    def test_modulus_below_one_exits_1(self, lens_file, capsys, modulus):
+        with pytest.raises(CliError, match="modulus must be >= 1"):
+            parse_rep_spec(f"n={modulus};g0=1", GroupSpec.cyclic(7))
+        assert main(["torsion", str(lens_file), "--rep", f"n={modulus};g0=1"]) == 1
+        assert "modulus must be >= 1" in capsys.readouterr().err
 
 
 class TestTorsionCommand:
@@ -120,6 +128,11 @@ class TestLensEmit:
     def test_not_coprime_exits_1(self, tmp_path, capsys):
         assert main(["lens-emit", "6", "2", "--out", str(tmp_path / "x.json")]) == 1
         assert "gcd" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["lens-emit", "7", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
 
 class TestLensClassify:
@@ -213,7 +226,72 @@ class TestCertificates:
         assert main(["verify-cert", str(path)]) == 1
         assert "step 0" in capsys.readouterr().err
 
+    def test_gen_cert_unwritable_out_exits_1(self, lens_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "cert.json"
+        assert main(["gen-cert", str(lens_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+    def test_negative_length_exits_1(self, lens_file, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        assert main(["gen-cert", str(lens_file), "--length", "-3", "--out", str(out)]) == 1
+        assert "--length must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_cert_exits_1(self, tmp_path, capsys):
+        assert main(["verify-cert", str(tmp_path / "missing.json")]) == 1
+        assert "error: cannot read" in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        assert main(["verify-cert", str(bad)]) == 1
+        assert "invalid JSON at line 1" in capsys.readouterr().err
+
+    def test_non_object_cert_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]", encoding="utf-8")
+        assert main(["verify-cert", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_explicit_reps(self, lens_file, tmp_path):
         cert = tmp_path / "cert.json"
         main(["gen-cert", str(lens_file), "--length", "12", "--seed", "1", "--out", str(cert)])
         assert main(["verify-cert", str(cert), "--rep", "n=7;g0=1", "--rep", "n=7;g0=2"]) == 0
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GOLDEN_CASES = {
+    "lens-classify": (["lens-classify", "7", "1", "2", "--all-d"], 0),
+    "demo-freeproduct": (["demo-freeproduct", "7", "1", "2"], 0),
+    "torsion-g0-1": (["torsion", "l72.json", "--rep", "n=7;g0=1"], 0),
+    "torsion-g0-0": (["torsion", "l72.json", "--rep", "n=7;g0=0"], 2),
+    "verify-cert": (["verify-cert", "cert.json"], 0),
+}
+
+
+class TestGoldenOutput:
+    """Byte-exact stdout and written files, pinned to recorded output in
+    ``tests/golden``; refactors must not change a single byte."""
+
+    @pytest.fixture()
+    def workdir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["lens-emit", "7", "2", "--out", "l72.json"]) == 0
+        assert main(["gen-cert", "l72.json", "--length", "40", "--seed", "1", "--out", "cert.json"]) == 0
+        assert capsys.readouterr().out == (
+            "wrote L(7,2) complex to l72.json\n"
+            "wrote certificate with 40 ops to cert.json\n"
+        )
+        return tmp_path
+
+    def test_written_files(self, workdir):
+        for name in ("l72.json", "cert.json"):
+            assert (workdir / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("name", list(GOLDEN_CASES))
+    @pytest.mark.parametrize("mode", ["text", "json"])
+    def test_stdout(self, workdir, capsys, name, mode):
+        argv, status = GOLDEN_CASES[name]
+        flags = ["--json"] if mode == "json" else []
+        assert main(flags + argv) == status
+        expected = (GOLDEN / f"{name}.{mode}").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected

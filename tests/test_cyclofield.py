@@ -18,7 +18,6 @@ from torsionkit.cyclofield import (
     CycloNum,
     ModulusMismatchError,
     canonical_rep,
-    coeff_key,
     cyclo_add,
     cyclo_fraction,
     cyclo_int,
@@ -214,11 +213,25 @@ class TestCanonicalRep:
             torsion_class_eq(cyclo_one(7), cyclo_zero(7), units)
 
     def test_minimum_is_lexicographic(self):
-        units = unit_subgroup(representation(Z7, 7, [1]))
-        u = cyclo_one(7) - zeta(7)
-        got = canonical_rep(u, units)
-        orbit = sorted((cyclo_mul(w, u) for w in units.elements), key=coeff_key)
-        assert got == orbit[0]
+        # reference order: coefficient vectors compared as rationals
+        def fraction_key(a):
+            return tuple(Fraction(c, a.den) for c in a.nums)
+
+        for n in (7, 13, 31):
+            units = unit_subgroup(representation(GroupSpec.cyclic(n), n, [1]))
+            rng = random.Random(n)
+            phi = euler_phi(n)
+            samples = [cyclo_one(n) - zeta(n)]
+            while len(samples) < 20:
+                nums = tuple(rng.randint(-4, 4) for _ in range(phi))
+                den = rng.randint(1, 6)
+                u = CycloNum(n, nums, 1) * cyclo_fraction(n, Fraction(1, den))
+                if u:
+                    samples.append(u)
+            samples.append(cyclo_inv(samples[-1]))
+            for u in samples:
+                orbit = [cyclo_mul(w, u) for w in units.elements]
+                assert canonical_rep(u, units) == min(orbit, key=fraction_key)
 
 
 class TestTorsionClassEq:
