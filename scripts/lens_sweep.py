@@ -1,22 +1,17 @@
 #!/usr/bin/env python3
 """Classification sweep over lens space pairs.
 
-For each prime p requested, runs the three predicates (homotopy equivalence,
-simple homotopy equivalence, torsion distinguishability) over every coprime
-pair (q, q2) and cross-checks that torsion detects exactly the pairs that
-are not simple homotopy equivalent.  Prints the interesting cells: pairs
-that are homotopy equivalent but torsion-distinguished.
+For each prime p requested, takes the lens verdict (homotopy equivalence,
+simple homotopy equivalence, torsion distinguishability) of every coprime
+pair (q, q2) and counts the inconsistent ones, where torsion does not detect
+exactly the pairs that are not simple homotopy equivalent.  Prints the
+interesting cells: pairs homotopy equivalent but torsion-distinguished.
 """
 import argparse
 import sys
 from math import gcd
 
-from torsionkit.lensspaces import (
-    homotopy_equivalent,
-    lens_params,
-    simple_homotopy_equivalent,
-    torsion_distinguish,
-)
+from torsionkit.lensspaces import lens_params, lens_verdict
 
 
 def sweep(p: int) -> tuple[int, list[tuple[int, int, int]]]:
@@ -28,14 +23,11 @@ def sweep(p: int) -> tuple[int, list[tuple[int, int, int]]]:
         for q2 in range(q, p):
             if gcd(q2, p) != 1:
                 continue
-            a, b = lens_params(p, q), lens_params(p, q2)
-            he, m = homotopy_equivalent(a, b)
-            se, _ = simple_homotopy_equivalent(a, b)
-            td, _ = torsion_distinguish(a, b)
-            if td == se:
+            verdict = lens_verdict(lens_params(p, q), lens_params(p, q2))
+            if not verdict.consistent:
                 mismatches += 1
-            if he and not se:
-                interesting.append((q, q2, m))
+            if verdict.homotopy_equivalent and not verdict.simple_homotopy_equivalent:
+                interesting.append((q, q2, verdict.homotopy_witness))
     return mismatches, interesting
 
 

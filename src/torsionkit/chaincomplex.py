@@ -27,6 +27,7 @@ from .grouprings import (
     elem_to_obj,
     from_int,
     int_value,
+    json_int,
     ring_add,
     ring_mul,
     spec_from_obj,
@@ -618,8 +619,8 @@ def complex_to_obj(c: BasedComplex) -> dict:
 def complex_from_obj(obj) -> BasedComplex:
     try:
         spec = spec_from_obj(obj["group"])
-        min_degree = int(obj["min_degree"])
-        ranks = [int(r) for r in obj["ranks"]]
+        min_degree = json_int(obj["min_degree"])
+        ranks = [json_int(r) for r in obj["ranks"]]
         raw = obj["differentials"]
         diffs = []
         for k in range(len(ranks) - 1):

@@ -6,8 +6,8 @@ representation), ``lens-emit`` (write a lens complex file),
 (the free-product torsion table), ``verify-cert`` (replay a certificate and
 compare fingerprints) and ``gen-cert`` (emit a random certificate).
 
-Every command produces a deterministic report, printed as labeled lines or,
-with ``--json``, as one JSON document with the same content.  Exit codes:
+Every command returns one deterministic report: ``--json`` prints it as one
+JSON document, and text output is labeled lines rendered from it.  Exit codes:
 0 success, 1 parse/validation error, 2 verification or acyclicity failure,
 3 internal cross-check violation (never expected).
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from math import gcd
 
 from .grouprings import GroupSpec
@@ -61,36 +61,27 @@ from .lensspaces import (
 PARSE_ERROR = 1
 CHECK_FAILED = 2
 CROSSCHECK_VIOLATION = 3
+DEFAULT_REP_COUNT = 6
 
 
 @dataclass
 class Report:
+    """What a command found; ``--json`` prints it and text is rendered from it."""
+
     command: str
     inputs: dict
     results: dict
     status: int = 0
-    lines: list[str] = field(default_factory=list)
-
-    def to_obj(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "status": self.status,
-        }
 
 
 class CliError(Exception):
-    def __init__(self, message: str, status: int = PARSE_ERROR):
-        super().__init__(message)
-        self.status = status
+    """Invalid input found by the CLI itself; reported like the library's."""
 
 
 def parse_rep_spec(text: str, spec: GroupSpec) -> Representation:
     """Grammar: ``n=<modulus>;g0=<e0>,g1=<e1>,...`` with one exponent per
-    free factor of the group."""
-    modulus = None
-    exps: dict[int, int] = {}
+    free factor of the group; each key appears once."""
+    values: dict[str | int, int] = {}  # "n" -> modulus, factor index -> exponent
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -104,24 +95,28 @@ def parse_rep_spec(text: str, spec: GroupSpec) -> Representation:
                 value = int(val)
             except ValueError as exc:
                 raise CliError(f"rep spec value {val!r} is not an integer") from exc
-            if key == "n":
-                modulus = value
-            elif key.startswith("g"):
+            slot = key
+            if key.startswith("g"):
                 try:
-                    exps[int(key[1:])] = value
+                    slot = int(key[1:])
                 except ValueError as exc:
                     raise CliError(f"bad generator key {key!r}") from exc
-            else:
+                if not 0 <= slot < spec.num_factors:
+                    raise CliError(f"rep spec key {key!r} names no factor of the group")
+            elif key != "n":
                 raise CliError(f"unknown rep spec key {key!r}")
-    if modulus is None:
+            if slot in values:
+                raise CliError(f"rep spec repeats key {key!r}")
+            values[slot] = value
+    if "n" not in values:
         raise CliError("rep spec is missing n=<modulus>")
     exponents = []
     for i in range(spec.num_factors):
-        if i not in exps:
+        if i not in values:
             raise CliError(f"rep spec is missing g{i}=<exponent>")
-        exponents.append(exps[i])
+        exponents.append(values[i])
     try:
-        return representation(spec, modulus, exponents)
+        return representation(spec, values["n"], exponents)
     except ValueError as exc:
         raise CliError(f"invalid representation: {exc}") from exc
 
@@ -160,6 +155,10 @@ def _load_complex_checked(path: str):
     return c
 
 
+def _class_str(cls) -> str | None:
+    return None if cls is None else cyclo_str(cls.representative)
+
+
 def cmd_torsion(args) -> Report:
     c = _load_complex_checked(args.complex_file)
     rep = parse_rep_spec(args.rep, c.spec)
@@ -167,79 +166,51 @@ def cmd_torsion(args) -> Report:
     try:
         cls = reidemeister_torsion(c, rep)
     except NotAcyclicError as exc:
-        report = Report(
+        return Report(
             "torsion",
             inputs,
             {"acyclic": False, "degree": exc.degree, "defect": exc.defect},
             status=CHECK_FAILED,
         )
-        report.lines = [f"NOT_ACYCLIC at degree {exc.degree} (defect {exc.defect})"]
-        return report
-    rendered = cyclo_str(cls.representative)
-    report = Report(
-        "torsion",
-        inputs,
-        {"acyclic": True, "torsion_class": rendered},
-    )
-    report.lines = [f"torsion class: {rendered}"]
-    return report
+    return Report("torsion", inputs, {"acyclic": True, "torsion_class": _class_str(cls)})
+
+
+def render_torsion(report: Report) -> list[str]:
+    res = report.results
+    if not res["acyclic"]:
+        return [f"NOT_ACYCLIC at degree {res['degree']} (defect {res['defect']})"]
+    return [f"torsion class: {res['torsion_class']}"]
 
 
 def cmd_lens_emit(args) -> Report:
-    try:
-        params = lens_params(args.p, args.q)
-    except NotCoprimeError as exc:
-        raise CliError(str(exc))
+    params = lens_params(args.p, args.q)
     c = lens_complex(params)
     _write_text(args.out, dumps_canonical(complex_to_obj(c)))
-    report = Report(
+    return Report(
         "lens-emit",
         {"p": params.p, "q": params.q, "out": args.out},
         {"ranks": list(c.ranks), "min_degree": c.min_degree},
     )
-    report.lines = [f"wrote L({params.p},{params.q}) complex to {args.out}"]
-    return report
+
+
+def render_lens_emit(report: Report) -> list[str]:
+    inp = report.inputs
+    return [f"wrote L({inp['p']},{inp['q']}) complex to {inp['out']}"]
 
 
 def cmd_lens_classify(args) -> Report:
-    try:
-        a = lens_params(args.p, args.q)
-        b = lens_params(args.p, args.q2)
-    except NotCoprimeError as exc:
-        raise CliError(str(exc))
+    a = lens_params(args.p, args.q)
+    b = lens_params(args.p, args.q2)
     verdict = lens_verdict(a, b)
+    sw = verdict.simple_witness
     results = {
         "homotopy_equivalent": verdict.homotopy_equivalent,
         "homotopy_witness_m": verdict.homotopy_witness,
         "simple_homotopy_equivalent": verdict.simple_homotopy_equivalent,
-        "simple_witness": (
-            None
-            if verdict.simple_witness is None
-            else {
-                "sign": verdict.simple_witness[0],
-                "inverted": verdict.simple_witness[1],
-            }
-        ),
+        "simple_witness": None if sw is None else {"sign": sw[0], "inverted": sw[1]},
         "torsion_distinguished": verdict.torsion_distinguished,
         "torsion_match_twist": verdict.torsion_match_twist,
     }
-    lines = []
-    if verdict.homotopy_equivalent:
-        lines.append(f"homotopy-equivalent: YES (m={verdict.homotopy_witness})")
-    else:
-        lines.append("homotopy-equivalent: NO")
-    if verdict.simple_homotopy_equivalent:
-        sign, inverted = verdict.simple_witness
-        rel = f"{'-' if sign < 0 else '+'}q{'^-1' if inverted else ''}"
-        lines.append(f"simple-homotopy-equivalent: YES (q' = {rel})")
-    else:
-        lines.append("simple-homotopy-equivalent: NO")
-    if verdict.torsion_distinguished:
-        lines.append("torsion-distinguished: YES")
-    else:
-        lines.append(
-            f"torsion-distinguished: NO (match at d={verdict.torsion_match_twist})"
-        )
     if args.all_d:
         sweep = []
         reference = lens_torsion(b, 1)
@@ -248,73 +219,81 @@ def cmd_lens_classify(args) -> Report:
                 continue
             cls = lens_torsion(a, d)
             sweep.append(
-                {
-                    "d": d,
-                    "torsion_class": cyclo_str(cls.representative),
-                    "matches": cls == reference,
-                }
-            )
-            lines.append(
-                f"  d={d}: {cyclo_str(cls.representative)}"
-                f" {'MATCH' if cls == reference else 'DIFFERS'}"
+                {"d": d, "torsion_class": _class_str(cls), "matches": cls == reference}
             )
         results["twist_sweep"] = sweep
-        results["reference_class"] = cyclo_str(reference.representative)
-    status = 0 if verdict.consistent else CROSSCHECK_VIOLATION
-    if status:
-        lines.append("CROSS-CHECK FAILED: torsion vs arithmetic disagree")
-    report = Report(
+        results["reference_class"] = _class_str(reference)
+    return Report(
         "lens-classify",
         {"p": args.p, "q": a.q, "q2": b.q},
         results,
-        status=status,
+        status=0 if verdict.consistent else CROSSCHECK_VIOLATION,
     )
-    report.lines = lines
-    return report
+
+
+def render_lens_classify(report: Report) -> list[str]:
+    res = report.results
+    lines = []
+    if res["homotopy_equivalent"]:
+        lines.append(f"homotopy-equivalent: YES (m={res['homotopy_witness_m']})")
+    else:
+        lines.append("homotopy-equivalent: NO")
+    if res["simple_homotopy_equivalent"]:
+        w = res["simple_witness"]
+        rel = f"{'-' if w['sign'] < 0 else '+'}q{'^-1' if w['inverted'] else ''}"
+        lines.append(f"simple-homotopy-equivalent: YES (q' = {rel})")
+    else:
+        lines.append("simple-homotopy-equivalent: NO")
+    if res["torsion_distinguished"]:
+        lines.append("torsion-distinguished: YES")
+    else:
+        lines.append(f"torsion-distinguished: NO (match at d={res['torsion_match_twist']})")
+    for row in res.get("twist_sweep", ()):
+        lines.append(
+            f"  d={row['d']}: {row['torsion_class']}"
+            f" {'MATCH' if row['matches'] else 'DIFFERS'}"
+        )
+    if report.status:
+        lines.append("CROSS-CHECK FAILED: torsion vs arithmetic disagree")
+    return lines
 
 
 def cmd_demo_freeproduct(args) -> Report:
-    try:
-        rpt = free_product_scenario(args.p, args.q, args.q2)
-    except (NotCoprimeError, NonPrimeUnsupportedError) as exc:
-        raise CliError(str(exc))
-    rows = []
-    lines = [f"second complex class: {cyclo_str(rpt.second_class.representative)}"]
-    for l, cls, same in rpt.rows:
-        if cls is None:
-            rows.append({"l": l, "torsion_class": None, "matches": False})
-            lines.append(f"  l={l}: NOT_ACYCLIC")
-        else:
-            rows.append(
-                {
-                    "l": l,
-                    "torsion_class": cyclo_str(cls.representative),
-                    "matches": same,
-                }
-            )
-            lines.append(
-                f"  l={l}: {cyclo_str(cls.representative)}"
-                f" {'MATCH' if same else 'DISTINCT'}"
-            )
-    if rpt.match_twist is None:
-        lines.append("verdict: DISTINCT")
-    else:
-        lines.append(f"verdict: MATCH (l={rpt.match_twist})")
-    report = Report(
+    rpt = free_product_scenario(args.p, args.q, args.q2)
+    return Report(
         "demo-freeproduct",
         {"p": rpt.p, "q": rpt.q, "q2": rpt.q2},
         {
-            "second_class": cyclo_str(rpt.second_class.representative),
-            "rows": rows,
+            "second_class": _class_str(rpt.second_class),
+            "rows": [
+                {"l": l, "torsion_class": _class_str(cls), "matches": same}
+                for l, cls, same in rpt.rows
+            ],
             "match_twist": rpt.match_twist,
             "verdict": "MATCH" if rpt.match_twist is not None else "DISTINCT",
         },
     )
-    report.lines = lines
-    return report
 
 
-def _default_reps(spec: GroupSpec, modulus: int, limit: int = 6):
+def render_demo_freeproduct(report: Report) -> list[str]:
+    res = report.results
+    lines = [f"second complex class: {res['second_class']}"]
+    for row in res["rows"]:
+        if row["torsion_class"] is None:
+            lines.append(f"  l={row['l']}: NOT_ACYCLIC")
+        else:
+            lines.append(
+                f"  l={row['l']}: {row['torsion_class']}"
+                f" {'MATCH' if row['matches'] else 'DISTINCT'}"
+            )
+    if res["match_twist"] is None:
+        lines.append("verdict: DISTINCT")
+    else:
+        lines.append(f"verdict: MATCH (l={res['match_twist']})")
+    return lines
+
+
+def _default_reps(spec: GroupSpec, modulus: int):
     reps = []
     for d in range(1, modulus):
         if gcd(d, modulus) != 1:
@@ -323,7 +302,7 @@ def _default_reps(spec: GroupSpec, modulus: int, limit: int = 6):
             reps.append(representation(spec, modulus, [d] * spec.num_factors))
         except ValueError:
             continue
-        if len(reps) == limit:
+        if len(reps) == DEFAULT_REP_COUNT:
             break
     return reps
 
@@ -348,28 +327,23 @@ def cmd_verify_cert(args) -> Report:
     except InvalidOpError as exc:
         raise CliError(f"invalid certificate: {exc}")
     if not ok:
-        report = Report(
+        return Report(
             "verify-cert",
             inputs,
             {"replay": False, "fingerprints_agree": None},
             status=CHECK_FAILED,
         )
-        report.lines = ["replay: FAILED (end complex does not match)"]
-        return report
     fp_start = fingerprint(cert.start, reps)
     fp_end = fingerprint(cert.end, reps)
     agree = fingerprints_equivalent(fp_start, fp_end)
 
     def fp_rows(fp):
         return [
-            {
-                "rep": _rep_label(rep),
-                "torsion_class": None if cls is None else cyclo_str(cls.representative),
-            }
+            {"rep": _rep_label(rep), "torsion_class": _class_str(cls)}
             for rep, cls in fp.entries
         ]
 
-    report = Report(
+    return Report(
         "verify-cert",
         inputs,
         {
@@ -380,14 +354,18 @@ def cmd_verify_cert(args) -> Report:
         },
         status=0 if agree else CHECK_FAILED,
     )
-    report.lines = ["replay: OK"]
-    for row in fp_rows(fp_start):
+
+
+def render_verify_cert(report: Report) -> list[str]:
+    res = report.results
+    if not res["replay"]:
+        return ["replay: FAILED (end complex does not match)"]
+    lines = ["replay: OK"]
+    for row in res["fingerprint"]:
         cls = row["torsion_class"]
-        report.lines.append(
-            f"  {row['rep']} -> {cls if cls is not None else 'NOT_ACYCLIC'}"
-        )
-    report.lines.append(f"fingerprints: {'AGREE' if agree else 'DISAGREE'}")
-    return report
+        lines.append(f"  {row['rep']} -> {cls if cls is not None else 'NOT_ACYCLIC'}")
+    lines.append(f"fingerprints: {'AGREE' if res['fingerprints_agree'] else 'DISAGREE'}")
+    return lines
 
 
 def cmd_gen_cert(args) -> Report:
@@ -396,7 +374,7 @@ def cmd_gen_cert(args) -> Report:
     c = _load_complex_checked(args.complex_file)
     cert = random_op_sequence(c, args.length, args.seed)
     _write_text(args.out, dumps_canonical(cert_to_obj(cert)))
-    report = Report(
+    return Report(
         "gen-cert",
         {
             "complex_file": args.complex_file,
@@ -406,8 +384,10 @@ def cmd_gen_cert(args) -> Report:
         },
         {"ops": len(cert.ops), "end_ranks": list(cert.end.ranks)},
     )
-    report.lines = [f"wrote certificate with {len(cert.ops)} ops to {args.out}"]
-    return report
+
+
+def render_gen_cert(report: Report) -> list[str]:
+    return [f"wrote certificate with {report.results['ops']} ops to {report.inputs['out']}"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,38 +401,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("torsion", help="torsion class of a complex file")
     p.add_argument("complex_file")
     p.add_argument("--rep", required=True, help="n=<modulus>;g0=<e0>,g1=<e1>,...")
-    p.set_defaults(func=cmd_torsion)
+    p.set_defaults(func=cmd_torsion, render=render_torsion)
 
     p = sub.add_parser("lens-emit", help="write the lens complex L(p,q)")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_lens_emit)
+    p.set_defaults(func=cmd_lens_emit, render=render_lens_emit)
 
     p = sub.add_parser("lens-classify", help="classification verdicts for a pair")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("q2", type=int)
     p.add_argument("--all-d", action="store_true", help="include the full twist sweep")
-    p.set_defaults(func=cmd_lens_classify)
+    p.set_defaults(func=cmd_lens_classify, render=render_lens_classify)
 
     p = sub.add_parser("demo-freeproduct", help="free-product torsion comparison")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("q2", type=int)
-    p.set_defaults(func=cmd_demo_freeproduct)
+    p.set_defaults(func=cmd_demo_freeproduct, render=render_demo_freeproduct)
 
     p = sub.add_parser("verify-cert", help="replay a certificate and compare fingerprints")
     p.add_argument("cert_file")
     p.add_argument("--rep", action="append", help="may be repeated; default: twist sweep")
-    p.set_defaults(func=cmd_verify_cert)
+    p.set_defaults(func=cmd_verify_cert, render=render_verify_cert)
 
     p = sub.add_parser("gen-cert", help="emit a random valid certificate")
     p.add_argument("complex_file")
     p.add_argument("--length", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_cert)
+    p.set_defaults(func=cmd_gen_cert, render=render_gen_cert)
     return parser
 
 
@@ -461,16 +441,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.status
-    except (ModulusMismatchError, SpecMismatchError, ShapeMismatchError) as exc:
+    except (
+        CliError,
+        ModulusMismatchError,
+        SpecMismatchError,
+        ShapeMismatchError,
+        NotCoprimeError,
+        NonPrimeUnsupportedError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     if args.json:
-        sys.stdout.write(dumps_canonical(report.to_obj()))
+        sys.stdout.write(dumps_canonical(asdict(report)))
     else:
-        for line in report.lines:
+        for line in args.render(report):
             print(line)
     return report.status
 

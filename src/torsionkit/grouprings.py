@@ -218,15 +218,22 @@ def elem_to_obj(a: GroupRingElem) -> list:
     return [[c, [[f, e] for f, e in w.letters]] for w, c in a.terms]
 
 
+def json_int(value) -> int:
+    """A document's integer, refused rather than coerced if a float, bool or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def elem_from_obj(spec: GroupSpec, obj) -> GroupRingElem:
     acc: dict[GroupWord, int] = {}
     for pair in obj:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidWordError(f"bad term {pair!r}")
         c, letters = pair
-        w = GroupWord(tuple((int(f), int(e)) for f, e in letters))
+        w = GroupWord(tuple((json_int(f), json_int(e)) for f, e in letters))
         validate_word(spec, w)
-        acc[w] = acc.get(w, 0) + int(c)
+        acc[w] = acc.get(w, 0) + json_int(c)
     return elem_from_dict(acc)
 
 
@@ -239,7 +246,7 @@ def spec_to_obj(spec: GroupSpec) -> dict:
 def spec_from_obj(obj) -> GroupSpec:
     kind = obj.get("kind")
     if kind == "cyclic":
-        return GroupSpec.cyclic(int(obj["order"]))
+        return GroupSpec.cyclic(json_int(obj["order"]))
     if kind == "free_product":
-        return GroupSpec.free_product(obj["factor_orders"])
+        return GroupSpec.free_product([json_int(m) for m in obj["factor_orders"]])
     raise ValueError(f"unknown group kind: {kind!r}")

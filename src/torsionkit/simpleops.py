@@ -23,6 +23,7 @@ from .grouprings import (
     elem_to_obj,
     from_int,
     generator_word,
+    json_int,
     monomial,
     ring_add,
     ring_mul,
@@ -376,20 +377,20 @@ def _op_to_obj(op: SimpleOp) -> dict:
 def _op_from_obj(spec: GroupSpec, obj) -> SimpleOp:
     kind = obj.get("kind")
     if kind == "expansion":
-        return Expansion(int(obj["degree"]), int(obj["position"]))
+        return Expansion(json_int(obj["degree"]), json_int(obj["position"]))
     if kind == "retraction":
-        return Retraction(int(obj["degree"]), int(obj["position"]))
+        return Retraction(json_int(obj["degree"]), json_int(obj["position"]))
     if kind == "handle_slide":
         return HandleSlide(
-            int(obj["degree"]),
-            int(obj["target"]),
-            int(obj["source"]),
+            json_int(obj["degree"]),
+            json_int(obj["target"]),
+            json_int(obj["source"]),
             elem_from_obj(spec, obj["coefficient"]),
         )
     if kind == "deck_transform":
-        w = GroupWord(tuple((int(f), int(e)) for f, e in obj["word"]))
+        w = GroupWord(tuple((json_int(f), json_int(e)) for f, e in obj["word"]))
         validate_word(spec, w)
-        return DeckTransform(int(obj["degree"]), int(obj["index"]), w)
+        return DeckTransform(json_int(obj["degree"]), json_int(obj["index"]), w)
     raise InvalidOpError(f"unknown op kind {kind!r}")
 
 

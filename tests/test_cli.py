@@ -5,10 +5,35 @@ import pytest
 
 from torsionkit.cli import main, parse_rep_spec, CliError
 from torsionkit.grouprings import GroupSpec
-from torsionkit.chaincomplex import dumps_canonical, load_complex, save_complex
-from torsionkit.simpleops import cert_to_obj, random_op_sequence, OpCertificate, DeckTransform, apply_op
+from torsionkit.chaincomplex import (
+    complex_from_obj,
+    complex_to_obj,
+    dumps_canonical,
+    load_complex,
+    save_complex,
+)
+from torsionkit.simpleops import (
+    cert_from_obj,
+    cert_to_obj,
+    random_op_sequence,
+    OpCertificate,
+    DeckTransform,
+    apply_op,
+)
 from torsionkit.grouprings import generator_word
-from torsionkit.lensspaces import lens_complex, lens_params
+from torsionkit.lensspaces import LensVerdict, lens_complex, lens_params
+
+
+def write_tampered_cert(path):
+    """A certificate whose end complex is one deck transform off."""
+    c = lens_complex(lens_params(7, 2))
+    cert = random_op_sequence(c, 10, 2)
+    tampered = OpCertificate(
+        cert.start,
+        cert.ops,
+        apply_op(cert.end, DeckTransform(0, 0, generator_word(GroupSpec.cyclic(7), 0, 1))),
+    )
+    path.write_text(dumps_canonical(cert_to_obj(tampered)), encoding="utf-8")
 
 
 @pytest.fixture()
@@ -28,14 +53,18 @@ class TestRepSpecParsing:
         assert rep.generator_exponents == (1, 1)
 
     def test_errors(self):
-        with pytest.raises(CliError):
-            parse_rep_spec("g0=1", GroupSpec.cyclic(7))
-        with pytest.raises(CliError):
-            parse_rep_spec("n=7", GroupSpec.cyclic(7))
-        with pytest.raises(CliError):
-            parse_rep_spec("n=7;g0=x", GroupSpec.cyclic(7))
-        with pytest.raises(CliError):
-            parse_rep_spec("n=12;g0=1", GroupSpec.cyclic(7))  # no hom Z/7 -> zeta_12
+        for text in (
+            "g0=1",
+            "n=7",
+            "n=7;g0=x",
+            "n=12;g0=1",  # no hom Z/7 -> zeta_12
+            "n=7;g0=1;g0=3",  # repeated key
+            "n=7;n=9;g0=1",
+            "n=9;n=7;g0=1",  # the second n alone would be valid
+            "n=7;g0=1;g5=3",  # no factor 5
+        ):
+            with pytest.raises(CliError):
+                parse_rep_spec(text, GroupSpec.cyclic(7))
 
     @pytest.mark.parametrize("modulus", ["0", "-7"])
     def test_modulus_below_one_exits_1(self, lens_file, capsys, modulus):
@@ -78,6 +107,16 @@ class TestTorsionCommand:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["torsion", str(path), "--rep", "n=7;g0=1"]) == 1
         assert "not a complex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_non_integer_coefficient_exits_1(self, tmp_path, capsys, bad):
+        doc = json.loads((GOLDEN / "l72.json").read_text(encoding="utf-8"))
+        doc["differentials"]["0"][0][0][0][0] = bad  # the coefficient 1 of 1 - t^4
+        path = tmp_path / "coerced.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["torsion", str(path), "--rep", "n=7;g0=1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
 
     def test_free_product_complex_file(self, tmp_path, capsys):
         from torsionkit.lensspaces import free_product_scenario
@@ -162,6 +201,15 @@ class TestLensClassify:
         assert len(sweep) == 6
         assert all(not row["matches"] for row in sweep)
 
+    def test_crosscheck_failure_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(LensVerdict, "consistent", property(lambda self: False))
+        assert main(["lens-classify", "7", "1", "2"]) == 3
+        assert capsys.readouterr().out.endswith(
+            "torsion-distinguished: YES\nCROSS-CHECK FAILED: torsion vs arithmetic disagree\n"
+        )
+        assert main(["--json", "lens-classify", "7", "1", "2"]) == 3
+        assert '"status":3' in capsys.readouterr().out
+
 
 class TestDemoFreeproduct:
     def test_distinct_verdict(self, capsys):
@@ -206,15 +254,8 @@ class TestCertificates:
         assert a.read_text() == b.read_text()
 
     def test_tampered_end_exits_2(self, tmp_path, capsys):
-        c = lens_complex(lens_params(7, 2))
-        cert = random_op_sequence(c, 10, 2)
-        tampered = OpCertificate(
-            cert.start,
-            cert.ops,
-            apply_op(cert.end, DeckTransform(0, 0, generator_word(GroupSpec.cyclic(7), 0, 1))),
-        )
         path = tmp_path / "tampered.json"
-        path.write_text(dumps_canonical(cert_to_obj(tampered)), encoding="utf-8")
+        write_tampered_cert(path)
         assert main(["verify-cert", str(path)]) == 2
         assert "FAILED" in capsys.readouterr().out
 
@@ -245,6 +286,14 @@ class TestCertificates:
         assert main(["verify-cert", str(bad)]) == 1
         assert "invalid JSON at line 1" in capsys.readouterr().err
 
+    def test_float_op_degree_exits_1(self, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))
+        doc["ops"][0]["degree"] = float(doc["ops"][0]["degree"])
+        path = tmp_path / "coerced.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-cert", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_non_object_cert_exits_1(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[]", encoding="utf-8")
@@ -261,11 +310,21 @@ GOLDEN = Path(__file__).parent / "golden"
 
 GOLDEN_CASES = {
     "lens-classify": (["lens-classify", "7", "1", "2", "--all-d"], 0),
+    "lens-classify-simple": (["lens-classify", "7", "2", "3"], 0),
+    "lens-classify-not-homotopic": (["lens-classify", "5", "1", "2"], 0),
     "demo-freeproduct": (["demo-freeproduct", "7", "1", "2"], 0),
+    "demo-freeproduct-match": (["demo-freeproduct", "7", "1", "1"], 0),
     "torsion-g0-1": (["torsion", "l72.json", "--rep", "n=7;g0=1"], 0),
     "torsion-g0-0": (["torsion", "l72.json", "--rep", "n=7;g0=0"], 2),
     "verify-cert": (["verify-cert", "cert.json"], 0),
+    "verify-cert-tampered": (["verify-cert", "tampered.json"], 2),
+    "lens-emit": (["lens-emit", "7", "2", "--out", "l72.json"], 0),
+    "gen-cert": (["gen-cert", "l72.json", "--length", "40", "--seed", "1", "--out", "cert.json"], 0),
 }
+
+HELP_COMMANDS = [
+    None, "torsion", "lens-emit", "lens-classify", "demo-freeproduct", "verify-cert", "gen-cert",
+]
 
 
 class TestGoldenOutput:
@@ -281,11 +340,26 @@ class TestGoldenOutput:
             "wrote L(7,2) complex to l72.json\n"
             "wrote certificate with 40 ops to cert.json\n"
         )
+        write_tampered_cert(tmp_path / "tampered.json")
         return tmp_path
 
     def test_written_files(self, workdir):
         for name in ("l72.json", "cert.json"):
             assert (workdir / name).read_bytes() == (GOLDEN / name).read_bytes()
+        golden_complex = (GOLDEN / "l72.json").read_text(encoding="utf-8")
+        golden_cert = (GOLDEN / "cert.json").read_text(encoding="utf-8")
+        assert dumps_canonical(complex_to_obj(complex_from_obj(json.loads(golden_complex)))) == golden_complex
+        assert dumps_canonical(cert_to_obj(cert_from_obj(json.loads(golden_cert)))) == golden_cert
+
+    @pytest.mark.parametrize("command", HELP_COMMANDS)
+    def test_help(self, monkeypatch, capsys, command):
+        """The CLI surface: no option, subcommand or help text changes unnoticed."""
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(([command] if command else []) + ["--help"])
+        assert exc.value.code == 0
+        name = f"help-{command}" if command else "help"
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.text").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("name", list(GOLDEN_CASES))
     @pytest.mark.parametrize("mode", ["text", "json"])
