@@ -633,7 +633,9 @@ def complex_from_obj(obj) -> BasedComplex:
                     tuple(tuple(elem_from_obj(spec, x) for x in row) for row in m)
                 )
         labels = obj.get("labels")
-    except (KeyError, TypeError, ValueError) as exc:
+        if labels is not None:
+            labels = [tuple(ls) for ls in labels]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ShapeMismatchError(f"malformed complex document: {exc}") from exc
     return based_complex(spec, min_degree, ranks, diffs, labels)
 

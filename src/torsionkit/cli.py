@@ -2,14 +2,16 @@
 
 Subcommands: ``torsion`` (torsion class of a complex file under a
 representation), ``lens-emit`` (write a lens complex file),
-``lens-classify`` (the three classification verdicts), ``demo-freeproduct``
-(the free-product torsion table), ``verify-cert`` (replay a certificate and
-compare fingerprints) and ``gen-cert`` (emit a random certificate).
+``lens-classify`` (the three classification verdicts), ``lens-sweep`` (the
+verdicts of every pair for a list of primes), ``demo-freeproduct`` (the
+free-product torsion table), ``verify-cert`` (replay a certificate and compare
+fingerprints) and ``gen-cert`` (emit a random certificate).
 
 Every command returns one deterministic report: ``--json`` prints it as one
 JSON document, and text output is labeled lines rendered from it.  Exit codes:
 0 success, 1 parse/validation error, 2 verification or acyclicity failure,
-3 internal cross-check violation (never expected).
+3 internal cross-check violation (never expected).  A modulus above
+``MAX_MODULUS`` is a parse error.
 """
 from __future__ import annotations
 
@@ -54,7 +56,6 @@ from .lensspaces import (
     free_product_scenario,
     lens_complex,
     lens_params,
-    lens_torsion,
     lens_verdict,
 )
 
@@ -62,6 +63,11 @@ PARSE_ERROR = 1
 CHECK_FAILED = 2
 CROSSCHECK_VIOLATION = 3
 DEFAULT_REP_COUNT = 6
+# Largest modulus the CLI computes in: a lens or free-product p, a --rep n, or
+# the default twist modulus of a certificate.  A twist sweep costs p torsions
+# over Q(zeta_p); on a 2-vCPU machine `lens-classify p 1 2 --all-d` takes
+# 0.7 s at p = 61 and 5.2 s at p = 127, and grows faster than p^3 beyond.
+MAX_MODULUS = 127
 
 
 @dataclass
@@ -76,6 +82,11 @@ class Report:
 
 class CliError(Exception):
     """Invalid input found by the CLI itself; reported like the library's."""
+
+
+def _check_modulus(name: str, value: int) -> None:
+    if value > MAX_MODULUS:
+        raise CliError(f"{name} = {value} exceeds the modulus cap {MAX_MODULUS}")
 
 
 def parse_rep_spec(text: str, spec: GroupSpec) -> Representation:
@@ -115,6 +126,7 @@ def parse_rep_spec(text: str, spec: GroupSpec) -> Representation:
         if i not in values:
             raise CliError(f"rep spec is missing g{i}=<exponent>")
         exponents.append(values[i])
+    _check_modulus("n", values["n"])
     try:
         return representation(spec, values["n"], exponents)
     except ValueError as exc:
@@ -159,6 +171,11 @@ def _class_str(cls) -> str | None:
     return None if cls is None else cyclo_str(cls.representative)
 
 
+def _sweep_rows(rows, twist: str) -> list[dict]:
+    """The (twist, class, matches) rows of a ``TwistSweep``, the twist under the key ``twist``."""
+    return [{twist: t, "torsion_class": _class_str(cls), "matches": same} for t, cls, same in rows]
+
+
 def cmd_torsion(args) -> Report:
     c = _load_complex_checked(args.complex_file)
     rep = parse_rep_spec(args.rep, c.spec)
@@ -183,6 +200,7 @@ def render_torsion(report: Report) -> list[str]:
 
 
 def cmd_lens_emit(args) -> Report:
+    _check_modulus("p", args.p)
     params = lens_params(args.p, args.q)
     c = lens_complex(params)
     _write_text(args.out, dumps_canonical(complex_to_obj(c)))
@@ -199,6 +217,7 @@ def render_lens_emit(report: Report) -> list[str]:
 
 
 def cmd_lens_classify(args) -> Report:
+    _check_modulus("p", args.p)
     a = lens_params(args.p, args.q)
     b = lens_params(args.p, args.q2)
     verdict = lens_verdict(a, b)
@@ -212,17 +231,8 @@ def cmd_lens_classify(args) -> Report:
         "torsion_match_twist": verdict.torsion_match_twist,
     }
     if args.all_d:
-        sweep = []
-        reference = lens_torsion(b, 1)
-        for d in range(1, a.p):
-            if gcd(d, a.p) != 1:
-                continue
-            cls = lens_torsion(a, d)
-            sweep.append(
-                {"d": d, "torsion_class": _class_str(cls), "matches": cls == reference}
-            )
-        results["twist_sweep"] = sweep
-        results["reference_class"] = _class_str(reference)
+        results["twist_sweep"] = _sweep_rows(verdict.sweep.rows, "d")
+        results["reference_class"] = _class_str(verdict.sweep.reference)
     return Report(
         "lens-classify",
         {"p": args.p, "q": a.q, "q2": b.q},
@@ -258,17 +268,61 @@ def render_lens_classify(report: Report) -> list[str]:
     return lines
 
 
+def cmd_lens_sweep(args) -> Report:
+    for p in args.primes:
+        _check_modulus("p", p)
+        lens_params(p, 1)  # rejects p < 2, as lens-classify does
+    rows = []
+    for p in args.primes:
+        units = [q for q in range(1, p) if gcd(q, p) == 1]
+        separated = []
+        failures = 0
+        for i, q in enumerate(units):
+            for q2 in units[i:]:
+                verdict = lens_verdict(lens_params(p, q), lens_params(p, q2))
+                failures += not verdict.consistent
+                if verdict.homotopy_equivalent and not verdict.simple_homotopy_equivalent:
+                    separated.append({"q": q, "q2": q2, "m": verdict.homotopy_witness})
+        rows.append({"p": p, "separated": separated, "crosscheck_failures": failures})
+    return Report(
+        "lens-sweep",
+        {"primes": args.primes},
+        {"primes": rows},
+        status=CROSSCHECK_VIOLATION if any(r["crosscheck_failures"] for r in rows) else 0,
+    )
+
+
+def render_lens_sweep(report: Report) -> list[str]:
+    lines = []
+    for row in report.results["primes"]:
+        p, pairs = row["p"], row["separated"]
+        lines.append(f"p = {p}: {len(pairs)} homotopy-equivalent pairs that torsion separates")
+        for pair in pairs:
+            lines.append(
+                f"  L({p},{pair['q']}) ~ L({p},{pair['q2']})  (m={pair['m']})"
+                "  but NOT simple homotopy equivalent"
+            )
+        if row["crosscheck_failures"]:
+            lines.append(
+                f"  !! {row['crosscheck_failures']} cross-check failures (torsion vs arithmetic)"
+            )
+    lines.append("")
+    if report.status:
+        lines.append("FAILED: torsion disagreed with the arithmetic criterion somewhere")
+    else:
+        lines.append("cross-check clean: torsion = not(q2 = +-q^+-1) on every pair")
+    return lines
+
+
 def cmd_demo_freeproduct(args) -> Report:
+    _check_modulus("p", args.p)
     rpt = free_product_scenario(args.p, args.q, args.q2)
     return Report(
         "demo-freeproduct",
         {"p": rpt.p, "q": rpt.q, "q2": rpt.q2},
         {
             "second_class": _class_str(rpt.second_class),
-            "rows": [
-                {"l": l, "torsion_class": _class_str(cls), "matches": same}
-                for l, cls, same in rpt.rows
-            ],
+            "rows": _sweep_rows(rpt.rows, "l"),
             "match_twist": rpt.match_twist,
             "verdict": "MATCH" if rpt.match_twist is not None else "DISTINCT",
         },
@@ -310,13 +364,15 @@ def _default_reps(spec: GroupSpec, modulus: int):
 def cmd_verify_cert(args) -> Report:
     try:
         cert = cert_from_obj(_read_json(args.cert_file))
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise CliError(f"{args.cert_file}: {exc}")
     spec = cert.start.spec
     if args.rep:
         reps = [parse_rep_spec(r, spec) for r in args.rep]
     else:
-        reps = _default_reps(spec, max(spec.factor_orders))
+        modulus = max(spec.factor_orders)
+        _check_modulus("default modulus", modulus)
+        reps = _default_reps(spec, modulus)
     inputs = {
         "cert_file": args.cert_file,
         "reps": [_rep_label(r) for r in reps],
@@ -415,6 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q2", type=int)
     p.add_argument("--all-d", action="store_true", help="include the full twist sweep")
     p.set_defaults(func=cmd_lens_classify, render=render_lens_classify)
+
+    p = sub.add_parser("lens-sweep", help="verdicts for every pair of lens spaces")
+    p.add_argument(
+        "--primes", type=int, nargs="+", default=[5, 7, 11, 13, 17], help="default: %(default)s"
+    )
+    p.set_defaults(func=cmd_lens_sweep, render=render_lens_sweep)
 
     p = sub.add_parser("demo-freeproduct", help="free-product torsion comparison")
     p.add_argument("p", type=int)

@@ -174,12 +174,8 @@ def ring_add(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingEl
     return elem_from_dict(acc)
 
 
-def ring_neg(spec: GroupSpec, a: GroupRingElem) -> GroupRingElem:
-    return GroupRingElem(tuple((w, -c) for w, c in a.terms))
-
-
 def ring_sub(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
-    return ring_add(spec, a, ring_neg(spec, b))
+    return ring_add(spec, a, -b)
 
 
 def ring_mul(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:

@@ -10,7 +10,7 @@ which is the calibration all sweeps assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 
 from .grouprings import (
@@ -63,9 +63,7 @@ def modp_inverse(q: int, p: int) -> int:
     return pow(q, -1, p)
 
 
-def _lens_cells(
-    spec: GroupSpec, factor: int, twist: int, p: int, r: int, labels=None
-) -> BasedComplex:
+def _lens_cells(spec: GroupSpec, factor: int, twist: int, p: int, r: int) -> BasedComplex:
     """The one-cell-per-dimension complex with generator g^twist.
 
     Degrees 0..3 hold the cells of dimension 3..0; differentials are
@@ -85,7 +83,7 @@ def _lens_cells(
         0,
         (1, 1, 1, 1),
         [((top,),), ((norm,),), ((bottom,),)],
-        labels or [("e3",), ("e2",), ("e1",), ("e0",)],
+        [("e3",), ("e2",), ("e1",), ("e0",)],
     )
 
 
@@ -135,22 +133,31 @@ def simple_homotopy_equivalent(
     return False, None
 
 
-def torsion_distinguish(a: LensParams, b: LensParams) -> tuple[bool, int | None]:
-    """True iff no twist d makes the torsion of ``a`` match that of ``b``.
+@dataclass(frozen=True, slots=True)
+class TwistSweep:
+    """A complex's torsion class under each twist d, for the units d mod p in
+    increasing order, against a reference: ``rows`` holds (d, class, matches),
+    with class None where the base change is not acyclic, and ``match_twist``
+    is the first matching d."""
 
-    Compares the class of a under every t -> zeta^d against the class of b
-    under the identity twist; a matching d is returned when one exists.
-    """
-    if a.p != b.p:
-        raise ModulusMismatchError("lens spaces with different p")
-    p = a.p
-    reference = lens_torsion(b, 1)
+    reference: TorsionClass
+    rows: tuple[tuple[int, TorsionClass | None, bool], ...]
+    match_twist: int | None
+
+
+def twist_sweep(p: int, reference: TorsionClass, twisted) -> TwistSweep:
+    """Compare ``twisted(d)`` with ``reference`` for every unit d mod p."""
+    rows = []
     for d in range(1, p):
         if gcd(d, p) != 1:
             continue
-        if lens_torsion(a, d) == reference:
-            return False, d
-    return True, None
+        try:
+            cls = twisted(d)
+        except NotAcyclicError:
+            cls = None
+        rows.append((d, cls, cls is not None and cls == reference))
+    match = next((d for d, _, same in rows if same), None)
+    return TwistSweep(reference, tuple(rows), match)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,8 +170,15 @@ class LensVerdict:
     homotopy_witness: int | None
     simple_homotopy_equivalent: bool
     simple_witness: tuple[int, bool] | None
-    torsion_distinguished: bool
-    torsion_match_twist: int | None
+    sweep: TwistSweep  # a under every t -> zeta^d against b under the identity
+
+    @property
+    def torsion_distinguished(self) -> bool:
+        return self.sweep.match_twist is None
+
+    @property
+    def torsion_match_twist(self) -> int | None:
+        return self.sweep.match_twist
 
     @property
     def consistent(self) -> bool:
@@ -179,8 +193,15 @@ class LensVerdict:
 def lens_verdict(a: LensParams, b: LensParams) -> LensVerdict:
     he, m = homotopy_equivalent(a, b)
     se, sw = simple_homotopy_equivalent(a, b)
-    td, d = torsion_distinguish(a, b)
-    return LensVerdict(a, b, he, m, se, sw, td, d)
+    sweep = twist_sweep(a.p, lens_torsion(b, 1), partial(lens_torsion, a))
+    return LensVerdict(a, b, he, m, se, sw, sweep)
+
+
+def torsion_distinguish(a: LensParams, b: LensParams) -> tuple[bool, int | None]:
+    """True iff no twist d makes the torsion of ``a`` match that of ``b``;
+    the first matching d is returned when one exists."""
+    d = lens_verdict(a, b).torsion_match_twist
+    return d is None, d
 
 
 def _is_prime(p: int) -> bool:
@@ -196,12 +217,9 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class FreeProductReport:
-    """Torsion comparison of two lens complexes pushed into Z[Z/p * Z/p].
-
-    ``rows`` lists, for each embedding twist l of the first complex, its
-    torsion class under rho (None marks a non-acyclic base change) and
-    whether it matches the second complex's class.
-    """
+    """Torsion comparison of two lens complexes pushed into Z[Z/p * Z/p]:
+    ``rows`` and ``match_twist`` are the ``TwistSweep`` of the first complex,
+    embedded by each twist l, against ``second_class``."""
 
     p: int
     q: int
@@ -224,16 +242,7 @@ def free_product_scenario(p: int, q: int, q2: int) -> FreeProductReport:
     r = modp_inverse(pa.q, p)
     r2 = modp_inverse(pb.q, p)
     second = reidemeister_torsion(_lens_cells(spec, 1, 1, p, r2), rep)
-    rows = []
-    match_twist = None
-    for l in range(1, p):
-        try:
-            cls = reidemeister_torsion(_lens_cells(spec, 0, l, p, r), rep)
-        except NotAcyclicError:
-            rows.append((l, None, False))
-            continue
-        same = cls == second
-        if same and match_twist is None:
-            match_twist = l
-        rows.append((l, cls, same))
-    return FreeProductReport(p, pa.q, pb.q, second, tuple(rows), match_twist)
+    sweep = twist_sweep(
+        p, second, lambda l: reidemeister_torsion(_lens_cells(spec, 0, l, p, r), rep)
+    )
+    return FreeProductReport(p, pa.q, pb.q, second, sweep.rows, sweep.match_twist)

@@ -33,6 +33,7 @@ from .grouprings import (
 from .chaincomplex import (
     BasedComplex,
     Matrix,
+    ShapeMismatchError,
     based_complex,
     complex_from_obj,
     complex_to_obj,
@@ -403,7 +404,10 @@ def cert_to_obj(cert: OpCertificate) -> dict:
 
 
 def cert_from_obj(obj) -> OpCertificate:
-    start = complex_from_obj(obj["start"])
-    end = complex_from_obj(obj["end"])
-    ops = tuple(_op_from_obj(start.spec, o) for o in obj["ops"])
+    try:
+        start = complex_from_obj(obj["start"])
+        end = complex_from_obj(obj["end"])
+        ops = tuple(_op_from_obj(start.spec, o) for o in obj["ops"])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ShapeMismatchError(f"malformed certificate document: {exc}") from exc
     return OpCertificate(start, ops, end)

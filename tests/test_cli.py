@@ -1,9 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from torsionkit.cli import main, parse_rep_spec, CliError
+from torsionkit.cli import MAX_MODULUS, build_parser, main, parse_rep_spec, CliError
 from torsionkit.grouprings import GroupSpec
 from torsionkit.chaincomplex import (
     complex_from_obj,
@@ -209,6 +210,73 @@ class TestLensClassify:
         )
         assert main(["--json", "lens-classify", "7", "1", "2"]) == 3
         assert '"status":3' in capsys.readouterr().out
+        assert main(["lens-sweep", "--primes", "5"]) == 3
+        assert capsys.readouterr().out.endswith(
+            "  !! 10 cross-check failures (torsion vs arithmetic)\n\n"
+            "FAILED: torsion disagreed with the arithmetic criterion somewhere\n"
+        )
+        assert main(["--json", "lens-sweep", "--primes", "5"]) == 3
+        assert '"status":3' in capsys.readouterr().out
+
+
+class TestInputBounds:
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("l72.json", "group", [7]),
+            ("l72.json", "differentials", [1]),
+            ("l72.json", "labels", 5),
+            ("cert.json", "ops", ["x"]),
+            ("cert.json", "ops", {"a": 1}),
+        ],
+    )
+    def test_malformed_document_exits_1(self, tmp_path, capsys, name, key, value):
+        """A document of the wrong shape is an input error, not a traceback."""
+        doc = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+        doc[key] = value
+        path = str(tmp_path / "bad.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        if name == "l72.json":
+            runs = [
+                ["torsion", path, "--rep", "n=7;g0=1"],
+                ["gen-cert", path, "--out", str(tmp_path / "cert.json")],
+            ]
+        else:
+            runs = [["verify-cert", path]]
+        for argv in runs:
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and captured.out == ""
+
+    def test_modulus_cap(self, tmp_path, capsys):
+        """Each modulus the CLI computes in is checked before any work is done."""
+        big = str(MAX_MODULUS + 1)
+        c = lens_complex(lens_params(MAX_MODULUS + 1, 1))
+        cert = tmp_path / "big-cert.json"
+        cert.write_text(dumps_canonical(cert_to_obj(OpCertificate(c, (), c))), encoding="utf-8")
+        for argv, name in (
+            (["lens-emit", big, "1", "--out", str(tmp_path / "x.json")], "p"),
+            (["lens-classify", big, "1", "2"], "p"),
+            (["demo-freeproduct", big, "1", "2"], "p"),
+            (["lens-sweep", "--primes", "5", big], "p"),
+            (["torsion", str(GOLDEN / "l72.json"), "--rep", f"n={big};g0=0"], "n"),
+            (["verify-cert", str(cert)], "default modulus"),
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {name} = {big} exceeds the modulus cap {MAX_MODULUS}\n"
+            )
+        assert not (tmp_path / "x.json").exists()
+        assert main(["lens-emit", str(MAX_MODULUS), "1", "--out", str(tmp_path / "x.json")]) == 0
+
+    @pytest.mark.parametrize("prime", ["1", "0", "-5"])
+    def test_lens_sweep_prime_below_2_exits_1(self, capsys, prime):
+        assert main(["lens-sweep", "--primes", "5", prime]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: p must be >= 2, got {prime}\n"
 
 
 class TestDemoFreeproduct:
@@ -320,11 +388,17 @@ GOLDEN_CASES = {
     "verify-cert-tampered": (["verify-cert", "tampered.json"], 2),
     "lens-emit": (["lens-emit", "7", "2", "--out", "l72.json"], 0),
     "gen-cert": (["gen-cert", "l72.json", "--length", "40", "--seed", "1", "--out", "cert.json"], 0),
+    "lens-sweep": (["lens-sweep", "--primes", "5", "7"], 0),
 }
 
-HELP_COMMANDS = [
-    None, "torsion", "lens-emit", "lens-classify", "demo-freeproduct", "verify-cert", "gen-cert",
-]
+
+def _subcommands() -> list[str]:
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+HELP_COMMANDS = [None, *_subcommands()]
 
 
 class TestGoldenOutput:

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -166,6 +167,31 @@ class TestClassification:
                 he, _ = homotopy_equivalent(a, b)
                 assert td == (not se), (p, q, q2)
                 assert he or not se, (p, q, q2)
+
+    @pytest.mark.parametrize(
+        "p, q, q2",
+        [
+            (7, 1, 2), (7, 1, 6), (7, 2, 4),  # distinguished, -q, q^-1
+            (13, 1, 2), (13, 2, 7), (13, 5, 5),
+            (31, 1, 2), (31, 3, 28), (31, 2, 16),
+        ],
+    )
+    def test_sweep_matches_direct_comparison(self, p, q, q2):
+        """The shared sweep against the direct per-twist comparison and an
+        early-exit first-match loop."""
+        a, b = lens_params(p, q), lens_params(p, q2)
+        units = [d for d in range(1, p) if gcd(d, p) == 1]
+        early_exit = next((d for d in units if lens_torsion(a, d) == lens_torsion(b, 1)), None)
+        verdict = lens_verdict(a, b)
+        sweep = verdict.sweep
+        assert sweep.reference == lens_torsion(b, 1)
+        assert sweep.rows == tuple(
+            (d, lens_torsion(a, d), lens_torsion(a, d) == lens_torsion(b, 1)) for d in units
+        )
+        assert sweep.match_twist == early_exit
+        assert torsion_distinguish(a, b) == (early_exit is None, early_exit)
+        assert verdict.torsion_match_twist == early_exit
+        assert verdict.torsion_distinguished is (early_exit is None)
 
     def test_verdict_consistency(self):
         v = lens_verdict(lens_params(7, 1), lens_params(7, 2))
