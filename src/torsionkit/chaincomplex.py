@@ -622,9 +622,17 @@ def complex_from_obj(obj) -> BasedComplex:
         min_degree = json_int(obj["min_degree"])
         ranks = [json_int(r) for r in obj["ranks"]]
         raw = obj["differentials"]
+        if not isinstance(raw, dict):
+            raise ValueError("differentials must be an object keyed by degree")
+        window = [str(min_degree + k) for k in range(len(ranks) - 1)]
+        stray = sorted(set(raw) - set(window))
+        if stray:
+            raise ValueError(
+                f"differential keys {', '.join(stray)} lie outside the degrees"
+                f" {', '.join(window) or '(none)'}"
+            )
         diffs = []
-        for k in range(len(ranks) - 1):
-            key = str(min_degree + k)
+        for k, key in enumerate(window):
             m = raw.get(key)
             if m is None:
                 diffs.append(mat_zero(ranks[k + 1], ranks[k]))
@@ -633,8 +641,14 @@ def complex_from_obj(obj) -> BasedComplex:
                     tuple(tuple(elem_from_obj(spec, x) for x in row) for row in m)
                 )
         labels = obj.get("labels")
-        if labels is not None:
-            labels = [tuple(ls) for ls in labels]
+        if "labels" in obj and not (
+            isinstance(labels, list)
+            and all(
+                isinstance(ls, list) and all(isinstance(s, str) for s in ls)
+                for ls in labels
+            )
+        ):
+            raise ValueError("labels must be a list of lists of strings")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ShapeMismatchError(f"malformed complex document: {exc}") from exc
     return based_complex(spec, min_degree, ranks, diffs, labels)

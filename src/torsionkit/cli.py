@@ -146,6 +146,8 @@ def _read_json(path: str):
         raise CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
+    except RecursionError:
+        raise CliError(f"{path}: JSON nested too deeply")
 
 
 def _write_text(path: str, payload: str) -> None:

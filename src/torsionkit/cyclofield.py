@@ -7,6 +7,10 @@ polynomial gcd is ever needed: 1/a = (prod of conjugates of a) / norm(a).
 
 Also here: representations of group rings into Q(zeta_n), the finite unit
 subgroups +-rho(G), and torsion classes (units modulo that subgroup).
+Units act by rotation: +-rho(G) is {+-zeta^(jg)} read off the cached powers
+of zeta, and a coset representative comes from walking the orbit one
+multiplication by zeta (a shift of the coefficients folded back by Phi_n,
+O(phi)) at a time, so neither needs a full product.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import attrgetter
+from operator import neg
 
 from .grouprings import GroupRingElem, GroupSpec, validate_word
 
@@ -186,7 +190,7 @@ def cyclo_add(a: CycloNum, b: CycloNum) -> CycloNum:
 
 
 def cyclo_neg(a: CycloNum) -> CycloNum:
-    return CycloNum(a.n, tuple(-c for c in a.nums), a.den)
+    return CycloNum(a.n, tuple(map(neg, a.nums)), a.den)
 
 
 def cyclo_mul(a: CycloNum, b: CycloNum) -> CycloNum:
@@ -309,22 +313,32 @@ class UnitSubgroup:
 
 
 @lru_cache(maxsize=None)
+def _unit_group(n: int, g: int) -> UnitSubgroup:
+    """{+-zeta_n^(jg)}: the group generated by -1 and zeta_n^g, for g | n."""
+    roots = [zeta(n, k) for k in range(0, n, g)]
+    return UnitSubgroup(n, frozenset(roots + [cyclo_neg(w) for w in roots]))
+
+
+@lru_cache(maxsize=None)
 def unit_subgroup(rep: Representation) -> UnitSubgroup:
+    """+-rho(G) in closed form: the powers of zeta^e_i generate the powers of
+    zeta^g with g = gcd(n, e_1, ...), so every rep with the same (n, g), such
+    as all twists of one lens sweep, shares one group."""
     n = rep.modulus
-    gens = [cyclo_neg(cyclo_one(n))]
-    gens += [zeta(n, e) for e in rep.generator_exponents]
-    elems = {cyclo_one(n)}
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in gens:
-                v = cyclo_mul(u, g)
-                if v not in elems:
-                    elems.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return UnitSubgroup(n, frozenset(elems))
+    return _unit_group(n, gcd(n, *rep.generator_exponents))
+
+
+@lru_cache(maxsize=None)
+def _rotation_step(units: UnitSubgroup) -> int:
+    """The g with units = {+-zeta^(jg)}, the only unit groups torsion classes
+    are taken modulo; ValueError for any other element set."""
+    n = units.modulus
+    g = next((k for k in range(1, n) if zeta(n, k) in units.elements), n)
+    if units != _unit_group(n, g):
+        raise ValueError(
+            f"the {len(units.elements)} units are not a group +-zeta_{n}^(jg)"
+        )
+    return g
 
 
 def canonical_rep(u: CycloNum, units: UnitSubgroup) -> CycloNum:
@@ -334,17 +348,37 @@ def canonical_rep(u: CycloNum, units: UnitSubgroup) -> CycloNum:
     Each unit +-zeta^k acts on the power basis by a unimodular integer
     matrix, which keeps the content of ``nums`` and hence ``den``; so the
     order of the integer ``nums`` is the order of the rational coefficients.
+    The orbit is walked, not multiplied out: times zeta is one
+    companion-matrix step of Phi_n on ``nums``, O(phi), and with units
+    {+-zeta^(jg)} every g-th point and its negative lie in the orbit.
     """
     if not u:
         raise ZeroDivisionError("zero has no torsion class")
-    return min((cyclo_mul(w, u) for w in units.elements), key=attrgetter("nums"))
+    n = u.n
+    if n != units.modulus:
+        raise ModulusMismatchError(f"moduli differ: {n} vs {units.modulus}")
+    g = _rotation_step(units)
+    mod = cyclotomic_polynomial(n)
+    cur = u.nums
+    kept = [cur]
+    for k in range(1, n - g + 1):
+        # cur -> zeta*cur: shift up one power, then fold x^phi back by Phi_n
+        top = cur[-1]
+        cur = (0,) + cur[:-1]
+        if top:
+            cur = tuple([a - top * m for a, m in zip(cur, mod)])
+        if k % g == 0:
+            kept.append(cur)
+    # the least of the negated points is minus the greatest kept one
+    return _make(n, min(min(kept), tuple(map(neg, max(kept)))), u.den)
 
 
 def torsion_class_eq(u: CycloNum, v: CycloNum, units: UnitSubgroup) -> bool:
-    """Whether u and v agree modulo the unit subgroup, i.e. u/v in units."""
+    """Whether u and v agree modulo the unit subgroup (u/v in units), i.e.
+    whether their orbits, and so their canonical representatives, agree."""
     if not u or not v:
         raise ZeroDivisionError("torsion values must be nonzero")
-    return cyclo_mul(u, cyclo_inv(v)) in units.elements
+    return canonical_rep(u, units) == canonical_rep(v, units)
 
 
 @dataclass(frozen=True, slots=True)

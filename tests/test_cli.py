@@ -226,6 +226,12 @@ class TestInputBounds:
             ("l72.json", "group", [7]),
             ("l72.json", "differentials", [1]),
             ("l72.json", "labels", 5),
+            ("l72.json", "labels", None),
+            ("l72.json", "labels", ["a", "b", "c", "d"]),
+            ("l72.json", "labels", [[1], [2], [3], [4]]),
+            ("l72.json", "labels", [None]),
+            ("l72.json", "labels", [[None], [None], [None], [None]]),
+            ("l72.json", "min_degree", 1),
             ("cert.json", "ops", ["x"]),
             ("cert.json", "ops", {"a": 1}),
         ],
@@ -248,6 +254,30 @@ class TestInputBounds:
             assert main(argv) == 1
             captured = capsys.readouterr()
             assert captured.err.startswith("error:") and captured.out == ""
+
+    def test_differential_key_outside_window_exits_1(self, tmp_path, capsys):
+        """A differential the degree window cannot hold is refused, not dropped."""
+        doc = json.loads((GOLDEN / "l72.json").read_text(encoding="utf-8"))
+        doc["differentials"]["7"] = doc["differentials"]["0"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["torsion", str(path), "--rep", "n=7;g0=1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: malformed complex document: differential keys 7"
+            " lie outside the degrees 0, 1, 2\n"
+        )
+
+    @pytest.mark.parametrize("command", ["torsion", "verify-cert"])
+    def test_deeply_nested_document_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        argv = [command, str(path)] + (["--rep", "n=7;g0=1"] if command == "torsion" else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: JSON nested too deeply\n"
 
     def test_modulus_cap(self, tmp_path, capsys):
         """Each modulus the CLI computes in is checked before any work is done."""

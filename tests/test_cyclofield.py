@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,10 @@ from torsionkit.grouprings import (
     ring_mul,
     ring_sub,
 )
+from torsionkit import cyclofield
 from torsionkit.cyclofield import (
     CycloNum,
+    UnitSubgroup,
     ModulusMismatchError,
     canonical_rep,
     cyclo_add,
@@ -234,7 +237,164 @@ class TestCanonicalRep:
                 assert canonical_rep(u, units) == min(orbit, key=fraction_key)
 
 
+def reference_unit_subgroup(rep):
+    """+-rho(G) by breadth-first search through cyclo_mul from -1 and the
+    images zeta^e_i of the generators: the construction unit_subgroup's
+    closed form replaced, kept as its reference."""
+    n = rep.modulus
+    gens = [cyclo_neg(cyclo_one(n))] + [zeta(n, e) for e in rep.generator_exponents]
+    elems = {cyclo_one(n)}
+    frontier = list(elems)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for g in gens:
+                v = cyclo_mul(u, g)
+                if v not in elems:
+                    elems.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return UnitSubgroup(n, frozenset(elems))
+
+
+def reference_canonical_rep(u, units):
+    """The orbit minimum with every point multiplied out by cyclo_mul."""
+    return min((cyclo_mul(w, u) for w in units.elements), key=lambda a: a.nums)
+
+
+def sample_values(n, count, seed):
+    """1 - zeta, then nonzero values with small numerators and denominators."""
+    rng = random.Random(seed)
+    phi = euler_phi(n)
+    out = [cyclo_one(n) - zeta(n)] if n > 1 else [cyclo_int(n, 3)]
+    while len(out) < count:
+        nums = tuple(rng.randint(-3, 3) for _ in range(phi))
+        u = CycloNum(n, nums, 1) * cyclo_fraction(n, Fraction(1, rng.randint(1, 6)))
+        if u:
+            out.append(u)
+    return out
+
+
+def rep_id(rep):
+    factors = "*".join(f"Z{m}" for m in rep.spec.factor_orders)
+    return f"{factors}->z{rep.modulus}^{','.join(map(str, rep.generator_exponents))}"
+
+
+def differential_reps():
+    """Cyclic reps at each modulus, with exponents whose gcd with n exceeds 1
+    among them, plus Z/3 -> zeta_12^4 and free products."""
+    reps = []
+    for n in (1, 2, 4, 6, 8, 9, 12, 15, 31, 61):
+        exps = range(n) if n <= 15 else (0, 1, 2, n - 1)
+        reps += [representation(GroupSpec.cyclic(n), n, [e]) for e in exps]
+    reps += [
+        representation(GroupSpec.cyclic(3), 12, [4]),
+        representation(GroupSpec.cyclic(2), 12, [6]),
+        representation(FP77, 7, [1, 1]),
+        representation(FP77, 7, [0, 3]),
+        representation(FP77, 7, [0, 0]),
+        representation(GroupSpec.free_product([2, 3]), 6, [3, 2]),
+        representation(GroupSpec.free_product([3, 5]), 15, [5, 0]),
+    ]
+    return reps
+
+
+class TestUnitsActByRotation:
+    """The closed-form unit group and the orbit walk against the cyclo_mul
+    constructions they replaced."""
+
+    @pytest.mark.parametrize("rep", differential_reps(), ids=rep_id)
+    def test_unit_subgroup_matches_bfs(self, rep):
+        units = unit_subgroup(rep)
+        assert units == reference_unit_subgroup(rep)
+        m = rep.modulus // gcd(rep.modulus, *rep.generator_exponents)
+        # -1 = zeta^(n/2) is already a power of zeta^g exactly when m is even
+        assert len(units.elements) == (m if m % 2 == 0 else 2 * m)
+
+    @pytest.mark.parametrize("rep", differential_reps(), ids=rep_id)
+    def test_canonical_rep_matches_products(self, rep):
+        n = rep.modulus
+        units = unit_subgroup(rep)
+        for u in sample_values(n, 3 if n > 15 else 6, n):
+            assert canonical_rep(u, units) == reference_canonical_rep(u, units)
+
+    def test_twists_share_one_group(self):
+        groups = {id(unit_subgroup(representation(GroupSpec.cyclic(13), 13, [d]))) for d in range(1, 13)}
+        assert len(groups) == 1
+
+    def test_no_cyclo_mul_at_p61(self, monkeypatch):
+        for value in vars(cyclofield).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        calls = []
+        mul = cyclofield.cyclo_mul
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        u, v = sample_values(61, 2, 61)
+        monkeypatch.setattr(cyclofield, "cyclo_mul", counted)
+        units = unit_subgroup(representation(GroupSpec.cyclic(61), 61, [2]))
+        canonical_rep(u, units)
+        torsion_class_eq(u, v, units)
+        assert len(units.elements) == 122 and calls == []
+        u * v  # the counter sees products made through the operator too
+        assert calls == [1]
+
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            {cyclo_one(7), cyclo_int(7, 2)},
+            {zeta(7, k) for k in range(7)},  # no -1
+            {cyclo_one(7), -cyclo_one(7), zeta(7), -zeta(7)},  # not closed
+        ],
+        ids=["not-roots", "no-minus-one", "not-a-group"],
+    )
+    def test_other_unit_sets_rejected(self, elements):
+        with pytest.raises(ValueError):
+            canonical_rep(cyclo_one(7) - zeta(7), UnitSubgroup(7, frozenset(elements)))
+
+    def test_hand_built_group_accepted(self):
+        # +-<zeta_6^2> is all of mu_6, so it is the group for g = 1 as well
+        units = UnitSubgroup(6, frozenset(s * zeta(6, k) for k in (0, 2, 4) for s in (cyclo_one(6), -cyclo_one(6))))
+        assert units == unit_subgroup(representation(GroupSpec.cyclic(6), 6, [1]))
+        u = cyclo_int(6, 2) - zeta(6)
+        assert canonical_rep(u, units) == reference_canonical_rep(u, units)
+
+    def test_modulus_mismatch_rejected(self):
+        units = unit_subgroup(representation(Z7, 7, [1]))
+        with pytest.raises(ModulusMismatchError):
+            canonical_rep(cyclo_one(13) - zeta(13), units)
+
+
 class TestTorsionClassEq:
+    @pytest.mark.parametrize(
+        "rep",
+        [
+            representation(Z7, 7, [1]),
+            representation(Z7, 7, [0]),
+            representation(GroupSpec.cyclic(12), 12, [1]),
+            representation(GroupSpec.cyclic(3), 12, [4]),
+            representation(GroupSpec.cyclic(31), 31, [1]),
+        ],
+        ids=rep_id,
+    )
+    def test_matches_division(self, rep):
+        """Comparing canonical representatives agrees with u/v in units."""
+        n = rep.modulus
+        units = unit_subgroup(rep)
+        values = sample_values(n, 4, n + 1)
+        shifts = [zeta(n, 1), -zeta(n, 3), cyclo_one(n) - zeta(n)] + sorted(units.elements, key=lambda w: w.nums)[:2]
+        seen = set()
+        for u in values:
+            for v in values + [w * u for w in shifts]:
+                same = torsion_class_eq(u, v, units)
+                assert same == (cyclo_mul(u, cyclo_inv(v)) in units.elements)
+                seen.add(same)
+        assert seen == {True, False}
+
+
     def test_unit_twist_is_equal(self):
         units = unit_subgroup(representation(Z7, 7, [1]))
         u = cyclo_mul(cyclo_one(7) - zeta(7), cyclo_one(7) - zeta(7, 4))
