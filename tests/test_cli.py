@@ -226,14 +226,14 @@ class TestInputBounds:
             ("l72.json", "group", [7]),
             ("l72.json", "differentials", [1]),
             ("l72.json", "labels", 5),
+            ("cert.json", "ops", ["x"]),
+            ("cert.json", "ops", {"a": 1}),
             ("l72.json", "labels", None),
             ("l72.json", "labels", ["a", "b", "c", "d"]),
             ("l72.json", "labels", [[1], [2], [3], [4]]),
             ("l72.json", "labels", [None]),
             ("l72.json", "labels", [[None], [None], [None], [None]]),
             ("l72.json", "min_degree", 1),
-            ("cert.json", "ops", ["x"]),
-            ("cert.json", "ops", {"a": 1}),
         ],
     )
     def test_malformed_document_exits_1(self, tmp_path, capsys, name, key, value):
