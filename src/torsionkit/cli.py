@@ -11,7 +11,8 @@ Every command returns one deterministic report: ``--json`` prints it as one
 JSON document, and text output is labeled lines rendered from it.  Exit codes:
 0 success, 1 parse/validation error, 2 verification or acyclicity failure,
 3 internal cross-check violation (never expected).  A modulus above
-``MAX_MODULUS`` is a parse error.
+``MAX_MODULUS`` and a certificate longer than ``MAX_CERT_OPS`` are parse
+errors.
 """
 from __future__ import annotations
 
@@ -66,8 +67,14 @@ DEFAULT_REP_COUNT = 6
 # Largest modulus the CLI computes in: a lens or free-product p, a --rep n, or
 # the default twist modulus of a certificate.  A twist sweep costs p torsions
 # over Q(zeta_p); on a 2-vCPU machine `lens-classify p 1 2 --all-d` takes
-# 0.7 s at p = 61 and 5.2 s at p = 127, and grows faster than p^3 beyond.
+# 0.36 s at p = 61 and 1.24 s at p = 127 (medians of 3 runs), and grows
+# faster than p^3 beyond.
 MAX_MODULUS = 127
+# Most simple operations in a certificate: the --length of gen-cert and the
+# ops of a certificate verify-cert reads.  On L(7,2) and a 2-vCPU machine,
+# gen-cert at the cap takes 3.0 s and verify-cert of its output 2.1 s
+# (medians of 3 runs); the certificate file is 0.8 MB.
+MAX_CERT_OPS = 10_000
 
 
 @dataclass
@@ -87,6 +94,11 @@ class CliError(Exception):
 def _check_modulus(name: str, value: int) -> None:
     if value > MAX_MODULUS:
         raise CliError(f"{name} = {value} exceeds the modulus cap {MAX_MODULUS}")
+
+
+def _check_op_count(what: str, count: int) -> None:
+    if count > MAX_CERT_OPS:
+        raise CliError(f"{what} = {count} exceeds the certificate cap {MAX_CERT_OPS}")
 
 
 def parse_rep_spec(text: str, spec: GroupSpec) -> Representation:
@@ -158,14 +170,20 @@ def _write_text(path: str, payload: str) -> None:
         raise CliError(f"cannot write {path}: {exc}")
 
 
-def _load_complex_checked(path: str):
+def _check_complex(c, path: str) -> None:
+    """Check d.d = 0; ``path`` names the file in the error."""
     try:
-        c = complex_from_obj(_read_json(path))
         validate(c)
     except NotAComplexError as exc:
         raise CliError(f"{path}: not a complex (degree {exc.degree})")
+
+
+def _load_complex_checked(path: str):
+    try:
+        c = complex_from_obj(_read_json(path))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
+    _check_complex(c, path)
     return c
 
 
@@ -368,6 +386,9 @@ def cmd_verify_cert(args) -> Report:
         cert = cert_from_obj(_read_json(args.cert_file))
     except ValueError as exc:
         raise CliError(f"{args.cert_file}: {exc}")
+    _check_op_count("ops", len(cert.ops))
+    # simple operations preserve d.d = 0, so every replayed step is a complex
+    _check_complex(cert.start, args.cert_file)
     spec = cert.start.spec
     if args.rep:
         reps = [parse_rep_spec(r, spec) for r in args.rep]
@@ -410,7 +431,8 @@ def cmd_verify_cert(args) -> Report:
             "fingerprint": fp_rows(fp_start),
             "end_fingerprint": fp_rows(fp_end),
         },
-        status=0 if agree else CHECK_FAILED,
+        # torsion is invariant under simple operations
+        status=0 if agree else CROSSCHECK_VIOLATION,
     )
 
 
@@ -423,12 +445,15 @@ def render_verify_cert(report: Report) -> list[str]:
         cls = row["torsion_class"]
         lines.append(f"  {row['rep']} -> {cls if cls is not None else 'NOT_ACYCLIC'}")
     lines.append(f"fingerprints: {'AGREE' if res['fingerprints_agree'] else 'DISAGREE'}")
+    if report.status:
+        lines.append("CROSS-CHECK FAILED: torsion changed under simple operations")
     return lines
 
 
 def cmd_gen_cert(args) -> Report:
     if args.length < 0:
         raise CliError(f"--length must be nonnegative, got {args.length}")
+    _check_op_count("--length", args.length)
     c = _load_complex_checked(args.complex_file)
     cert = random_op_sequence(c, args.length, args.seed)
     _write_text(args.out, dumps_canonical(cert_to_obj(cert)))

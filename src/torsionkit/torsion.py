@@ -1,12 +1,16 @@
 """Torsion invariants of based complexes.
 
-field_torsion implements the alternating product of change-of-basis
-determinants for an acyclic complex over Q(zeta_n): in each degree the
-square matrix expresses (q_i, lifted q_{i+1}) in the given basis, where q_i
-is a basis of the image of the incoming differential, and the determinant
-enters with exponent (-1)^(i-1).  The value is independent of how the q_i
-are chosen; elimination is fraction-free (cross-multiplication) with a
-single field inversion at the end.
+field_torsion is the alternating product of change-of-basis determinants
+of an acyclic complex over Q(zeta_n) (Milnor, Whitehead torsion; Turaev,
+Thm 2.2), from one fraction-free elimination per degree, top degree down.
+In degree i, S_i holds the pivot columns of d_i found one step earlier
+(none at the top).  Eliminating d_{i-1} on the rows of C_i outside S_i
+yields the pivot columns S_{i-1} and the minor of d_{i-1} on those rows
+and columns.  Signed by the row order, that minor is the determinant of
+the basis (d_{i-1} e_j for j in S_{i-1}, then e_j for j in S_i) of C_i, and
+it enters with exponent (-1)^(i-1).  The value does not depend on which
+pivots are chosen; nothing is divided until the single field inversion at
+the end.
 
 reidemeister_torsion composes base change, field torsion and reduction to
 the unit coset; torsion_of_map measures a quasi-isomorphism through its
@@ -24,7 +28,6 @@ from .cyclofield import (
     cyclo_inv,
     cyclo_mul,
     cyclo_one,
-    cyclo_zero,
     torsion_class,
     unit_subgroup,
 )
@@ -55,114 +58,83 @@ def _column_scan(cols: int, strategy: str) -> list[int]:
     raise ValueError(f"unknown pivot strategy {strategy!r}")
 
 
-def _pivot_columns(mat, rows: int, cols: int, scan: list[int]):
-    """Column indices (in scan order) forming a basis of the column space.
+def _eliminate(mat, rows: list[int], scan: list[int], n: int):
+    """One fraction-free row elimination of ``mat`` restricted to ``rows``.
 
-    Fraction-free row elimination: rows are rescaled by pivots, which does
-    not change which columns are independent.
+    Columns are visited in ``scan`` order; the first remaining row with a
+    nonzero entry becomes that column's pivot row, and every other remaining
+    row with a nonzero entry there is replaced by p*row - f*(pivot row),
+    which never divides.  Returns ``(cols, pivot_rows, num, den)``: the pivot
+    columns, which form a basis of the column space of the restricted
+    matrix, the row each was found in, and the minor of ``mat`` on those
+    rows and columns (both in pivot order) as the product of the pivots
+    ``num`` over the product of the row multipliers ``den``.
     """
-    if rows == 0 or cols == 0:
-        return []
-    work = [list(row) for row in mat]
-    used_rows: list[int] = []
-    pivots: list[int] = []
-    free = list(range(rows))
-    for j in scan:
-        pr = None
-        for r in free:
-            if work[r][j]:
-                pr = r
-                break
+    num = den = cyclo_one(n)
+    work = {r: list(mat[r]) for r in rows}
+    cols: list[int] = []
+    pivot_rows: list[int] = []
+    for t, j in enumerate(scan):
+        pr = next((r for r in work if work[r][j]), None)
         if pr is None:
             continue
-        pivots.append(j)
-        used_rows.append(pr)
-        free = [r for r in free if r != pr]
-        p = work[pr][j]
-        for r in free:
-            f = work[r][j]
+        cols.append(j)
+        pivot_rows.append(pr)
+        wp = work.pop(pr)
+        p = wp[j]
+        num = cyclo_mul(num, p)
+        for wr in work.values():
+            f = wr[j]
             if f:
-                wr, wp = work[r], work[pr]
-                work[r] = [p * wr[c] - f * wp[c] for c in range(cols)]
-        if not free:
+                for c in scan[t + 1:]:
+                    wr[c] = p * wr[c] - f * wp[c]
+                den = cyclo_mul(den, p)
+        if not work:
             break
-    return pivots
+    return cols, pivot_rows, num, den
 
 
-def _ff_det(rows_mat, n: int) -> tuple[CycloNum, CycloNum]:
-    """Determinant as a (numerator, denominator) pair, division-free."""
-    size = len(rows_mat)
-    one = cyclo_one(n)
-    if size == 0:
-        return one, one
-    work = [list(r) for r in rows_mat]
-    sign = 1
-    scale = one
-    for k in range(size):
-        pr = None
-        for r in range(k, size):
-            if work[r][k]:
-                pr = r
-                break
-        if pr is None:
-            return cyclo_zero(n), one
-        if pr != k:
-            work[k], work[pr] = work[pr], work[k]
-            sign = -sign
-        p = work[k][k]
-        for r in range(k + 1, size):
-            f = work[r][k]
-            if f:
-                wr, wk = work[r], work[k]
-                work[r] = [p * wr[c] - f * wk[c] for c in range(k + 1, size)]
-                work[r] = [cyclo_zero(n)] * (k + 1) + work[r]
-                scale = cyclo_mul(scale, p)
-    num = one
-    for k in range(size):
-        num = cyclo_mul(num, work[k][k])
-    if sign < 0:
-        num = -num
-    return num, scale
+def _is_odd(order: list[int]) -> bool:
+    """Whether ``order``, a permutation of 0..len(order)-1, is odd."""
+    inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
+    return inversions % 2 == 1
 
 
 def field_torsion(fc: FieldComplex, pivot_strategy: str = "first") -> CycloNum:
     """Torsion of an acyclic field complex with respect to its basis.
 
-    Raises NotAcyclicError (with the offending degree and rank defect) when
-    the rank condition dim C_i = rank d_i + rank d_{i-1} fails somewhere.
+    ``fc`` must be a complex (d.d = 0): the elimination in degree i drops
+    the coordinates of C_i already used as pivots of d_i, which loses no
+    rank of d_{i-1} only because im d_{i-1} lies in ker d_i.  Raises
+    NotAcyclicError (with the lowest offending degree and its rank defect)
+    when dim C_i = rank d_i + rank d_{i-1} fails somewhere.
     """
     n = fc.modulus
-    lo, hi = fc.min_degree, fc.max_degree
-    pivots: dict[int, list[int]] = {}
-    for i in range(lo - 1, hi + 1):
-        rows, cols = fc.rank(i + 1), fc.rank(i)
-        pivots[i] = _pivot_columns(
-            fc.diff(i), rows, cols, _column_scan(cols, pivot_strategy)
-        )
-    for i in range(lo, hi + 1):
-        defect = fc.rank(i) - len(pivots[i]) - len(pivots[i - 1])
-        if defect != 0:
-            raise NotAcyclicError(i, defect)
-    num_acc, den_acc = cyclo_one(n), cyclo_one(n)
-    zero, one = cyclo_zero(n), cyclo_one(n)
-    for i in range(lo, hi + 1):
-        dim = fc.rank(i)
-        if dim == 0:
-            continue
-        prev = fc.diff(i - 1)
-        columns = [[prev[r][j] for r in range(dim)] for j in pivots[i - 1]]
-        for j in pivots[i]:
-            columns.append([one if r == j else zero for r in range(dim)])
-        mat = [[columns[c][r] for c in range(dim)] for r in range(dim)]
-        num, den = _ff_det(mat, n)
-        if not num:
-            raise AssertionError("combined basis is singular on an acyclic complex")
-        if i % 2:  # exponent (-1)^(i-1) is +1 in odd degrees
-            num_acc = cyclo_mul(num_acc, num)
-            den_acc = cyclo_mul(den_acc, den)
-        else:
-            num_acc = cyclo_mul(num_acc, den)
-            den_acc = cyclo_mul(den_acc, num)
+    num_acc = den_acc = cyclo_one(n)
+    failure = None
+    basis: list[int] = []  # pivot columns of d_i, found in the previous step
+    for i in range(fc.max_degree, fc.min_degree - 1, -1):
+        taken = set(basis)
+        rest = [r for r in range(fc.rank(i)) if r not in taken]
+        scan = _column_scan(fc.rank(i - 1), pivot_strategy)
+        cols, pivot_rows, num, den = _eliminate(fc.diff(i - 1), rest, scan, n)
+        defect = len(rest) - len(cols)
+        if defect:
+            failure = NotAcyclicError(i, defect)
+        elif failure is None:
+            # the basis (d e_j for j in cols, e_j for j in basis) of C_i has
+            # determinant +-num/den: expand along its unit columns
+            if _is_odd(pivot_rows + basis):
+                num = -num
+            if i % 2:  # exponent (-1)^(i-1) is +1 in odd degrees
+                num_acc = cyclo_mul(num_acc, num)
+                den_acc = cyclo_mul(den_acc, den)
+            else:
+                num_acc = cyclo_mul(num_acc, den)
+                den_acc = cyclo_mul(den_acc, num)
+        basis = cols
+    if failure is not None:
+        raise failure
     return cyclo_mul(num_acc, cyclo_inv(den_acc))
 
 

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from torsionkit.cli import MAX_MODULUS, build_parser, main, parse_rep_spec, CliError
+from torsionkit import cli
+from torsionkit.cli import MAX_CERT_OPS, MAX_MODULUS, build_parser, main, parse_rep_spec, CliError
 from torsionkit.grouprings import GroupSpec
 from torsionkit.chaincomplex import (
     complex_from_obj,
@@ -302,6 +303,46 @@ class TestInputBounds:
         assert not (tmp_path / "x.json").exists()
         assert main(["lens-emit", str(MAX_MODULUS), "1", "--out", str(tmp_path / "x.json")]) == 0
 
+    def test_op_count_cap(self, lens_file, tmp_path, capsys):
+        """Certificates longer than MAX_CERT_OPS are refused before any work."""
+        out = tmp_path / "cert.json"
+        too_long = str(MAX_CERT_OPS + 1)
+        assert main(["gen-cert", str(lens_file), "--length", too_long, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --length = {too_long} exceeds the certificate cap {MAX_CERT_OPS}\n"
+        )
+        assert not out.exists()
+        doc = json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))
+        doc["ops"] = (doc["ops"] * (MAX_CERT_OPS // len(doc["ops"]) + 1))[: MAX_CERT_OPS + 1]
+        out.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-cert", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ops = {too_long} exceeds the certificate cap {MAX_CERT_OPS}\n"
+        )
+
+    def test_start_that_is_not_a_complex_exits_1(self, tmp_path, capsys):
+        """verify-cert checks d.d = 0 on start, as torsion does on a complex file."""
+        doc = json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))
+        doc["ops"] = []
+        doc["end"] = doc["start"]
+        doc["start"]["differentials"]["1"] = [[[[1, []]]]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        start = tmp_path / "start.json"
+        start.write_text(json.dumps(doc["start"]), encoding="utf-8")
+        for argv, name in (
+            (["verify-cert", str(path)], path),
+            (["torsion", str(start), "--rep", "n=7;g0=1"], start),
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {name}: not a complex (degree 0)\n"
+
     @pytest.mark.parametrize("prime", ["1", "0", "-5"])
     def test_lens_sweep_prime_below_2_exits_1(self, capsys, prime):
         assert main(["lens-sweep", "--primes", "5", prime]) == 1
@@ -397,6 +438,29 @@ class TestCertificates:
         path.write_text("[]", encoding="utf-8")
         assert main(["verify-cert", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_fingerprint_disagreement_exits_3(self, monkeypatch, capsys):
+        """After an exact replay, torsion must agree: a disagreement is a
+        cross-check violation, not a failed verification."""
+        real = cli.fingerprint
+        calls = []
+
+        def end_swapped(c, reps):
+            calls.append(c)
+            if len(calls) % 2 == 0:  # the end's fingerprint, taken on L(7,1)
+                c = lens_complex(lens_params(7, 1))
+            return real(c, reps)
+
+        monkeypatch.setattr(cli, "fingerprint", end_swapped)
+        cert = str(GOLDEN / "cert.json")
+        assert main(["verify-cert", cert]) == 3
+        assert capsys.readouterr().out.endswith(
+            "fingerprints: DISAGREE\n"
+            "CROSS-CHECK FAILED: torsion changed under simple operations\n"
+        )
+        assert main(["--json", "verify-cert", cert]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == 3 and doc["results"]["fingerprints_agree"] is False
 
     def test_explicit_reps(self, lens_file, tmp_path):
         cert = tmp_path / "cert.json"

@@ -10,8 +10,10 @@ from torsionkit.grouprings import (
     ring_sub,
 )
 from torsionkit.cyclofield import (
+    cyclo_inv,
     cyclo_mul,
     cyclo_one,
+    cyclo_zero,
     cyclo_pow,
     representation,
     torsion_class,
@@ -25,6 +27,7 @@ from torsionkit.chaincomplex import (
     homotopy_perturbation,
     identity_chain_map,
     compose_chain_maps,
+    mapping_cone,
     scale_chain_map,
     shift,
     tensor_z_complexes,
@@ -39,8 +42,8 @@ from torsionkit.torsion import (
     reidemeister_torsion,
     torsion_of_map,
 )
-from torsionkit.simpleops import DeckTransform, apply_op
-from torsionkit.lensspaces import lens_complex, lens_params
+from torsionkit.simpleops import DeckTransform, apply_op, random_op_sequence
+from torsionkit.lensspaces import _lens_cells, lens_complex, lens_params
 
 from helpers import (
     filtered_extension,
@@ -52,6 +55,7 @@ from helpers import (
     random_int_complex,
     random_trivial_class_complex,
     random_word,
+    scramble,
 )
 
 Z7 = GroupSpec.cyclic(7)
@@ -350,3 +354,178 @@ class TestFingerprints:
     def test_distinct_reps_required(self):
         with pytest.raises(ValueError):
             fingerprint(lens_complex(lens_params(7, 1)), [REP, REP])
+
+
+def _reference_pivot_columns(mat, rows, cols, scan):
+    if rows == 0 or cols == 0:
+        return []
+    work = [list(row) for row in mat]
+    pivots = []
+    free = list(range(rows))
+    for j in scan:
+        pr = next((r for r in free if work[r][j]), None)
+        if pr is None:
+            continue
+        pivots.append(j)
+        free = [r for r in free if r != pr]
+        p = work[pr][j]
+        for r in free:
+            f = work[r][j]
+            if f:
+                wr, wp = work[r], work[pr]
+                work[r] = [p * wr[c] - f * wp[c] for c in range(cols)]
+        if not free:
+            break
+    return pivots
+
+
+def _reference_ff_det(rows_mat, n):
+    size = len(rows_mat)
+    one = cyclo_one(n)
+    if size == 0:
+        return one, one
+    work = [list(r) for r in rows_mat]
+    sign, scale = 1, one
+    for k in range(size):
+        pr = next((r for r in range(k, size) if work[r][k]), None)
+        if pr is None:
+            return cyclo_zero(n), one
+        if pr != k:
+            work[k], work[pr] = work[pr], work[k]
+            sign = -sign
+        p = work[k][k]
+        for r in range(k + 1, size):
+            f = work[r][k]
+            if f:
+                wr, wk = work[r], work[k]
+                work[r] = [cyclo_zero(n)] * (k + 1) + [
+                    p * wr[c] - f * wk[c] for c in range(k + 1, size)
+                ]
+                scale = cyclo_mul(scale, p)
+    num = one
+    for k in range(size):
+        num = cyclo_mul(num, work[k][k])
+    return (-num if sign < 0 else num), scale
+
+
+def reference_field_torsion(fc, pivot_strategy="first"):
+    """Two eliminations per degree: pivot columns of every d_i, then the
+    determinant of the dim x dim matrix (pivot columns of d_{i-1}, unit
+    columns e_j for the pivots of d_i).  The construction the minor form of
+    field_torsion replaced, kept as its reference."""
+    n = fc.modulus
+    lo, hi = fc.min_degree, fc.max_degree
+    scan = {
+        "first": lambda k: list(range(k)),
+        "last": lambda k: list(range(k - 1, -1, -1)),
+    }[pivot_strategy]
+    pivots = {
+        i: _reference_pivot_columns(fc.diff(i), fc.rank(i + 1), fc.rank(i), scan(fc.rank(i)))
+        for i in range(lo - 1, hi + 1)
+    }
+    for i in range(lo, hi + 1):
+        defect = fc.rank(i) - len(pivots[i]) - len(pivots[i - 1])
+        if defect != 0:
+            raise NotAcyclicError(i, defect)
+    num_acc, den_acc = cyclo_one(n), cyclo_one(n)
+    zero, one = cyclo_zero(n), cyclo_one(n)
+    for i in range(lo, hi + 1):
+        dim = fc.rank(i)
+        if dim == 0:
+            continue
+        prev = fc.diff(i - 1)
+        columns = [[prev[r][j] for r in range(dim)] for j in pivots[i - 1]]
+        for j in pivots[i]:
+            columns.append([one if r == j else zero for r in range(dim)])
+        num, den = _reference_ff_det(
+            [[columns[c][r] for c in range(dim)] for r in range(dim)], n
+        )
+        if i % 2:
+            num_acc, den_acc = cyclo_mul(num_acc, num), cyclo_mul(den_acc, den)
+        else:
+            num_acc, den_acc = cyclo_mul(num_acc, den), cyclo_mul(den_acc, num)
+    return cyclo_mul(num_acc, cyclo_inv(den_acc))
+
+
+def torsion_outcome(fn, fc, strategy):
+    """The value, or ("NOT_ACYCLIC", degree, defect)."""
+    try:
+        return fn(fc, strategy)
+    except NotAcyclicError as exc:
+        return ("NOT_ACYCLIC", exc.degree, exc.defect)
+
+
+def assert_matches_reference(c, rep, strategy):
+    fc = base_change(c, rep)
+    got = torsion_outcome(field_torsion, fc, strategy)
+    assert got == torsion_outcome(reference_field_torsion, fc, strategy)
+    return got
+
+
+FP77 = GroupSpec.free_product([7, 7])
+
+
+@pytest.mark.parametrize("strategy", ["first", "last"])
+class TestMinorFormMatchesReference:
+    """field_torsion (one minor per degree) against the two-elimination
+    construction it replaced: equal values, and the same NOT_ACYCLIC degree
+    and defect, under either pivot strategy."""
+
+    @pytest.mark.parametrize("n", [7, 13])
+    def test_scrambled_random_complexes(self, n, strategy):
+        spec = GroupSpec.cyclic(n)
+        rng = random.Random(300 + n)
+        for _ in range(12):
+            c = random_acyclic_complex(spec, rng, summands=4)
+            for d in (0, 1, rng.randrange(2, n)):
+                assert_matches_reference(c, representation(spec, n, [d]), strategy)
+
+    @pytest.mark.parametrize("n", [7, 13])
+    def test_lens_complexes_at_every_twist(self, n, strategy):
+        spec = GroupSpec.cyclic(n)
+        for q in (1, 2, n - 1):
+            c = lens_complex(lens_params(n, q))
+            outcomes = [
+                assert_matches_reference(c, representation(spec, n, [d]), strategy)
+                for d in range(n)
+            ]
+            assert outcomes[0] == ("NOT_ACYCLIC", 0, 1)
+            assert not any(isinstance(o, tuple) for o in outcomes[1:])
+
+    def test_free_product_lens_cells(self, strategy):
+        rng = random.Random(17)
+        reps = [representation(FP77, 7, e) for e in ([1, 1], [0, 1], [3, 0], [2, 5])]
+        for factor in (0, 1):
+            for twist in range(7):
+                c = _lens_cells(FP77, factor, twist, 7, 4)
+                for rep in reps:
+                    assert_matches_reference(c, rep, strategy)
+        for _ in range(4):
+            a = _lens_cells(FP77, 0, rng.randrange(1, 7), 7, rng.randrange(1, 7))
+            b = _lens_cells(FP77, 1, rng.randrange(1, 7), 7, rng.randrange(1, 7))
+            c = scramble(direct_sum(a, b), rng, steps=10)
+            for rep in reps:
+                assert_matches_reference(c, rep, strategy)
+
+    @pytest.mark.parametrize("n", [7, 13])
+    def test_certificate_ends(self, n, strategy):
+        spec = GroupSpec.cyclic(n)
+        for seed in range(4):
+            cert = random_op_sequence(lens_complex(lens_params(n, 2)), 60, seed)
+            for d in range(n):
+                assert_matches_reference(cert.end, representation(spec, n, [d]), strategy)
+
+    @pytest.mark.parametrize("n", [7, 13])
+    def test_mapping_cones(self, n, strategy):
+        spec = GroupSpec.cyclic(n)
+        rng = random.Random(400 + n)
+        pool = [
+            ring_sub(spec, ONE_ELEM, generator_elem(spec, 0, 1)),
+            ring_sub(spec, from_int(2), generator_elem(spec, 0, 2)),
+        ]
+        for _ in range(6):
+            c = random_acyclic_complex(spec, rng, summands=2)
+            iso, _ = iso_via_ops(c, rng, steps=3)
+            cone = mapping_cone(scale_chain_map(iso, rng.choice(pool)))
+            for d in (0, 1, rng.randrange(2, n)):
+                assert_matches_reference(cone, representation(spec, n, [d]), strategy)
