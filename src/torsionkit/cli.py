@@ -341,10 +341,10 @@ def cmd_demo_freeproduct(args) -> Report:
         "demo-freeproduct",
         {"p": rpt.p, "q": rpt.q, "q2": rpt.q2},
         {
-            "second_class": _class_str(rpt.second_class),
-            "rows": _sweep_rows(rpt.rows, "l"),
-            "match_twist": rpt.match_twist,
-            "verdict": "MATCH" if rpt.match_twist is not None else "DISTINCT",
+            "second_class": _class_str(rpt.sweep.reference),
+            "rows": _sweep_rows(rpt.sweep.rows, "l"),
+            "match_twist": rpt.sweep.match_twist,
+            "verdict": "MATCH" if rpt.sweep.match_twist is not None else "DISTINCT",
         },
     )
 
@@ -368,8 +368,10 @@ def render_demo_freeproduct(report: Report) -> list[str]:
 
 
 def _default_reps(spec: GroupSpec, modulus: int):
+    """The first ``DEFAULT_REP_COUNT`` reps sending every generator to
+    zeta^d, d a unit mod ``modulus`` (d = 0 for the trivial group)."""
     reps = []
-    for d in range(1, modulus):
+    for d in range(modulus):
         if gcd(d, modulus) != 1:
             continue
         try:
@@ -378,6 +380,9 @@ def _default_reps(spec: GroupSpec, modulus: int):
             continue
         if len(reps) == DEFAULT_REP_COUNT:
             break
+    if not reps:
+        group = "*".join(f"Z/{m}" for m in spec.factor_orders)
+        raise CliError(f"no default representation for {group}; pass --rep")
     return reps
 
 

@@ -7,10 +7,11 @@ polynomial gcd is ever needed: 1/a = (prod of conjugates of a) / norm(a).
 
 Also here: representations of group rings into Q(zeta_n), the finite unit
 subgroups +-rho(G), and torsion classes (units modulo that subgroup).
-Units act by rotation: +-rho(G) is {+-zeta^(jg)} read off the cached powers
-of zeta, and a coset representative comes from walking the orbit one
++-rho(G) is {+-zeta^(jg)}, stored by its step g (the least g with zeta^g in
+it), so it is visibly stable under every zeta -> zeta^d.  Units act by
+rotation: a coset representative comes from walking the orbit one
 multiplication by zeta (a shift of the coefficients folded back by Phi_n,
-O(phi)) at a time, so neither needs a full product.
+O(phi)) at a time, so it needs no full product.
 """
 from __future__ import annotations
 
@@ -305,40 +306,36 @@ def evaluate_rep(rep: Representation, x: GroupRingElem) -> CycloNum:
 
 @dataclass(frozen=True, slots=True)
 class UnitSubgroup:
-    """Finite multiplicative group generated by -1 and the rho-images of
-    the group generators: the denominator +-rho(G) of torsion classes."""
+    """{+-zeta_n^(j*step)}, the denominator +-rho(G) of torsion classes.
+    ``step`` becomes the least k > 0 with zeta^k in the group, so equal
+    groups compare equal: gcd(n, step), then gcd(step, n/2) for even n,
+    as -1 = zeta^(n/2)."""
 
     modulus: int
-    elements: frozenset[CycloNum]
+    step: int
 
+    def __post_init__(self) -> None:
+        n = self.modulus
+        if n < 1:
+            raise ValueError(f"modulus must be >= 1, got {n}")
+        step = gcd(n, self.step)
+        if n % 2 == 0:
+            step = gcd(step, n // 2)
+        object.__setattr__(self, "step", step)
 
-@lru_cache(maxsize=None)
-def _unit_group(n: int, g: int) -> UnitSubgroup:
-    """{+-zeta_n^(jg)}: the group generated by -1 and zeta_n^g, for g | n."""
-    roots = [zeta(n, k) for k in range(0, n, g)]
-    return UnitSubgroup(n, frozenset(roots + [cyclo_neg(w) for w in roots]))
+    @property
+    def elements(self) -> frozenset[CycloNum]:
+        roots = [zeta(self.modulus, k) for k in range(0, self.modulus, self.step)]
+        return frozenset(roots + [cyclo_neg(w) for w in roots])
 
 
 @lru_cache(maxsize=None)
 def unit_subgroup(rep: Representation) -> UnitSubgroup:
     """+-rho(G) in closed form: the powers of zeta^e_i generate the powers of
     zeta^g with g = gcd(n, e_1, ...), so every rep with the same (n, g), such
-    as all twists of one lens sweep, shares one group."""
+    as all twists of one lens sweep, has the same group."""
     n = rep.modulus
-    return _unit_group(n, gcd(n, *rep.generator_exponents))
-
-
-@lru_cache(maxsize=None)
-def _rotation_step(units: UnitSubgroup) -> int:
-    """The g with units = {+-zeta^(jg)}, the only unit groups torsion classes
-    are taken modulo; ValueError for any other element set."""
-    n = units.modulus
-    g = next((k for k in range(1, n) if zeta(n, k) in units.elements), n)
-    if units != _unit_group(n, g):
-        raise ValueError(
-            f"the {len(units.elements)} units are not a group +-zeta_{n}^(jg)"
-        )
-    return g
+    return UnitSubgroup(n, gcd(n, *rep.generator_exponents))
 
 
 def canonical_rep(u: CycloNum, units: UnitSubgroup) -> CycloNum:
@@ -349,15 +346,15 @@ def canonical_rep(u: CycloNum, units: UnitSubgroup) -> CycloNum:
     matrix, which keeps the content of ``nums`` and hence ``den``; so the
     order of the integer ``nums`` is the order of the rational coefficients.
     The orbit is walked, not multiplied out: times zeta is one
-    companion-matrix step of Phi_n on ``nums``, O(phi), and with units
-    {+-zeta^(jg)} every g-th point and its negative lie in the orbit.
+    companion-matrix step of Phi_n on ``nums``, O(phi), and every
+    ``units.step``-th point and its negative lie in the orbit.
     """
     if not u:
         raise ZeroDivisionError("zero has no torsion class")
     n = u.n
     if n != units.modulus:
         raise ModulusMismatchError(f"moduli differ: {n} vs {units.modulus}")
-    g = _rotation_step(units)
+    g = units.step
     mod = cyclotomic_polynomial(n)
     cur = u.nums
     kept = [cur]

@@ -82,8 +82,6 @@ def validate_word(spec: GroupSpec, w: GroupWord) -> None:
         if not 1 <= exp <= order - 1:
             raise InvalidWordError(f"exponent {exp} not reduced mod {order}")
         prev_factor = factor
-    if spec.kind == "cyclic" and len(w.letters) > 1:
-        raise InvalidWordError("cyclic words have at most one letter")
 
 
 def word_multiply(spec: GroupSpec, a: GroupWord, b: GroupWord) -> GroupWord:

@@ -63,21 +63,18 @@ def modp_inverse(q: int, p: int) -> int:
     return pow(q, -1, p)
 
 
-def _lens_cells(spec: GroupSpec, factor: int, twist: int, p: int, r: int) -> BasedComplex:
-    """The one-cell-per-dimension complex with generator g^twist.
+def _lens_cells(spec: GroupSpec, factor: int, r: int) -> BasedComplex:
+    """The one-cell-per-dimension complex on the generator g (of order p)
+    of factor ``factor``.
 
     Degrees 0..3 hold the cells of dimension 3..0; differentials are
-    (1 - g^(twist*r)), the norm element in g^twist, and (1 - g^twist).
+    (1 - g^r), the norm element 1 + g + ... + g^(p-1), and (1 - g).
     """
-
-    def gen(e: int):
-        return generator_elem(spec, factor, (e * twist) % p)
-
-    top = ring_sub(spec, ONE_ELEM, gen(r))
+    top = ring_sub(spec, ONE_ELEM, generator_elem(spec, factor, r))
     norm = elem_from_dict(
-        {generator_word(spec, factor, (k * twist) % p): 1 for k in range(p)}
+        {generator_word(spec, factor, k): 1 for k in range(spec.order_of(factor))}
     )
-    bottom = ring_sub(spec, ONE_ELEM, gen(1))
+    bottom = ring_sub(spec, ONE_ELEM, generator_elem(spec, factor, 1))
     return based_complex(
         spec,
         0,
@@ -90,7 +87,7 @@ def _lens_cells(spec: GroupSpec, factor: int, twist: int, p: int, r: int) -> Bas
 def lens_complex(params: LensParams) -> BasedComplex:
     """Based cellular complex of L(p,q) over Z[Z/p]."""
     r = modp_inverse(params.q, params.p)
-    return _lens_cells(GroupSpec.cyclic(params.p), 0, 1, params.p, r)
+    return _lens_cells(GroupSpec.cyclic(params.p), 0, r)
 
 
 @lru_cache(maxsize=None)
@@ -217,32 +214,27 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class FreeProductReport:
-    """Torsion comparison of two lens complexes pushed into Z[Z/p * Z/p]:
-    ``rows`` and ``match_twist`` are the ``TwistSweep`` of the first complex,
-    embedded by each twist l, against ``second_class``."""
+    """Torsion comparison of two lens complexes pushed into Z[Z/p * Z/p]."""
 
     p: int
     q: int
     q2: int
-    second_class: TorsionClass
-    rows: tuple[tuple[int, TorsionClass | None, bool], ...]
-    match_twist: int | None
+    sweep: TwistSweep  # first complex under each [l, 1] against second under [1, 1]
 
 
 def free_product_scenario(p: int, q: int, q2: int) -> FreeProductReport:
-    """Compare L(p,q) embedded on the first free factor (for every twist l)
-    against L(p,q2) on the second factor, under rho sending both generators
-    to zeta_p."""
+    """Compare L(p,q) on the first free factor, under rho = [l, 1] for
+    every twist l, against L(p,q2) on the second under [1, 1]: a twist
+    changes only rho, and gcd(p, l, 1) = 1 keeps the unit group."""
     if not _is_prime(p):
         raise NonPrimeUnsupportedError(f"p = {p} is not prime")
     pa = lens_params(p, q)
     pb = lens_params(p, q2)
     spec = GroupSpec.free_product([p, p])
-    rep = representation(spec, p, [1, 1])
-    r = modp_inverse(pa.q, p)
-    r2 = modp_inverse(pb.q, p)
-    second = reidemeister_torsion(_lens_cells(spec, 1, 1, p, r2), rep)
+    first = _lens_cells(spec, 0, modp_inverse(pa.q, p))
+    second = _lens_cells(spec, 1, modp_inverse(pb.q, p))
+    reference = reidemeister_torsion(second, representation(spec, p, [1, 1]))
     sweep = twist_sweep(
-        p, second, lambda l: reidemeister_torsion(_lens_cells(spec, 0, l, p, r), rep)
+        p, reference, lambda l: reidemeister_torsion(first, representation(spec, p, [l, 1]))
     )
-    return FreeProductReport(p, pa.q, pb.q, second, sweep.rows, sweep.match_twist)
+    return FreeProductReport(p, pa.q, pb.q, sweep)

@@ -246,3 +246,29 @@ def random_group_complex(spec: GroupSpec, rng: random.Random, max_rank=2) -> Bas
     for part in parts[1:]:
         c = direct_sum(c, part)
     return scramble(c, rng, steps=4)
+
+
+def twisted_lens_cells(spec: GroupSpec, factor: int, twist: int, p: int, r: int) -> BasedComplex:
+    """The lens cells on the generator g^twist of ``factor``: differentials
+    (1 - g^(twist*r)), the norm element in g^twist, and (1 - g^twist).
+
+    One complex per twist, under a fixed representation: the reference the
+    free-product sweep, which twists the representation over one complex,
+    is compared against.
+    """
+
+    def gen(e: int):
+        return generator_elem(spec, factor, (e * twist) % p)
+
+    top = ring_sub(spec, ONE_ELEM, gen(r))
+    norm = elem_from_dict(
+        {generator_word(spec, factor, (k * twist) % p): 1 for k in range(p)}
+    )
+    bottom = ring_sub(spec, ONE_ELEM, gen(1))
+    return based_complex(
+        spec,
+        0,
+        (1, 1, 1, 1),
+        [((top,),), ((norm,),), ((bottom,),)],
+        [("e3",), ("e2",), ("e1",), ("e0",)],
+    )

@@ -158,8 +158,8 @@ def test_criterion_5_free_product_brute_force():
     assert comparisons == 84
     # cross-check: the complex-level computation over Z[Z/7 * Z/7] agrees
     report = free_product_scenario(7, 1, 2)
-    assert report.match_twist is None
-    assert all(cls is not None and not same for _, cls, same in report.rows)
+    assert report.sweep.match_twist is None
+    assert all(cls is not None and not same for _, cls, same in report.sweep.rows)
     _passed(5, f"(1-zeta^l)^2 != unit*(1-zeta)(1-zeta^4), all {comparisons} comparisons")
 
 

@@ -6,13 +6,14 @@ import pytest
 
 from torsionkit import cli
 from torsionkit.cli import MAX_CERT_OPS, MAX_MODULUS, build_parser, main, parse_rep_spec, CliError
-from torsionkit.grouprings import GroupSpec
+from torsionkit.grouprings import GroupSpec, ONE_ELEM, from_int, generator_elem, ring_sub
 from torsionkit.chaincomplex import (
     complex_from_obj,
     complex_to_obj,
     dumps_canonical,
     load_complex,
     save_complex,
+    two_term_complex,
 )
 from torsionkit.simpleops import (
     cert_from_obj,
@@ -24,6 +25,8 @@ from torsionkit.simpleops import (
 )
 from torsionkit.grouprings import generator_word
 from torsionkit.lensspaces import LensVerdict, lens_complex, lens_params
+
+from helpers import twisted_lens_cells
 
 
 def write_tampered_cert(path):
@@ -122,11 +125,10 @@ class TestTorsionCommand:
 
     def test_free_product_complex_file(self, tmp_path, capsys):
         from torsionkit.lensspaces import free_product_scenario
-        from torsionkit.lensspaces import _lens_cells
         from torsionkit.grouprings import GroupSpec as GS
 
         spec = GS.free_product([7, 7])
-        c = _lens_cells(spec, 1, 1, 7, 4)
+        c = twisted_lens_cells(spec, 1, 1, 7, 4)
         path = tmp_path / "fp.json"
         save_complex(c, path)
         assert main(["torsion", str(path), "--rep", "n=7;g0=1,g1=1"]) == 0
@@ -135,7 +137,7 @@ class TestTorsionCommand:
         report = free_product_scenario(7, 1, 2)
         from torsionkit.cyclofield import cyclo_str
 
-        assert cyclo_str(report.second_class.representative) in out
+        assert cyclo_str(report.sweep.reference.representative) in out
 
     def test_json_output_is_deterministic(self, lens_file, capsys):
         assert main(["--json", "torsion", str(lens_file), "--rep", "n=7;g0=1"]) == 0
@@ -466,6 +468,44 @@ class TestCertificates:
         cert = tmp_path / "cert.json"
         main(["gen-cert", str(lens_file), "--length", "12", "--seed", "1", "--out", str(cert)])
         assert main(["verify-cert", str(cert), "--rep", "n=7;g0=1", "--rep", "n=7;g0=2"]) == 0
+
+    @staticmethod
+    def _cert_of(spec, entry, tmp_path):
+        """A 5-op certificate on the two-term complex [Z[G] --entry--> Z[G]]."""
+        path = tmp_path / "c.json"
+        save_complex(two_term_complex(spec, 0, entry), path)
+        cert = tmp_path / "cert.json"
+        assert main(["gen-cert", str(path), "--length", "5", "--out", str(cert)]) == 0
+        return str(cert)
+
+    @pytest.mark.parametrize("orders", [(5, 7), (2, 3)], ids=["Z5*Z7", "Z2*Z3"])
+    def test_no_default_rep_exits_1(self, tmp_path, capsys, orders):
+        """Without a representation nothing is compared: that is no AGREE."""
+        spec = GroupSpec.free_product(orders)
+        cert = self._cert_of(spec, ring_sub(spec, ONE_ELEM, generator_elem(spec, 0, 1)), tmp_path)
+        capsys.readouterr()
+        group = "*".join(f"Z/{m}" for m in orders)
+        for argv in (["verify-cert", cert], ["--json", "verify-cert", cert]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: no default representation for {group}; pass --rep\n"
+        n = orders[0] * orders[1]
+        rep = f"n={n};g0={n // orders[0]},g1={n // orders[1]}"
+        assert main(["verify-cert", cert, "--rep", rep]) == 0
+        assert "fingerprints: AGREE" in capsys.readouterr().out
+
+    def test_trivial_group_default_rep(self, tmp_path, capsys):
+        """Z/1 has the one unit d = 0, so its default rep is n=1;g0=0."""
+        cert = self._cert_of(GroupSpec.cyclic(1), from_int(2), tmp_path)
+        capsys.readouterr()
+        assert main(["--json", "verify-cert", cert]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["inputs"]["reps"] == ["n=1;g0=0"]
+        assert doc["results"]["fingerprint"] == [
+            {"rep": "n=1;g0=0", "torsion_class": "-2 (mod Phi_1)"}
+        ]
+        assert doc["results"]["fingerprints_agree"] is True
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -237,12 +237,10 @@ class TestCanonicalRep:
                 assert canonical_rep(u, units) == min(orbit, key=fraction_key)
 
 
-def reference_unit_subgroup(rep):
-    """+-rho(G) by breadth-first search through cyclo_mul from -1 and the
-    images zeta^e_i of the generators: the construction unit_subgroup's
-    closed form replaced, kept as its reference."""
-    n = rep.modulus
-    gens = [cyclo_neg(cyclo_one(n))] + [zeta(n, e) for e in rep.generator_exponents]
+def bfs_units(n, exponents):
+    """The group generated by -1 and the zeta^e for e in ``exponents``, by
+    breadth-first search through cyclo_mul."""
+    gens = [cyclo_neg(cyclo_one(n))] + [zeta(n, e) for e in exponents]
     elems = {cyclo_one(n)}
     frontier = list(elems)
     while frontier:
@@ -254,7 +252,14 @@ def reference_unit_subgroup(rep):
                     elems.add(v)
                     nxt.append(v)
         frontier = nxt
-    return UnitSubgroup(n, frozenset(elems))
+    return frozenset(elems)
+
+
+def reference_unit_subgroup(rep):
+    """+-rho(G) as an element set, by breadth-first search from -1 and the
+    images zeta^e_i of the generators: the construction unit_subgroup's
+    closed form replaced, kept as its reference."""
+    return bfs_units(rep.modulus, rep.generator_exponents)
 
 
 def reference_canonical_rep(u, units):
@@ -306,7 +311,7 @@ class TestUnitsActByRotation:
     @pytest.mark.parametrize("rep", differential_reps(), ids=rep_id)
     def test_unit_subgroup_matches_bfs(self, rep):
         units = unit_subgroup(rep)
-        assert units == reference_unit_subgroup(rep)
+        assert units.elements == reference_unit_subgroup(rep)
         m = rep.modulus // gcd(rep.modulus, *rep.generator_exponents)
         # -1 = zeta^(n/2) is already a power of zeta^g exactly when m is even
         assert len(units.elements) == (m if m % 2 == 0 else 2 * m)
@@ -319,8 +324,8 @@ class TestUnitsActByRotation:
             assert canonical_rep(u, units) == reference_canonical_rep(u, units)
 
     def test_twists_share_one_group(self):
-        groups = {id(unit_subgroup(representation(GroupSpec.cyclic(13), 13, [d]))) for d in range(1, 13)}
-        assert len(groups) == 1
+        groups = {unit_subgroup(representation(GroupSpec.cyclic(13), 13, [d])) for d in range(1, 13)}
+        assert groups == {UnitSubgroup(13, 1)}
 
     def test_no_cyclo_mul_at_p61(self, monkeypatch):
         for value in vars(cyclofield).values():
@@ -342,25 +347,44 @@ class TestUnitsActByRotation:
         u * v  # the counter sees products made through the operator too
         assert calls == [1]
 
-    @pytest.mark.parametrize(
-        "elements",
-        [
-            {cyclo_one(7), cyclo_int(7, 2)},
-            {zeta(7, k) for k in range(7)},  # no -1
-            {cyclo_one(7), -cyclo_one(7), zeta(7), -zeta(7)},  # not closed
-        ],
-        ids=["not-roots", "no-minus-one", "not-a-group"],
-    )
-    def test_other_unit_sets_rejected(self, elements):
-        with pytest.raises(ValueError):
-            canonical_rep(cyclo_one(7) - zeta(7), UnitSubgroup(7, frozenset(elements)))
-
     def test_hand_built_group_accepted(self):
-        # +-<zeta_6^2> is all of mu_6, so it is the group for g = 1 as well
-        units = UnitSubgroup(6, frozenset(s * zeta(6, k) for k in (0, 2, 4) for s in (cyclo_one(6), -cyclo_one(6))))
+        # +-<zeta_6^2> is all of mu_6, so it is the group for step 1 as well
+        units = UnitSubgroup(6, 2)
         assert units == unit_subgroup(representation(GroupSpec.cyclic(6), 6, [1]))
+        assert units.step == 1
         u = cyclo_int(6, 2) - zeta(6)
         assert canonical_rep(u, units) == reference_canonical_rep(u, units)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_step_normalisation(self, n):
+        """Two steps give equal groups exactly when they generate the same
+        element set with -1; the step is the least k with zeta^k inside."""
+        groups = {k: (UnitSubgroup(n, k), bfs_units(n, [k])) for k in range(-1, n + 1)}
+        for units, elems in groups.values():
+            assert units.elements == elems
+            assert units.step == min(j for j in range(1, n + 1) if zeta(n, j) in elems)
+            for units2, elems2 in groups.values():
+                assert (units == units2) == (elems == elems2)
+                if units == units2:
+                    assert hash(units) == hash(units2)
+
+    @pytest.mark.parametrize("n", [0, -6])
+    def test_modulus_below_one_rejected(self, n):
+        with pytest.raises(ValueError):
+            UnitSubgroup(n, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_canonical_rep_is_a_class_function(self, data):
+        n = data.draw(st.sampled_from([6, 12, 31, 61]), label="n")
+        units = UnitSubgroup(n, data.draw(st.integers(0, n), label="step"))
+        nums = data.draw(
+            st.lists(st.integers(-3, 3), min_size=euler_phi(n), max_size=euler_phi(n)).filter(any),
+            label="nums",
+        )
+        u = CycloNum(n, tuple(nums), 1) * cyclo_fraction(n, Fraction(1, data.draw(st.integers(1, 6))))
+        w = data.draw(st.sampled_from(sorted(units.elements, key=lambda a: a.nums)), label="w")
+        assert canonical_rep(w * u, units) == canonical_rep(u, units)
 
     def test_modulus_mismatch_rejected(self):
         units = unit_subgroup(representation(Z7, 7, [1]))

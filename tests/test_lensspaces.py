@@ -32,7 +32,7 @@ from torsionkit.lensspaces import (
     torsion_distinguish,
 )
 
-from helpers import random_word
+from helpers import random_word, twisted_lens_cells
 
 SWEEP_PRIMES = (5, 7, 11, 13)
 
@@ -201,26 +201,59 @@ class TestClassification:
 
 class TestFreeProductScenario:
     def test_distinct_for_q1_q2(self):
-        rpt = free_product_scenario(7, 1, 2)
-        assert rpt.match_twist is None
-        assert len(rpt.rows) == 6
-        assert all(cls is not None and not same for _, cls, same in rpt.rows)
+        sweep = free_product_scenario(7, 1, 2).sweep
+        assert sweep.match_twist is None
+        assert len(sweep.rows) == 6
+        assert all(cls is not None and not same for _, cls, same in sweep.rows)
         # first complex classes are (1 - zeta^l)^2 under the twist l
-        units = rpt.second_class.units
+        units = sweep.reference.units
         one = cyclo_one(7)
-        for l, cls, _ in rpt.rows:
+        for l, cls, _ in sweep.rows:
             assert cls == torsion_class(cyclo_pow(one - zeta(7, l), 2), units)
-        assert rpt.second_class == torsion_class(
+        assert sweep.reference == torsion_class(
             cyclo_mul(one - zeta(7), one - zeta(7, 4)), units
         )
 
     def test_identical_parameters_match_at_twist_one(self):
         rpt = free_product_scenario(7, 2, 2)
-        assert rpt.match_twist == 1
+        assert rpt.sweep.match_twist == 1
 
     def test_negated_q_matches_somewhere(self):
         rpt = free_product_scenario(7, 1, 6)
-        assert rpt.match_twist is not None
+        assert rpt.sweep.match_twist is not None
+
+    @pytest.mark.parametrize(
+        "p, q, q2",
+        [
+            (2, 1, 1),
+            (3, 1, 1), (3, 1, 2),
+            (5, 1, 2), (5, 2, 3), (5, 3, 3),
+            (7, 1, 2), (7, 1, 6), (7, 2, 4),
+            (11, 1, 3), (11, 2, 2),
+            (13, 2, 5), (13, 1, 12),
+            (31, 1, 2), (31, 3, 3),
+            (61, 1, 2), (61, 1, 60),
+        ],
+    )
+    def test_sweep_matches_per_twist_complexes(self, p, q, q2):
+        """Twisting rho over one complex against the old construction: one
+        complex per twist l, built on the generator g^l, under [1, 1]."""
+        spec = GroupSpec.free_product([p, p])
+        rep = representation(spec, p, [1, 1])
+        r, r2 = modp_inverse(q, p), modp_inverse(q2, p)
+        reference = reidemeister_torsion(twisted_lens_cells(spec, 1, 1, p, r2), rep)
+        rows = []
+        for l in range(1, p):
+            try:
+                cls = reidemeister_torsion(twisted_lens_cells(spec, 0, l, p, r), rep)
+            except NotAcyclicError:
+                cls = None
+            rows.append((l, cls, cls == reference))
+        rpt = free_product_scenario(p, q, q2)
+        assert (rpt.p, rpt.q, rpt.q2) == (p, q, q2)
+        assert rpt.sweep.reference == reference
+        assert rpt.sweep.rows == tuple(rows)
+        assert rpt.sweep.match_twist == next((l for l, _, same in rows if same), None)
 
     def test_errors(self):
         with pytest.raises(NonPrimeUnsupportedError):

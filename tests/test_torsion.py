@@ -21,6 +21,7 @@ from torsionkit.cyclofield import (
     zeta,
 )
 from torsionkit.chaincomplex import (
+    ShapeMismatchError,
     base_change,
     based_complex,
     direct_sum,
@@ -43,7 +44,7 @@ from torsionkit.torsion import (
     torsion_of_map,
 )
 from torsionkit.simpleops import DeckTransform, apply_op, random_op_sequence
-from torsionkit.lensspaces import _lens_cells, lens_complex, lens_params
+from torsionkit.lensspaces import lens_complex, lens_params
 
 from helpers import (
     filtered_extension,
@@ -56,6 +57,7 @@ from helpers import (
     random_trivial_class_complex,
     random_word,
     scramble,
+    twisted_lens_cells,
 )
 
 Z7 = GroupSpec.cyclic(7)
@@ -329,27 +331,26 @@ class TestFingerprints:
         assert fp.entries[1][1] is not None
 
     def test_twist_matchings_separate_lens_complexes(self):
-        # a twist t -> t^e permutes the character family: entry d of the
-        # first fingerprint must be compared with entry d*e of the second
-        def matched_by_some_twist(fa, fb):
+        # a twist t -> t^e is a representation: entry d of the first
+        # fingerprint is compared with the second complex under t -> zeta^(d*e)
+        def matched_by_some_twist(a, b):
+            fa = fingerprint(a, REPS)
             for e in range(1, 7):
-                matching = tuple(((d * e) % 7) - 1 for d in range(1, 7))
-                if fingerprints_equivalent(fa, fb, matching):
+                fb = fingerprint(b, [REPS[(d * e) % 7 - 1] for d in range(1, 7)])
+                if fingerprints_equivalent(fa, fb):
                     return e
             return None
 
-        f71 = fingerprint(lens_complex(lens_params(7, 1)), REPS)
-        f72 = fingerprint(lens_complex(lens_params(7, 2)), REPS)
-        f76 = fingerprint(lens_complex(lens_params(7, 6)), REPS)
-        assert matched_by_some_twist(f71, f72) is None
-        assert matched_by_some_twist(f71, f76) is not None
-        assert matched_by_some_twist(f71, f71) == 1
+        l71, l72, l76 = (lens_complex(lens_params(7, q)) for q in (1, 2, 6))
+        assert matched_by_some_twist(l71, l72) is None
+        assert matched_by_some_twist(l71, l76) is not None
+        assert matched_by_some_twist(l71, l71) == 1
 
     def test_equivalence_checks_matching(self):
         fp = fingerprint(lens_complex(lens_params(7, 1)), REPS)
         assert fingerprints_equivalent(fp, fp)
-        with pytest.raises(Exception):
-            fingerprints_equivalent(fp, fp, (0, 0, 1, 2, 3, 4))
+        with pytest.raises(ShapeMismatchError):
+            fingerprints_equivalent(fp, fingerprint(lens_complex(lens_params(7, 1)), REPS[:5]))
 
     def test_distinct_reps_required(self):
         with pytest.raises(ValueError):
@@ -497,12 +498,12 @@ class TestMinorFormMatchesReference:
         reps = [representation(FP77, 7, e) for e in ([1, 1], [0, 1], [3, 0], [2, 5])]
         for factor in (0, 1):
             for twist in range(7):
-                c = _lens_cells(FP77, factor, twist, 7, 4)
+                c = twisted_lens_cells(FP77, factor, twist, 7, 4)
                 for rep in reps:
                     assert_matches_reference(c, rep, strategy)
         for _ in range(4):
-            a = _lens_cells(FP77, 0, rng.randrange(1, 7), 7, rng.randrange(1, 7))
-            b = _lens_cells(FP77, 1, rng.randrange(1, 7), 7, rng.randrange(1, 7))
+            a = twisted_lens_cells(FP77, 0, rng.randrange(1, 7), 7, rng.randrange(1, 7))
+            b = twisted_lens_cells(FP77, 1, rng.randrange(1, 7), 7, rng.randrange(1, 7))
             c = scramble(direct_sum(a, b), rng, steps=10)
             for rep in reps:
                 assert_matches_reference(c, rep, strategy)
