@@ -41,11 +41,13 @@ from .chaincomplex import (
     validate,
 )
 from .torsion import (
+    GaloisOrbit,
     NotAcyclicError,
     TorsionFingerprint,
     field_torsion,
     fingerprint,
     fingerprints_equivalent,
+    galois_orbit,
     reidemeister_torsion,
     torsion_of_map,
 )

@@ -80,11 +80,11 @@ def mat_shape(m: Matrix) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
 
-def mat_add(spec: GroupSpec, a: Matrix, b: Matrix) -> Matrix:
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
     if mat_shape(a) != mat_shape(b):
         raise ShapeMismatchError("matrix sum shapes differ")
     return tuple(
-        tuple(ring_add(spec, x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+        tuple(ring_add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
 
 
@@ -116,7 +116,7 @@ def mat_compose(
                 x = first[b][a]
                 y = second[g][b]
                 if x and y:
-                    acc = ring_add(spec, acc, ring_mul(spec, x, y))
+                    acc = ring_add(acc, ring_mul(spec, x, y))
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -423,7 +423,7 @@ def homotopy_perturbation(f: ChainMap, h: dict[int, "Matrix"]) -> ChainMap:
         cols = f.source.rank(i)
         term1 = mat_compose(spec, hcomp(i + 1), f.source.diff(i), source_cols=cols)
         term2 = mat_compose(spec, f.target.diff(i - 1), hcomp(i), source_cols=cols)
-        comps[i] = mat_add(spec, f.component(i), mat_add(spec, term1, term2))
+        comps[i] = mat_add(f.component(i), mat_add(term1, term2))
     return chain_map(f.source, f.target, comps)
 
 

@@ -11,8 +11,8 @@ Every command returns one deterministic report: ``--json`` prints it as one
 JSON document, and text output is labeled lines rendered from it.  Exit codes:
 0 success, 1 parse/validation error, 2 verification or acyclicity failure,
 3 internal cross-check violation (never expected).  A modulus above
-``MAX_MODULUS`` and a certificate longer than ``MAX_CERT_OPS`` are parse
-errors.
+``MAX_MODULUS``, a certificate longer than ``MAX_CERT_OPS`` and a complex
+whose ranks sum past ``MAX_TOTAL_RANK`` are parse errors.
 """
 from __future__ import annotations
 
@@ -65,16 +65,29 @@ CHECK_FAILED = 2
 CROSSCHECK_VIOLATION = 3
 DEFAULT_REP_COUNT = 6
 # Largest modulus the CLI computes in: a lens or free-product p, a --rep n, or
-# the default twist modulus of a certificate.  A twist sweep costs p torsions
-# over Q(zeta_p); on a 2-vCPU machine `lens-classify p 1 2 --all-d` takes
-# 0.36 s at p = 61 and 1.24 s at p = 127 (medians of 3 runs), and grows
-# faster than p^3 beyond.
+# the default twist modulus of a certificate.  A twist sweep is one
+# elimination and p conjugated classes over Q(zeta_p).  On a 2-vCPU machine
+# (medians of 3 runs, each about 0.16 s of start-up) `lens-classify p 1 2
+# --all-d` takes 0.18 s at p = 61 and 0.25 s at p = 127, and `lens-sweep
+# --primes p`, every pair, 0.96 s and 9.1 s; one sweep in the library grows
+# about as p^2.7 (0.06 s at p = 127, 0.33 s at 251, 2.1 s at 509).  So sweeps
+# no longer set the cap: it bounds lens-sweep's p^2/2 pairs and the one field
+# inversion of an elimination under --rep n, 0.6-0.8 s for a dense value at
+# n = 127.
 MAX_MODULUS = 127
 # Most simple operations in a certificate: the --length of gen-cert and the
 # ops of a certificate verify-cert reads.  On L(7,2) and a 2-vCPU machine,
 # gen-cert at the cap takes 3.0 s and verify-cert of its output 2.1 s
 # (medians of 3 runs); the certificate file is 0.8 MB.
 MAX_CERT_OPS = 10_000
+# Largest total rank (the sum of the ranks over all degrees) of a complex file
+# given to torsion or gen-cert, and of a certificate's start given to
+# verify-cert.  It is checked on the document, before any matrix is built: a
+# missing differential is a zero matrix of rank(i+1) x rank(i) entries, so a
+# 92-byte file with ranks (2000, 2000) made `torsion` run for 16.7 s before
+# printing NOT_ACYCLIC, and the cost grows quadratically.  With ranks
+# (128, 128) and no differentials, `torsion` takes 0.3 s (2-vCPU machine).
+MAX_TOTAL_RANK = 256
 
 
 @dataclass
@@ -99,6 +112,16 @@ def _check_modulus(name: str, value: int) -> None:
 def _check_op_count(what: str, count: int) -> None:
     if count > MAX_CERT_OPS:
         raise CliError(f"{what} = {count} exceeds the certificate cap {MAX_CERT_OPS}")
+
+
+def _check_total_rank(doc, what: str) -> None:
+    """Refuse a complex document whose ranks sum past ``MAX_TOTAL_RANK``; a
+    malformed ``ranks`` is left to complex_from_obj to report."""
+    ranks = doc.get("ranks") if isinstance(doc, dict) else None
+    if isinstance(ranks, list) and all(type(r) is int for r in ranks):
+        total = sum(r for r in ranks if r > 0)
+        if total > MAX_TOTAL_RANK:
+            raise CliError(f"{what}: total rank {total} exceeds the rank cap {MAX_TOTAL_RANK}")
 
 
 def parse_rep_spec(text: str, spec: GroupSpec) -> Representation:
@@ -179,8 +202,10 @@ def _check_complex(c, path: str) -> None:
 
 
 def _load_complex_checked(path: str):
+    doc = _read_json(path)
+    _check_total_rank(doc, path)
     try:
-        c = complex_from_obj(_read_json(path))
+        c = complex_from_obj(doc)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
     _check_complex(c, path)
@@ -386,11 +411,17 @@ def _default_reps(spec: GroupSpec, modulus: int):
     return reps
 
 
-def cmd_verify_cert(args) -> Report:
+def _load_cert(path: str):
+    doc = _read_json(path)
+    _check_total_rank(doc.get("start") if isinstance(doc, dict) else None, f"{path}: start")
     try:
-        cert = cert_from_obj(_read_json(args.cert_file))
+        return cert_from_obj(doc)
     except ValueError as exc:
-        raise CliError(f"{args.cert_file}: {exc}")
+        raise CliError(f"{path}: {exc}")
+
+
+def cmd_verify_cert(args) -> Report:
+    cert = _load_cert(args.cert_file)
     _check_op_count("ops", len(cert.ops))
     # simple operations preserve d.d = 0, so every replayed step is a complex
     _check_complex(cert.start, args.cert_file)

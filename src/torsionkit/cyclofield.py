@@ -206,14 +206,19 @@ def galois_conjugate(a: CycloNum, k: int) -> CycloNum:
     """Apply zeta -> zeta^k; requires gcd(k, n) = 1."""
     if gcd(k, a.n) != 1:
         raise ValueError(f"{k} is not coprime to {a.n}")
-    phi = euler_phi(a.n)
+    n = a.n
+    phi = euler_phi(n)
     acc = [0] * phi
     for j, c in enumerate(a.nums):
         if c:
-            row = _zeta_power_row(a.n, (j * k) % a.n)
-            for i in range(phi):
-                acc[i] += c * row[i]
-    return _make(a.n, acc, a.den)
+            e = j * k % n
+            if e < phi:  # zeta^e is a basis vector
+                acc[e] += c
+            else:
+                for i, x in enumerate(_zeta_power_row(n, e)):
+                    if x:
+                        acc[i] += c * x
+    return _make(n, acc, a.den)
 
 
 def cyclo_inv(a: CycloNum) -> CycloNum:
@@ -329,11 +334,13 @@ class UnitSubgroup:
         return frozenset(roots + [cyclo_neg(w) for w in roots])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def unit_subgroup(rep: Representation) -> UnitSubgroup:
     """+-rho(G) in closed form: the powers of zeta^e_i generate the powers of
     zeta^g with g = gcd(n, e_1, ...), so every rep with the same (n, g), such
-    as all twists of one lens sweep, has the same group."""
+    as all twists of one lens sweep, has the same group.  Building it is two
+    gcds, so the cache is bounded: it keeps a few representations alive, not
+    every one ever asked about."""
     n = rep.modulus
     return UnitSubgroup(n, gcd(n, *rep.generator_exponents))
 

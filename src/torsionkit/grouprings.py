@@ -165,7 +165,7 @@ def generator_elem(spec: GroupSpec, factor: int = 0, exp: int = 1) -> GroupRingE
     return monomial(generator_word(spec, factor, exp))
 
 
-def ring_add(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
+def ring_add(a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
     acc: dict[GroupWord, int] = dict(a.terms)
     for w, c in b.terms:
         acc[w] = acc.get(w, 0) + c
@@ -173,7 +173,7 @@ def ring_add(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingEl
 
 
 def ring_sub(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
-    return ring_add(spec, a, -b)
+    return ring_add(a, -b)
 
 
 def ring_mul(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:

@@ -6,11 +6,14 @@ g*r = 1 mod p.  It is stored on cohomological degrees 0..3 with the 3-cell
 in degree 0; this orientation makes the alternating-determinant torsion of
 the base-changed complex come out as (1 - zeta^r)(1 - zeta) on the nose,
 which is the calibration all sweeps assert.
+
+Every sweep reads a Galois orbit (see torsion): the twist t -> zeta^d is
+sigma_d of t -> zeta, so one elimination serves every unit twist.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd
 
 from .grouprings import (
@@ -27,7 +30,7 @@ from .cyclofield import (
     representation,
 )
 from .chaincomplex import BasedComplex, based_complex
-from .torsion import NotAcyclicError, reidemeister_torsion
+from .torsion import GaloisOrbit, galois_orbit, reidemeister_torsion
 
 
 class NotCoprimeError(ValueError):
@@ -90,14 +93,31 @@ def lens_complex(params: LensParams) -> BasedComplex:
     return _lens_cells(GroupSpec.cyclic(params.p), 0, r)
 
 
+def _units(p: int) -> list[int]:
+    """The units mod p in 1..p-1, increasing: the twists of a sweep."""
+    return [d for d in range(1, p) if gcd(d, p) == 1]
+
+
+@lru_cache(maxsize=None)
+def _lens_orbit(params: LensParams) -> GaloisOrbit:
+    """L(p,q) under t -> zeta_p, read at every unit twist; kept per (p, q),
+    since a lens sweep reads L(p,q) in every pair it belongs to."""
+    p = params.p
+    return galois_orbit(lens_complex(params), representation(GroupSpec.cyclic(p), p, [1]))
+
+
 @lru_cache(maxsize=None)
 def lens_torsion(params: LensParams, d: int) -> TorsionClass:
     """Torsion class of L(p,q) under t -> zeta_p^d.
 
-    Equals the class of (1 - zeta^(d*r))(1 - zeta^d); raises NotAcyclicError
-    for d = 0 mod p, where the base change keeps all the homology.
+    Equals the class of (1 - zeta^(d*r))(1 - zeta^d).  A unit d conjugates
+    the class under t -> zeta; any other d is computed directly and raises
+    NotAcyclicError for d = 0 mod p, where the base change keeps all the
+    homology.
     """
     p = params.p
+    if gcd(d, p) == 1:
+        return _lens_orbit(params).twist(d)
     rep = representation(GroupSpec.cyclic(p), p, [d % p])
     return reidemeister_torsion(lens_complex(params), rep)
 
@@ -142,19 +162,18 @@ class TwistSweep:
     match_twist: int | None
 
 
-def twist_sweep(p: int, reference: TorsionClass, twisted) -> TwistSweep:
-    """Compare ``twisted(d)`` with ``reference`` for every unit d mod p."""
-    rows = []
-    for d in range(1, p):
-        if gcd(d, p) != 1:
-            continue
-        try:
-            cls = twisted(d)
-        except NotAcyclicError:
-            cls = None
-        rows.append((d, cls, cls is not None and cls == reference))
+def twist_sweep(p: int, reference: TorsionClass, classes) -> TwistSweep:
+    """Compare ``classes`` with ``reference``: one class (or None) per unit
+    d mod p, in increasing order of d, as a Galois orbit reads them."""
+    units = _units(p)
+    classes = list(classes)
+    if len(classes) != len(units):
+        raise ValueError(f"{len(classes)} classes for {len(units)} twists mod {p}")
+    rows = tuple(
+        (d, cls, cls is not None and cls == reference) for d, cls in zip(units, classes)
+    )
     match = next((d for d, _, same in rows if same), None)
-    return TwistSweep(reference, tuple(rows), match)
+    return TwistSweep(reference, rows, match)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,7 +209,8 @@ class LensVerdict:
 def lens_verdict(a: LensParams, b: LensParams) -> LensVerdict:
     he, m = homotopy_equivalent(a, b)
     se, sw = simple_homotopy_equivalent(a, b)
-    sweep = twist_sweep(a.p, lens_torsion(b, 1), partial(lens_torsion, a))
+    classes = [lens_torsion(a, d) for d in _units(a.p)]
+    sweep = twist_sweep(a.p, lens_torsion(b, 1), classes)
     return LensVerdict(a, b, he, m, se, sw, sweep)
 
 
@@ -225,7 +245,9 @@ class FreeProductReport:
 def free_product_scenario(p: int, q: int, q2: int) -> FreeProductReport:
     """Compare L(p,q) on the first free factor, under rho = [l, 1] for
     every twist l, against L(p,q2) on the second under [1, 1]: a twist
-    changes only rho, and gcd(p, l, 1) = 1 keeps the unit group."""
+    changes only rho, and gcd(p, l, 1) = 1 keeps the unit group.  The first
+    complex uses only the first generator, so its base change under [l, 1]
+    is the one under [l, l] = sigma_l . [1, 1]: the sweep is one orbit."""
     if not _is_prime(p):
         raise NonPrimeUnsupportedError(f"p = {p} is not prime")
     pa = lens_params(p, q)
@@ -233,8 +255,7 @@ def free_product_scenario(p: int, q: int, q2: int) -> FreeProductReport:
     spec = GroupSpec.free_product([p, p])
     first = _lens_cells(spec, 0, modp_inverse(pa.q, p))
     second = _lens_cells(spec, 1, modp_inverse(pb.q, p))
-    reference = reidemeister_torsion(second, representation(spec, p, [1, 1]))
-    sweep = twist_sweep(
-        p, reference, lambda l: reidemeister_torsion(first, representation(spec, p, [l, 1]))
-    )
+    rep = representation(spec, p, [1, 1])
+    orbit = galois_orbit(first, rep)
+    sweep = twist_sweep(p, reidemeister_torsion(second, rep), [orbit.twist(l) for l in _units(p)])
     return FreeProductReport(p, pa.q, pb.q, sweep)

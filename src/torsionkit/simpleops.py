@@ -210,13 +210,13 @@ def _change_basis(
         m = [list(row) for row in c.diff(d)]
         for row in m:
             x = ring_mul(spec, left, row[source])
-            row[target] = x if target == source else ring_add(spec, row[target], x)
+            row[target] = x if target == source else ring_add(row[target], x)
         diffs[d - lo] = tuple(tuple(row) for row in m)
     if d > lo:
         m = list(c.diff(d - 1))
         moved = [ring_mul(spec, x, right) for x in m[target]]
         if target != source:
-            moved = [ring_add(spec, x, y) for x, y in zip(m[source], moved)]
+            moved = [ring_add(x, y) for x, y in zip(m[source], moved)]
         m[source] = tuple(moved)
         diffs[d - 1 - lo] = tuple(m)
     return based_complex(spec, lo, c.ranks, diffs, c.labels)

@@ -166,7 +166,7 @@ def filtered_extension(a: BasedComplex, b: BasedComplex, rng: random.Random) -> 
     which automatically satisfies d_a.h + h.d_b = 0.
     """
     from torsionkit.chaincomplex import mat_compose
-    from torsionkit.grouprings import ring_add as _add, ring_sub as _sub
+    from torsionkit.grouprings import ring_sub as _sub
 
     spec = a.spec
     lo = min(a.min_degree, b.min_degree)

@@ -1,11 +1,12 @@
 import argparse
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from torsionkit import cli
-from torsionkit.cli import MAX_CERT_OPS, MAX_MODULUS, build_parser, main, parse_rep_spec, CliError
+from torsionkit.cli import MAX_CERT_OPS, MAX_MODULUS, MAX_TOTAL_RANK, build_parser, main, parse_rep_spec, CliError
 from torsionkit.grouprings import GroupSpec, ONE_ELEM, from_int, generator_elem, ring_sub
 from torsionkit.chaincomplex import (
     complex_from_obj,
@@ -325,6 +326,50 @@ class TestInputBounds:
         assert captured.err == (
             f"error: ops = {too_long} exceeds the certificate cap {MAX_CERT_OPS}\n"
         )
+
+    def test_total_rank_cap(self, tmp_path, capsys):
+        """A complex whose ranks sum past MAX_TOTAL_RANK is refused before
+        any matrix is built: without the cap, this file asks for a
+        2000 x 2000 zero differential, which took 16.7 s to eliminate."""
+        doc = {
+            "group": {"kind": "cyclic", "order": 7},
+            "min_degree": 0,
+            "ranks": [2000, 2000],
+            "differentials": {},
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
+        cert = tmp_path / "wide-cert.json"
+        cert.write_text(json.dumps({"start": doc, "ops": [], "end": doc}), encoding="utf-8")
+        for argv, what in (
+            (["torsion", str(path), "--rep", "n=7;g0=1"], path),
+            (["gen-cert", str(path), "--out", str(tmp_path / "out.json")], path),
+            (["verify-cert", str(cert)], f"{cert}: start"),
+        ):
+            t0 = time.perf_counter()
+            assert main(argv) == 1
+            assert time.perf_counter() - t0 < 0.5
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {what}: total rank 4000 exceeds the rank cap {MAX_TOTAL_RANK}\n"
+            )
+        assert not (tmp_path / "out.json").exists()
+        half = MAX_TOTAL_RANK // 2
+        doc["ranks"] = [half, MAX_TOTAL_RANK - half]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["torsion", str(path), "--rep", "n=7;g0=1"]) == 2
+        assert capsys.readouterr().out == f"NOT_ACYCLIC at degree 0 (defect {half})\n"
+
+    def test_golden_and_benchmark_complexes_fit_the_rank_cap(self):
+        """The golden complexes, and the largest the benchmark verifies: a
+        lens start over Z/13 and its end after 400 random simple operations."""
+        cert = json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))
+        docs = [json.loads((GOLDEN / "l72.json").read_text(encoding="utf-8"))]
+        docs += [cert["start"], cert["end"]]
+        bench = random_op_sequence(lens_complex(lens_params(13, 2)), 400, 0)
+        docs += [complex_to_obj(bench.start), complex_to_obj(bench.end)]
+        assert all(sum(doc["ranks"]) <= MAX_TOTAL_RANK for doc in docs)
 
     def test_start_that_is_not_a_complex_exits_1(self, tmp_path, capsys):
         """verify-cert checks d.d = 0 on start, as torsion does on a complex file."""

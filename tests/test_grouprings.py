@@ -110,11 +110,11 @@ class TestRingOps:
     def test_add_examples(self):
         t = generator_elem(Z7)
         one_minus_t = ring_sub(Z7, ONE_ELEM, t)
-        assert ring_add(Z7, one_minus_t, t) == ONE_ELEM
+        assert ring_add(one_minus_t, t) == ONE_ELEM
         x = random_elem(Z7, random.Random(3))
-        assert ring_add(Z7, x, -x) == ZERO_ELEM
-        one_plus_t = ring_add(Z7, ONE_ELEM, t)
-        assert ring_add(Z7, one_plus_t, one_plus_t) == elem_from_dict(
+        assert ring_add(x, -x) == ZERO_ELEM
+        one_plus_t = ring_add(ONE_ELEM, t)
+        assert ring_add(one_plus_t, one_plus_t) == elem_from_dict(
             {IDENTITY_WORD: 2, generator_word(Z7): 2}
         )
 
@@ -146,8 +146,8 @@ class TestRingOps:
         for spec in (Z7, FP77):
             for _ in range(300):
                 a, b, c = (random_elem(spec, rng) for _ in range(3))
-                assert ring_mul(spec, a, ring_add(spec, b, c)) == ring_add(
-                    spec, ring_mul(spec, a, b), ring_mul(spec, a, c)
+                assert ring_mul(spec, a, ring_add(b, c)) == ring_add(
+                    ring_mul(spec, a, b), ring_mul(spec, a, c)
                 )
                 assert augmentation(ring_mul(spec, a, b)) == augmentation(
                     a
@@ -173,7 +173,7 @@ def test_scalar_terms_add_like_integers(a, b, k):
     w = generator_word(Z7, 0, k) if k else IDENTITY_WORD
     x = elem_from_dict({w: a})
     y = elem_from_dict({w: b})
-    assert ring_add(Z7, x, y) == elem_from_dict({w: a + b})
+    assert ring_add(x, y) == elem_from_dict({w: a + b})
 
 
 class TestSerialization:

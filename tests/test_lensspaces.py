@@ -30,6 +30,7 @@ from torsionkit.lensspaces import (
     modp_inverse,
     simple_homotopy_equivalent,
     torsion_distinguish,
+    twist_sweep,
 )
 
 from helpers import random_word, twisted_lens_cells
@@ -192,6 +193,11 @@ class TestClassification:
         assert torsion_distinguish(a, b) == (early_exit is None, early_exit)
         assert verdict.torsion_match_twist == early_exit
         assert verdict.torsion_distinguished is (early_exit is None)
+
+    def test_sweep_needs_one_class_per_unit(self):
+        reference = lens_torsion(lens_params(7, 1), 1)
+        with pytest.raises(ValueError):
+            twist_sweep(7, reference, [reference] * 5)
 
     def test_verdict_consistency(self):
         v = lens_verdict(lens_params(7, 1), lens_params(7, 2))

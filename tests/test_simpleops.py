@@ -80,7 +80,7 @@ class TestNoncommutativeConvention:
         c = based_complex(self.fp, 0, (2, 1), [((self.a, self.b),)])
         slid = apply_op(c, HandleSlide(0, 0, 1, self.a))
         # x0' = x0 + a*x1: column 0 becomes a + a*b, never b*a
-        expected = ring_add(self.fp, self.a, ring_mul(self.fp, self.a, self.b))
+        expected = ring_add(self.a, ring_mul(self.fp, self.a, self.b))
         assert slid.diff(0)[0][0] == expected
 
     def test_slide_incoming_right_multiplies(self):
