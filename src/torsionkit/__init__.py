@@ -21,7 +21,6 @@ from .cyclofield import (
     cyclotomic_polynomial,
     evaluate_rep,
     representation,
-    torsion_class_eq,
     unit_subgroup,
     zeta,
 )
@@ -41,13 +40,11 @@ from .chaincomplex import (
     validate,
 )
 from .torsion import (
-    GaloisOrbit,
     NotAcyclicError,
     TorsionFingerprint,
     field_torsion,
     fingerprint,
     fingerprints_equivalent,
-    galois_orbit,
     reidemeister_torsion,
     torsion_of_map,
 )

@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
-from math import gcd
 
 from .grouprings import GroupSpec
 from .cyclofield import (
@@ -28,6 +27,7 @@ from .cyclofield import (
     Representation,
     cyclo_str,
     representation,
+    units,
 )
 from .chaincomplex import (
     NotAComplexError,
@@ -45,6 +45,7 @@ from .torsion import (
     reidemeister_torsion,
 )
 from .simpleops import (
+    DEFAULT_MAX_GROWTH,
     InvalidOpError,
     cert_from_obj,
     cert_to_obj,
@@ -81,8 +82,9 @@ MAX_MODULUS = 127
 # (medians of 3 runs); the certificate file is 0.8 MB.
 MAX_CERT_OPS = 10_000
 # Largest total rank (the sum of the ranks over all degrees) of a complex file
-# given to torsion or gen-cert, and of a certificate's start given to
-# verify-cert.  It is checked on the document, before any matrix is built: a
+# given to torsion or gen-cert, and of every complex verify-cert builds from a
+# certificate: its start, its end, and the replay after each op.  It is
+# checked on the document, before any matrix is built: a
 # missing differential is a zero matrix of rank(i+1) x rank(i) entries, so a
 # 92-byte file with ranks (2000, 2000) made `torsion` run for 16.7 s before
 # printing NOT_ACYCLIC, and the cost grows quadratically.  With ranks
@@ -114,14 +116,18 @@ def _check_op_count(what: str, count: int) -> None:
         raise CliError(f"{what} = {count} exceeds the certificate cap {MAX_CERT_OPS}")
 
 
-def _check_total_rank(doc, what: str) -> None:
-    """Refuse a complex document whose ranks sum past ``MAX_TOTAL_RANK``; a
-    malformed ``ranks`` is left to complex_from_obj to report."""
+def _total_rank(doc) -> int | None:
+    """The sum of a complex document's ranks; None for a malformed
+    ``ranks``, which is left to complex_from_obj to report."""
     ranks = doc.get("ranks") if isinstance(doc, dict) else None
     if isinstance(ranks, list) and all(type(r) is int for r in ranks):
-        total = sum(r for r in ranks if r > 0)
-        if total > MAX_TOTAL_RANK:
-            raise CliError(f"{what}: total rank {total} exceeds the rank cap {MAX_TOTAL_RANK}")
+        return sum(r for r in ranks if r > 0)
+    return None
+
+
+def _check_total_rank(what: str, total: int | None) -> None:
+    if total is not None and total > MAX_TOTAL_RANK:
+        raise CliError(f"{what}: total rank {total} exceeds the rank cap {MAX_TOTAL_RANK}")
 
 
 def parse_rep_spec(text: str, spec: GroupSpec) -> Representation:
@@ -203,7 +209,7 @@ def _check_complex(c, path: str) -> None:
 
 def _load_complex_checked(path: str):
     doc = _read_json(path)
-    _check_total_rank(doc, path)
+    _check_total_rank(path, _total_rank(doc))
     try:
         c = complex_from_obj(doc)
     except ValueError as exc:
@@ -319,11 +325,11 @@ def cmd_lens_sweep(args) -> Report:
         lens_params(p, 1)  # rejects p < 2, as lens-classify does
     rows = []
     for p in args.primes:
-        units = [q for q in range(1, p) if gcd(q, p) == 1]
+        qs = units(p)
         separated = []
         failures = 0
-        for i, q in enumerate(units):
-            for q2 in units[i:]:
+        for i, q in enumerate(qs):
+            for q2 in qs[i:]:
                 verdict = lens_verdict(lens_params(p, q), lens_params(p, q2))
                 failures += not verdict.consistent
                 if verdict.homotopy_equivalent and not verdict.simple_homotopy_equivalent:
@@ -378,13 +384,10 @@ def render_demo_freeproduct(report: Report) -> list[str]:
     res = report.results
     lines = [f"second complex class: {res['second_class']}"]
     for row in res["rows"]:
-        if row["torsion_class"] is None:
-            lines.append(f"  l={row['l']}: NOT_ACYCLIC")
-        else:
-            lines.append(
-                f"  l={row['l']}: {row['torsion_class']}"
-                f" {'MATCH' if row['matches'] else 'DISTINCT'}"
-            )
+        lines.append(
+            f"  l={row['l']}: {row['torsion_class']}"
+            f" {'MATCH' if row['matches'] else 'DISTINCT'}"
+        )
     if res["match_twist"] is None:
         lines.append("verdict: DISTINCT")
     else:
@@ -396,9 +399,7 @@ def _default_reps(spec: GroupSpec, modulus: int):
     """The first ``DEFAULT_REP_COUNT`` reps sending every generator to
     zeta^d, d a unit mod ``modulus`` (d = 0 for the trivial group)."""
     reps = []
-    for d in range(modulus):
-        if gcd(d, modulus) != 1:
-            continue
+    for d in units(modulus):
         try:
             reps.append(representation(spec, modulus, [d] * spec.num_factors))
         except ValueError:
@@ -412,8 +413,21 @@ def _default_reps(spec: GroupSpec, modulus: int):
 
 
 def _load_cert(path: str):
+    """Read a certificate after checking on the document that it has at most
+    ``MAX_CERT_OPS`` ops and that no complex its replay builds passes
+    ``MAX_TOTAL_RANK``: an expansion adds 2 to the total rank of start and a
+    retraction removes 2, whatever else the replay finds wrong with them."""
     doc = _read_json(path)
-    _check_total_rank(doc.get("start") if isinstance(doc, dict) else None, f"{path}: start")
+    if isinstance(doc, dict):
+        ops = doc.get("ops") if isinstance(doc.get("ops"), list) else []
+        _check_op_count("ops", len(ops))
+        total = _total_rank(doc.get("start"))
+        _check_total_rank(f"{path}: start", total)
+        _check_total_rank(f"{path}: end", _total_rank(doc.get("end")))
+        for index, op in enumerate(ops if total is not None else ()):
+            kind = op.get("kind") if isinstance(op, dict) else None
+            total += 2 * (kind == "expansion") - 2 * (kind == "retraction")
+            _check_total_rank(f"{path}: op {index}", total)
     try:
         return cert_from_obj(doc)
     except ValueError as exc:
@@ -422,7 +436,6 @@ def _load_cert(path: str):
 
 def cmd_verify_cert(args) -> Report:
     cert = _load_cert(args.cert_file)
-    _check_op_count("ops", len(cert.ops))
     # simple operations preserve d.d = 0, so every replayed step is a complex
     _check_complex(cert.start, args.cert_file)
     spec = cert.start.spec
@@ -491,7 +504,11 @@ def cmd_gen_cert(args) -> Report:
         raise CliError(f"--length must be nonnegative, got {args.length}")
     _check_op_count("--length", args.length)
     c = _load_complex_checked(args.complex_file)
-    cert = random_op_sequence(c, args.length, args.seed)
+    # random_op_sequence expands while the total rank is below start +
+    # max_growth, so it can reach start + max_growth + 1; verify-cert refuses
+    # a certificate whose replay passes MAX_TOTAL_RANK
+    growth = min(DEFAULT_MAX_GROWTH, MAX_TOTAL_RANK - 1 - c.total_rank())
+    cert = random_op_sequence(c, args.length, args.seed, growth)
     _write_text(args.out, dumps_canonical(cert_to_obj(cert)))
     return Report(
         "gen-cert",

@@ -93,6 +93,14 @@ def _reduce_mod_phi(n: int, coeffs: list[int]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def units(n: int) -> tuple[int, ...]:
+    """The units of Z/n as residues 0..n-1, increasing: (0,) for n = 1,
+    else the d in 1..n-1 coprime to n, so that zeta -> zeta^d runs over the
+    Galois group of Q(zeta_n) once."""
+    return tuple(d for d in range(n) if gcd(d, n) == 1)
+
+
+@lru_cache(maxsize=None)
 def _zeta_power_row(n: int, k: int) -> tuple[int, ...]:
     """zeta_n^k reduced mod Phi_n."""
     k %= n
@@ -228,9 +236,8 @@ def cyclo_inv(a: CycloNum) -> CycloNum:
     n = a.n
     ipart = CycloNum(n, a.nums, 1)
     conj_prod = cyclo_one(n)
-    for k in range(2, n + 1):
-        if gcd(k, n) == 1:
-            conj_prod = cyclo_mul(conj_prod, galois_conjugate(ipart, k))
+    for k in units(n)[1:]:  # every conjugate but the identity, 1 or (for n = 1) 0
+        conj_prod = cyclo_mul(conj_prod, galois_conjugate(ipart, k))
     norm = cyclo_mul(ipart, conj_prod)
     if any(norm.nums[1:]) or norm.den != 1:
         raise ArithmeticError("norm must be a plain integer")
@@ -377,14 +384,6 @@ def canonical_rep(u: CycloNum, units: UnitSubgroup) -> CycloNum:
     return _make(n, min(min(kept), tuple(map(neg, max(kept)))), u.den)
 
 
-def torsion_class_eq(u: CycloNum, v: CycloNum, units: UnitSubgroup) -> bool:
-    """Whether u and v agree modulo the unit subgroup (u/v in units), i.e.
-    whether their orbits, and so their canonical representatives, agree."""
-    if not u or not v:
-        raise ZeroDivisionError("torsion values must be nonzero")
-    return canonical_rep(u, units) == canonical_rep(v, units)
-
-
 @dataclass(frozen=True, slots=True)
 class TorsionClass:
     """A unit of Q(zeta_n) modulo +-rho(G), stored by canonical representative."""
@@ -401,6 +400,17 @@ class TorsionClass:
 
     def inverse(self) -> "TorsionClass":
         return torsion_class(cyclo_inv(self.representative), self.units)
+
+    def conjugate(self, d: int) -> "TorsionClass":
+        """The class of sigma_d of the representative, sigma_d: zeta -> zeta^d
+        for a unit d mod n (ValueError otherwise).  sigma_d maps
+        {+-zeta^(j*step)} onto itself, so this is sigma_d of the class: the
+        torsion of C under sigma_d . rho, when this is its torsion under rho
+        (Milnor, Whitehead torsion, 1966)."""
+        n = self.units.modulus
+        if d % n == 1 % n:
+            return self
+        return torsion_class(galois_conjugate(self.representative, d), self.units)
 
     def is_trivial(self) -> bool:
         return self.representative in self.units.elements

@@ -7,8 +7,13 @@ in degree 0; this orientation makes the alternating-determinant torsion of
 the base-changed complex come out as (1 - zeta^r)(1 - zeta) on the nose,
 which is the calibration all sweeps assert.
 
-Every sweep reads a Galois orbit (see torsion): the twist t -> zeta^d is
-sigma_d of t -> zeta, so one elimination serves every unit twist.
+Every sweep conjugates one torsion class (see torsion): the twist
+t -> zeta^d is sigma_d of t -> zeta, so the class under it is
+``TorsionClass.conjugate(d)`` of the class under t -> zeta, and one
+elimination serves every unit twist.  Under a unit twist d, zeta^d and
+zeta^(dr) are primitive p-th roots of unity, so the differentials
+1 - zeta^(dr) and 1 - zeta^d are nonzero and the lens and free-product
+complexes of a sweep are always acyclic.
 """
 from __future__ import annotations
 
@@ -28,9 +33,10 @@ from .cyclofield import (
     ModulusMismatchError,
     TorsionClass,
     representation,
+    units,
 )
 from .chaincomplex import BasedComplex, based_complex
-from .torsion import GaloisOrbit, galois_orbit, reidemeister_torsion
+from .torsion import reidemeister_torsion
 
 
 class NotCoprimeError(ValueError):
@@ -93,31 +99,25 @@ def lens_complex(params: LensParams) -> BasedComplex:
     return _lens_cells(GroupSpec.cyclic(params.p), 0, r)
 
 
-def _units(p: int) -> list[int]:
-    """The units mod p in 1..p-1, increasing: the twists of a sweep."""
-    return [d for d in range(1, p) if gcd(d, p) == 1]
-
-
-@lru_cache(maxsize=None)
-def _lens_orbit(params: LensParams) -> GaloisOrbit:
-    """L(p,q) under t -> zeta_p, read at every unit twist; kept per (p, q),
-    since a lens sweep reads L(p,q) in every pair it belongs to."""
-    p = params.p
-    return galois_orbit(lens_complex(params), representation(GroupSpec.cyclic(p), p, [1]))
-
-
-@lru_cache(maxsize=None)
+# One q row of `lens-sweep --primes p` reads L(p,q) at every unit d and
+# L(p,q2) at d = 1 for every q2 >= q: 2(p - 1) classes, 252 at the largest
+# modulus 127.  The previous row's p - 1 classes are still the most recently
+# used when the next row starts, so the sweep computes each L(p,q2) at d = 1
+# once only from 3(p - 1) - 2 = 376 entries on; at 252, `--primes 127` would
+# run 7752 eliminations instead of 126 (counted on its order of lookups).
+# An entry is one class over Q(zeta_p), a few kB.
+@lru_cache(maxsize=1024)
 def lens_torsion(params: LensParams, d: int) -> TorsionClass:
     """Torsion class of L(p,q) under t -> zeta_p^d.
 
-    Equals the class of (1 - zeta^(d*r))(1 - zeta^d).  A unit d conjugates
-    the class under t -> zeta; any other d is computed directly and raises
-    NotAcyclicError for d = 0 mod p, where the base change keeps all the
-    homology.
+    Equals the class of (1 - zeta^(d*r))(1 - zeta^d).  A unit d != 1
+    conjugates the class under t -> zeta; any other d is computed directly
+    and raises NotAcyclicError for d = 0 mod p, where the base change keeps
+    all the homology.
     """
     p = params.p
-    if gcd(d, p) == 1:
-        return _lens_orbit(params).twist(d)
+    if d != 1 and gcd(d, p) == 1:
+        return lens_torsion(params, 1).conjugate(d)
     rep = representation(GroupSpec.cyclic(p), p, [d % p])
     return reidemeister_torsion(lens_complex(params), rep)
 
@@ -154,24 +154,21 @@ def simple_homotopy_equivalent(
 class TwistSweep:
     """A complex's torsion class under each twist d, for the units d mod p in
     increasing order, against a reference: ``rows`` holds (d, class, matches),
-    with class None where the base change is not acyclic, and ``match_twist``
-    is the first matching d."""
+    and ``match_twist`` is the first matching d."""
 
     reference: TorsionClass
-    rows: tuple[tuple[int, TorsionClass | None, bool], ...]
+    rows: tuple[tuple[int, TorsionClass, bool], ...]
     match_twist: int | None
 
 
 def twist_sweep(p: int, reference: TorsionClass, classes) -> TwistSweep:
-    """Compare ``classes`` with ``reference``: one class (or None) per unit
-    d mod p, in increasing order of d, as a Galois orbit reads them."""
-    units = _units(p)
+    """Compare ``classes`` with ``reference``: one class per unit d mod p,
+    in increasing order of d."""
+    twists = units(p)
     classes = list(classes)
-    if len(classes) != len(units):
-        raise ValueError(f"{len(classes)} classes for {len(units)} twists mod {p}")
-    rows = tuple(
-        (d, cls, cls is not None and cls == reference) for d, cls in zip(units, classes)
-    )
+    if len(classes) != len(twists):
+        raise ValueError(f"{len(classes)} classes for {len(twists)} twists mod {p}")
+    rows = tuple((d, cls, cls == reference) for d, cls in zip(twists, classes))
     match = next((d for d, _, same in rows if same), None)
     return TwistSweep(reference, rows, match)
 
@@ -209,7 +206,7 @@ class LensVerdict:
 def lens_verdict(a: LensParams, b: LensParams) -> LensVerdict:
     he, m = homotopy_equivalent(a, b)
     se, sw = simple_homotopy_equivalent(a, b)
-    classes = [lens_torsion(a, d) for d in _units(a.p)]
+    classes = [lens_torsion(a, d) for d in units(a.p)]
     sweep = twist_sweep(a.p, lens_torsion(b, 1), classes)
     return LensVerdict(a, b, he, m, se, sw, sweep)
 
@@ -256,6 +253,6 @@ def free_product_scenario(p: int, q: int, q2: int) -> FreeProductReport:
     first = _lens_cells(spec, 0, modp_inverse(pa.q, p))
     second = _lens_cells(spec, 1, modp_inverse(pb.q, p))
     rep = representation(spec, p, [1, 1])
-    orbit = galois_orbit(first, rep)
-    sweep = twist_sweep(p, reidemeister_torsion(second, rep), [orbit.twist(l) for l in _units(p)])
+    cls = reidemeister_torsion(first, rep)
+    sweep = twist_sweep(p, reidemeister_torsion(second, rep), [cls.conjugate(l) for l in units(p)])
     return FreeProductReport(p, pa.q, pb.q, sweep)

@@ -298,8 +298,11 @@ def _random_coefficient(spec: GroupSpec, rng: random.Random) -> GroupRingElem:
     return elem_from_dict({_random_word(spec, rng): scale})
 
 
+DEFAULT_MAX_GROWTH = 8
+
+
 def random_op_sequence(
-    c: BasedComplex, length: int, seed: int, max_growth: int = 8
+    c: BasedComplex, length: int, seed: int, max_growth: int = DEFAULT_MAX_GROWTH
 ) -> OpCertificate:
     """A valid random certificate starting at ``c``.
 

@@ -17,30 +17,31 @@ the unit coset; torsion_of_map measures a quasi-isomorphism through its
 mapping cone; fingerprints collect the classes over a family of
 representations.
 
-A Galois orbit reads one elimination under every twist of a representation.
-For d a unit mod n, sigma_d: zeta -> zeta^d is a field automorphism and
-sigma_d . rho is again a representation.  An automorphism sends exactly the
-nonzero entries to nonzero entries, so field_torsion picks the same pivots
-and makes the same operations over base_change(c, sigma_d . rho) as over
-base_change(c, rho), and its value is sigma_d of the value under rho, sign
-included; ranks are kept, so acyclicity is a property of the whole orbit.
+Torsion classes carry the Galois action.  For d a unit mod n, sigma_d:
+zeta -> zeta^d is a field automorphism and sigma_d . rho is again a
+representation.  An automorphism sends exactly the nonzero entries to
+nonzero entries, so field_torsion picks the same pivots and makes the same
+operations over base_change(c, sigma_d . rho) as over base_change(c, rho),
+and its value is sigma_d of the value under rho, sign included; ranks are
+kept, so acyclicity holds for every twist or for none.  sigma_d also maps
++-rho(G) onto itself, so the class under sigma_d . rho is
+``TorsionClass.conjugate(d)`` of the class under rho: one elimination serves
+every unit twist.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .cyclofield import (
     CycloNum,
     Representation,
     TorsionClass,
-    UnitSubgroup,
     cyclo_inv,
     cyclo_mul,
     cyclo_one,
-    galois_conjugate,
     torsion_class,
     unit_subgroup,
+    units,
 )
 from .chaincomplex import (
     BasedComplex,
@@ -164,37 +165,6 @@ def reidemeister_torsion(c: BasedComplex, rep: Representation) -> TorsionClass:
     return torsion_class(value, unit_subgroup(rep))
 
 
-@dataclass(frozen=True, slots=True)
-class GaloisOrbit:
-    """The torsion of one complex under sigma_d . rho for every unit d mod n,
-    from one elimination under rho (see the module docstring).  ``value`` is
-    the field torsion under rho, None when the complex is not acyclic under
-    rho and so under no twist of it; ``units`` serves the whole orbit, as
-    gcd(n, d*e) = gcd(n, e) for a unit d."""
-
-    value: CycloNum | None
-    units: UnitSubgroup
-
-    def twist(self, d: int) -> TorsionClass | None:
-        """The class under sigma_d . rho; ``d`` must be a unit mod n."""
-        if gcd(d, self.units.modulus) != 1:
-            raise ValueError(f"twist {d} is not a unit mod {self.units.modulus}")
-        if self.value is None:
-            return None
-        return torsion_class(galois_conjugate(self.value, d), self.units)
-
-
-def galois_orbit(c: BasedComplex, rep: Representation) -> GaloisOrbit:
-    """One base change and one elimination of ``c`` under ``rep``, read
-    under every sigma_d . rep; ``c`` must be a complex (d.d = 0), which is
-    not checked (see reidemeister_torsion)."""
-    try:
-        value = field_torsion(base_change(c, rep))
-    except NotAcyclicError:
-        value = None
-    return GaloisOrbit(value, unit_subgroup(rep))
-
-
 def torsion_of_map(f: ChainMap, rep: Representation) -> TorsionClass:
     """Torsion of a quasi-isomorphism: the torsion of its mapping cone.
     ``f`` must be a chain map between complexes; see reidemeister_torsion."""
@@ -216,30 +186,32 @@ def _twist_between(base: Representation, rep: Representation) -> int | None:
         return None
     n = rep.modulus
     pairs = list(zip(base.generator_exponents, rep.generator_exponents))
-    return next(
-        (d for d in range(1, n + 1) if gcd(d, n) == 1 and all(d * e % n == f for e, f in pairs)),
-        None,
-    )
+    return next((d for d in units(n) if all(d * e % n == f for e, f in pairs)), None)
 
 
 def fingerprint(c: BasedComplex, reps) -> TorsionFingerprint:
     """The classes of ``c`` under each of ``reps``, from one elimination
-    per Galois orbit the reps meet; ``c`` must be a complex (d.d = 0), which
-    is not checked (see reidemeister_torsion)."""
+    per Galois orbit the reps meet: the class under the first rep of an
+    orbit, conjugated for the others (see the module docstring); ``c`` must
+    be a complex (d.d = 0), which is not checked (see reidemeister_torsion)."""
     reps = list(reps)
     if len(set(reps)) != len(reps):
         raise ValueError("representations must be pairwise distinct")
-    orbits: list[tuple[Representation, GaloisOrbit]] = []
+    bases: list[tuple[Representation, TorsionClass | None]] = []
     entries = []
     for rep in reps:
-        for base, orbit in orbits:
+        for base, cls in bases:
             d = _twist_between(base, rep)
             if d is not None:
                 break
         else:
-            d, orbit = 1, galois_orbit(c, rep)
-            orbits.append((rep, orbit))
-        entries.append((rep, orbit.twist(d)))
+            d = 1
+            try:
+                cls = reidemeister_torsion(c, rep)
+            except NotAcyclicError:
+                cls = None
+            bases.append((rep, cls))
+        entries.append((rep, None if cls is None else cls.conjugate(d)))
     return TorsionFingerprint(tuple(entries))
 
 

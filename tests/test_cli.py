@@ -371,6 +371,61 @@ class TestInputBounds:
         docs += [complex_to_obj(bench.start), complex_to_obj(bench.end)]
         assert all(sum(doc["ranks"]) <= MAX_TOTAL_RANK for doc in docs)
 
+    @pytest.mark.parametrize("edit", ["end", "expansions", "retractions"])
+    def test_certificate_replay_rank_cap(self, tmp_path, capsys, edit):
+        """verify-cert refuses, from the document, a certificate whose end or
+        whose replay after some op passes MAX_TOTAL_RANK.  Unchecked, an end
+        claiming ranks (6000, 6000) reached 292 MB of memory before replay
+        failed, and 1200 expansions at degree 0 took 14.9 s.  A retraction
+        takes 2 off the running total, so the last file reaches only
+        replay, which refuses its first op."""
+        doc = json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))
+        path = tmp_path / "big.json"
+        start = sum(doc["start"]["ranks"])
+        expansion = {"kind": "expansion", "degree": 0, "position": 0}
+        if edit == "end":
+            doc["end"] = {**doc["end"], "ranks": [6000, 6000], "differentials": {}}
+            expected = f"{path}: end: total rank 12000 exceeds the rank cap {MAX_TOTAL_RANK}"
+        elif edit == "expansions":
+            doc["ops"] = [expansion] * 1200
+            index = (MAX_TOTAL_RANK - start) // 2
+            expected = (
+                f"{path}: op {index}: total rank {MAX_TOTAL_RANK + 2}"
+                f" exceeds the rank cap {MAX_TOTAL_RANK}"
+            )
+        else:
+            retraction = {"kind": "retraction", "degree": 5, "position": 0}
+            doc["ops"] = [retraction] * 10 + [expansion] * ((MAX_TOTAL_RANK - start) // 2 + 10)
+            expected = "invalid certificate: step 0: retraction position 0 out of range at degree 5"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        t0 = time.perf_counter()
+        assert main(["verify-cert", str(path)]) == 1
+        assert time.perf_counter() - t0 < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {expected}\n"
+
+    def test_gen_cert_at_the_rank_cap_verifies(self, tmp_path, capsys):
+        """gen-cert never writes a certificate that verify-cert refuses: from
+        a start at the cap, its expansions stay within the cap too."""
+        half = MAX_TOTAL_RANK // 2
+        one, zero = [[1, []]], []
+        doc = {
+            "group": {"kind": "cyclic", "order": 7},
+            "min_degree": 0,
+            "ranks": [half, half],
+            "differentials": {"0": [[one if i == j else zero for j in range(half)] for i in range(half)]},
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "cert.json"
+        assert main(["gen-cert", str(path), "--length", "60", "--seed", "3", "--out", str(out)]) == 0
+        ops = json.loads(out.read_text(encoding="utf-8"))["ops"]
+        assert {"expansion", "retraction"} <= {op["kind"] for op in ops}
+        capsys.readouterr()
+        assert main(["verify-cert", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("fingerprints: AGREE\n")
+
     def test_start_that_is_not_a_complex_exits_1(self, tmp_path, capsys):
         """verify-cert checks d.d = 0 on start, as torsion does on a complex file."""
         doc = json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))

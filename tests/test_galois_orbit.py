@@ -1,12 +1,12 @@
-"""Galois orbits against the per-twist path they replace.
+"""Conjugated torsion classes against the per-twist path they replace.
 
-A Galois orbit runs one elimination under rho and reads the class under
-every sigma_d . rho by conjugating the value (torsion.galois_orbit).  Each
-test here compares it with reidemeister_torsion run once per twisted
-representation: the same classes, and None exactly where that raises
-NotAcyclicError.  Each test covers a modulus with a unit d != 1/d, so a
-conjugation by the wrong power of zeta fails it (mod 12 every unit is its
-own inverse).
+The Galois orbit of a representation rho is read from one elimination: the
+class under sigma_d . rho is TorsionClass.conjugate(d) of the class under
+rho.  Each test here compares that with reidemeister_torsion run once per
+twisted representation: the same classes, and None exactly where that
+raises NotAcyclicError.  Each test covers a modulus with a unit d != 1/d,
+so a conjugation by the wrong power of zeta fails it (mod 12 every unit is
+its own inverse).
 """
 import random
 from math import gcd
@@ -22,7 +22,6 @@ from torsionkit.torsion import (
     NotAcyclicError,
     field_torsion,
     fingerprint,
-    galois_orbit,
     reidemeister_torsion,
 )
 from torsionkit.simpleops import random_op_sequence
@@ -58,11 +57,11 @@ def per_twist(c, rep):
 
 
 def assert_orbit_matches(c, rep, twists=None):
-    """The orbit of ``rep`` against one per-twist computation per unit (or
-    per d in ``twists``)."""
-    orbit = galois_orbit(c, rep)
+    """The class under ``rep`` conjugated by each unit (or by each d in
+    ``twists``) against one per-twist computation per d."""
+    cls = per_twist(c, rep)
     twists = units(rep.modulus) if twists is None else twists
-    classes = [orbit.twist(d) for d in twists]
+    classes = [None if cls is None else cls.conjugate(d) for d in twists]
     assert classes == [per_twist(c, twisted(rep, d)) for d in twists], rep
     return classes
 
@@ -81,8 +80,8 @@ def test_lens_complexes_at_every_unit_twist():
 
 
 def test_lens_torsion_at_every_twist():
-    """Units read the orbit, other d are computed directly, d = 0 with the
-    NotAcyclicError of the direct path."""
+    """Units conjugate the class at d = 1, other d are computed directly,
+    d = 0 with the NotAcyclicError of the direct path."""
     for n in (7, 12):
         spec = GroupSpec.cyclic(n)
         params = lens_params(n, 5)
@@ -179,7 +178,9 @@ def test_default_reps_are_one_orbit(monkeypatch):
     c = direct_sum(twisted_lens_cells(spec, 0, 1, 13, 2), twisted_lens_cells(spec, 1, 1, 13, 7))
     reps = [representation(spec, 13, [d, d]) for d in range(1, 7)]
     calls = []
-    monkeypatch.setattr(torsion, "galois_orbit", lambda *a: calls.append(a) or galois_orbit(*a))
+    monkeypatch.setattr(
+        torsion, "reidemeister_torsion", lambda *a: calls.append(a) or reidemeister_torsion(*a)
+    )
     fp = fingerprint(c, reps)
     assert len(calls) == 1
     monkeypatch.undo()
@@ -191,7 +192,7 @@ def test_default_reps_are_one_orbit(monkeypatch):
 def test_conjugation_commutes_with_field_torsion(data):
     """field_torsion(base_change(c, sigma_d . rho)) is sigma_d of
     field_torsion(base_change(c, rho)), sign included, or both raise the
-    same NotAcyclicError; the orbit's class is that value's class."""
+    same NotAcyclicError; the conjugated class is that value's class."""
     n = data.draw(st.sampled_from([7, 12, 13]), label="n")
     spec = GroupSpec.cyclic(n)
     c = random_acyclic_complex(spec, random.Random(data.draw(st.integers(0, 10**6))), summands=3)
@@ -203,9 +204,8 @@ def test_conjugation_commutes_with_field_torsion(data):
         with pytest.raises(NotAcyclicError) as twisted_exc:
             field_torsion(base_change(c, twisted(rep, d)))
         assert (twisted_exc.value.degree, twisted_exc.value.defect) == (exc.degree, exc.defect)
-        assert galois_orbit(c, rep).twist(d) is None
         return
     conjugated = galois_conjugate(value, d)
     assert field_torsion(base_change(c, twisted(rep, d))) == conjugated
-    assert galois_orbit(c, rep).twist(d) == torsion_class(conjugated, unit_subgroup(rep))
+    assert reidemeister_torsion(c, rep).conjugate(d) == torsion_class(conjugated, unit_subgroup(rep))
 
