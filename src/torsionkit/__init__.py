@@ -9,6 +9,7 @@ from .grouprings import (
     augmentation,
     ring_add,
     ring_mul,
+    ring_mul_add,
     word_multiply,
 )
 from .cyclofield import (

@@ -30,6 +30,7 @@ from .grouprings import (
     json_int,
     ring_add,
     ring_mul,
+    ring_mul_add,
     spec_from_obj,
     spec_to_obj,
 )
@@ -116,7 +117,7 @@ def mat_compose(
                 x = first[b][a]
                 y = second[g][b]
                 if x and y:
-                    acc = ring_add(acc, ring_mul(spec, x, y))
+                    acc = ring_mul_add(spec, acc, x, y)
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -253,6 +254,34 @@ def two_term_complex(
 
 def zero_complex(spec: GroupSpec) -> BasedComplex:
     return based_complex(spec, 0, (0,), [])
+
+
+def first_difference(a: BasedComplex, b: BasedComplex):
+    """Where two complexes first differ, or None when they are equal.
+
+    The parts are compared in order: the group, the degree window, the rank
+    per degree, the labels, then the differential entries by degree, row and
+    column.  Returns ``(where, a_value, b_value)``: ``where`` names the part
+    and its position, and the values are in the file format.
+    """
+    if a.spec != b.spec:
+        return {"part": "group"}, spec_to_obj(a.spec), spec_to_obj(b.spec)
+    if (a.min_degree, a.max_degree) != (b.min_degree, b.max_degree):
+        return {"part": "degree_window"}, [a.min_degree, a.max_degree], [b.min_degree, b.max_degree]
+    for i in a.degrees:
+        if a.rank(i) != b.rank(i):
+            return {"part": "rank", "degree": i}, a.rank(i), b.rank(i)
+    for i in a.degrees:
+        for k, (x, y) in enumerate(zip(a.degree_labels(i), b.degree_labels(i))):
+            if x != y:
+                return {"part": "label", "degree": i, "index": k}, x, y
+    for i in range(a.min_degree, a.max_degree):
+        for row, (xs, ys) in enumerate(zip(a.diff(i), b.diff(i))):
+            for col, (x, y) in enumerate(zip(xs, ys)):
+                if x != y:
+                    where = {"part": "entry", "degree": i, "row": row, "column": col}
+                    return where, elem_to_obj(x), elem_to_obj(y)
+    return None
 
 
 def validate(c: BasedComplex) -> None:

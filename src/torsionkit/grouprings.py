@@ -4,6 +4,17 @@ Supported groups: finite cyclic Z/n and free products of finitely many
 finite cyclic groups.  Elements are finite integer combinations of reduced
 group words; all values are immutable and normalization is eager, so
 equality is structural.
+
+Validity.  A word is checked against its group where it comes in: the file
+reader ``elem_from_obj`` and the certificate reader, ``generator_word``, and
+the public word functions ``word_multiply`` and ``word_inverse``, which
+validate their operands on every call.  ``ring_mul`` and ``ring_mul_add``
+check each operand word once per product, not once per pair of terms, and
+raise ``InvalidWordError`` for a word that is not reduced.  Over Z/n, for
+every n, that check is reading the exponent e (0 <= e < n) off the word,
+and elements multiply as sums indexed by the exponent, a cyclic
+convolution.  Over a free product two words concatenate when the seam
+letters lie in different factors and merge on a stack when they share one.
 """
 from __future__ import annotations
 
@@ -84,23 +95,30 @@ def validate_word(spec: GroupSpec, w: GroupWord) -> None:
         prev_factor = factor
 
 
-def word_multiply(spec: GroupSpec, a: GroupWord, b: GroupWord) -> GroupWord:
-    """Product of two reduced words, reduced.
+def _merge(orders: tuple[int, ...], a: tuple, b: tuple) -> tuple:
+    """The reduced product of two reduced letter tuples.
 
-    Cancellation at the seam may cascade, so the merge runs on a stack.
+    When the seam letters share a factor, cancellation may cascade, so the
+    merge runs on a stack.
     """
-    validate_word(spec, a)
-    validate_word(spec, b)
-    stack = list(a.letters)
-    for factor, exp in b.letters:
+    if not a or not b or a[-1][0] != b[0][0]:
+        return a + b
+    stack = list(a)
+    for factor, exp in b:
         if stack and stack[-1][0] == factor:
-            merged = (stack[-1][1] + exp) % spec.order_of(factor)
-            stack.pop()
+            merged = (stack.pop()[1] + exp) % orders[factor]
             if merged:
                 stack.append((factor, merged))
         else:
             stack.append((factor, exp))
-    return GroupWord(tuple(stack))
+    return tuple(stack)
+
+
+def word_multiply(spec: GroupSpec, a: GroupWord, b: GroupWord) -> GroupWord:
+    """Product of two reduced words, reduced."""
+    validate_word(spec, a)
+    validate_word(spec, b)
+    return GroupWord(_merge(spec.factor_orders, a.letters, b.letters))
 
 
 def word_inverse(spec: GroupSpec, w: GroupWord) -> GroupWord:
@@ -133,12 +151,6 @@ class GroupRingElem:
     def __neg__(self) -> "GroupRingElem":
         return GroupRingElem(tuple((w, -c) for w, c in self.terms))
 
-    def coeff(self, w: GroupWord) -> int:
-        for word, c in self.terms:
-            if word == w:
-                return c
-        return 0
-
 
 def elem_from_dict(terms: dict[GroupWord, int]) -> GroupRingElem:
     items = tuple(
@@ -166,6 +178,10 @@ def generator_elem(spec: GroupSpec, factor: int = 0, exp: int = 1) -> GroupRingE
 
 
 def ring_add(a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
+    if not a:
+        return b
+    if not b:
+        return a
     acc: dict[GroupWord, int] = dict(a.terms)
     for w, c in b.terms:
         acc[w] = acc.get(w, 0) + c
@@ -176,14 +192,73 @@ def ring_sub(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingEl
     return ring_add(a, -b)
 
 
+def _cyclic_terms(n: int, x: GroupRingElem, words: dict) -> list[tuple[int, int]]:
+    """(exponent, coefficient) per term of x over Z/n, filing each word under
+    its exponent in ``words``.  A word that is not g^e with 0 <= e < n raises."""
+    terms = []
+    for w, c in x.terms:
+        letters = w.letters
+        if not letters:
+            e = 0
+        elif len(letters) == 1 and letters[0][0] == 0 and 0 < letters[0][1] < n:
+            e = letters[0][1]
+        else:
+            raise InvalidWordError(f"not a reduced word of Z/{n}: {letters}")
+        words[e] = w
+        terms.append((e, c))
+    return terms
+
+
+def _cyclic_mul_add(n: int, acc: GroupRingElem, a: GroupRingElem, b: GroupRingElem):
+    """acc + a*b over Z/n, summed by exponent.  A product's word is one of
+    the operands' words when one has its exponent, else a new g^k."""
+    words: dict[int, GroupWord] = {}
+    sums = dict(_cyclic_terms(n, acc, words))
+    eb = _cyclic_terms(n, b, words)
+    for i, ca in _cyclic_terms(n, a, words):
+        for j, cb in eb:
+            k = (i + j) % n
+            sums[k] = sums.get(k, 0) + ca * cb
+    terms = []
+    for k, c in sorted(sums.items()):
+        if c:
+            w = words.get(k)
+            if w is None:
+                w = GroupWord(((0, k),)) if k else IDENTITY_WORD
+            terms.append((w, c))
+    return GroupRingElem(tuple(terms))
+
+
+def _word_mul_add(spec: GroupSpec, acc: GroupRingElem, a: GroupRingElem, b: GroupRingElem):
+    for w, _ in a.terms:
+        validate_word(spec, w)
+    for w, _ in b.terms:
+        validate_word(spec, w)
+    orders = spec.factor_orders
+    sums = {w.letters: c for w, c in acc.terms}
+    for wa, ca in a.terms:
+        la = wa.letters
+        for wb, cb in b.terms:
+            w = _merge(orders, la, wb.letters)
+            sums[w] = sums.get(w, 0) + ca * cb
+    ordered = sorted((len(w), w, c) for w, c in sums.items() if c)
+    return GroupRingElem(tuple((GroupWord(w), c) for _, w, c in ordered))
+
+
+def ring_mul_add(
+    spec: GroupSpec, acc: GroupRingElem, a: GroupRingElem, b: GroupRingElem
+) -> GroupRingElem:
+    """acc + a*b, the left factor's words multiplying on the left."""
+    if not a or not b:
+        return acc
+    if spec.kind == "cyclic":
+        return _cyclic_mul_add(spec.factor_orders[0], acc, a, b)
+    return _word_mul_add(spec, acc, a, b)
+
+
 def ring_mul(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
     """Convolution product; the left factor's words multiply on the left."""
-    acc: dict[GroupWord, int] = {}
-    for wa, ca in a.terms:
-        for wb, cb in b.terms:
-            w = word_multiply(spec, wa, wb)
-            acc[w] = acc.get(w, 0) + ca * cb
-    return elem_from_dict(acc)
+    return ring_mul_add(spec, ZERO_ELEM, a, b)
 
 
 def augmentation(a: GroupRingElem) -> int:

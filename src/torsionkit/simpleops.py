@@ -18,6 +18,7 @@ from .grouprings import (
     GroupSpec,
     GroupWord,
     IDENTITY_WORD,
+    ZERO_ELEM,
     elem_from_dict,
     elem_from_obj,
     elem_to_obj,
@@ -25,8 +26,7 @@ from .grouprings import (
     generator_word,
     json_int,
     monomial,
-    ring_add,
-    ring_mul,
+    ring_mul_add,
     validate_word,
     word_inverse,
 )
@@ -201,23 +201,25 @@ def _change_basis(
     The outgoing differential's column ``target`` takes ``left`` times column
     ``source`` on the left; the incoming differential's row ``source`` takes
     row ``target`` times ``right``, the matching entry of the inverse change,
-    on the right.
+    on the right.  Rows with a zero in column ``source`` are kept as they are.
     """
     spec = c.spec
     lo = c.min_degree
     diffs = list(c.differentials)
     if d < c.max_degree:
-        m = [list(row) for row in c.diff(d)]
-        for row in m:
-            x = ring_mul(spec, left, row[source])
-            row[target] = x if target == source else ring_add(row[target], x)
-        diffs[d - lo] = tuple(tuple(row) for row in m)
+        m = list(c.diff(d))
+        for i, row in enumerate(m):
+            x = row[source]
+            if x:
+                acc = ZERO_ELEM if target == source else row[target]
+                m[i] = row[:target] + (ring_mul_add(spec, acc, left, x),) + row[target + 1:]
+        diffs[d - lo] = tuple(m)
     if d > lo:
         m = list(c.diff(d - 1))
-        moved = [ring_mul(spec, x, right) for x in m[target]]
-        if target != source:
-            moved = [ring_add(x, y) for x, y in zip(m[source], moved)]
-        m[source] = tuple(moved)
+        accs = m[source] if target != source else (ZERO_ELEM,) * len(m[target])
+        m[source] = tuple(
+            ring_mul_add(spec, acc, x, right) if x else acc for x, acc in zip(m[target], accs)
+        )
         diffs[d - 1 - lo] = tuple(m)
     return based_complex(spec, lo, c.ranks, diffs, c.labels)
 
@@ -263,15 +265,20 @@ class OpCertificate:
     end: BasedComplex
 
 
-def replay(cert: OpCertificate) -> bool:
-    """True iff folding the ops over start reproduces end exactly."""
+def replay_end(cert: OpCertificate) -> BasedComplex:
+    """The complex that folding the ops over start builds."""
     c = cert.start
     for step, op in enumerate(cert.ops):
         try:
             c = apply_op(c, op)
         except InvalidOpError as exc:
             raise InvalidOpError(f"step {step}: {exc}") from exc
-    return c == cert.end
+    return c
+
+
+def replay(cert: OpCertificate) -> bool:
+    """True iff folding the ops over start reproduces end exactly."""
+    return replay_end(cert) == cert.end
 
 
 # --- randomized generation (deterministic per seed) ---

@@ -32,6 +32,7 @@ from torsionkit.chaincomplex import (
     compose_chain_maps,
     direct_sum,
     dumps_canonical,
+    first_difference,
     identity_chain_map,
     integral_homology,
     mapping_cone,
@@ -383,3 +384,18 @@ class TestFileFormat:
                     "labels": [["a"], ["b"]],
                 }
             )
+
+
+def test_first_difference():
+    """None for equal complexes; otherwise the first differing entry, by
+    degree, row and column, with both values in the file format."""
+    z7 = GroupSpec.cyclic(7)
+    t = generator_elem(z7, 0, 1)
+    one_minus_t = ring_sub(z7, ONE_ELEM, t)
+    c = two_term_complex(z7, 0, one_minus_t)
+    assert first_difference(c, c) is None
+    other = two_term_complex(z7, 0, ring_sub(z7, ONE_ELEM, generator_elem(z7, 0, 2)))
+    where, a, b = first_difference(c, other)
+    assert where == {"part": "entry", "degree": 0, "row": 0, "column": 0}
+    assert (a, b) == ([[1, []], [-1, [[0, 1]]]], [[1, []], [-1, [[0, 2]]]])
+    assert first_difference(c, shift(c, 2))[0] == {"part": "degree_window"}

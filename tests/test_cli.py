@@ -17,6 +17,7 @@ from torsionkit.chaincomplex import (
     two_term_complex,
 )
 from torsionkit.simpleops import (
+    Expansion,
     cert_from_obj,
     cert_to_obj,
     random_op_sequence,
@@ -426,6 +427,78 @@ class TestInputBounds:
         assert main(["verify-cert", str(out)]) == 0
         assert capsys.readouterr().out.endswith("fingerprints: AGREE\n")
 
+    def test_far_expansion_exits_1_at_once(self, tmp_path, capsys):
+        """One expansion far outside the degree window is refused on the
+        document: replaying it filled every degree in between, 4.9 s and
+        139 MB at degree 10**6."""
+        doc = json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))
+        doc["ops"] = [{"kind": "expansion", "degree": 10**6, "position": 0}]
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        t0 = time.perf_counter()
+        assert main(["verify-cert", str(path)]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: op 0: expansion degree 1000000 lies outside -1..3,"
+            " the degrees the ops before it can reach\n"
+        )
+
+    def _write_cert(self, path, start, ops, far=None):
+        """A certificate of ``ops`` from ``start``, then, if ``far`` is given,
+        an expansion at degree ``far`` that only the document records."""
+        end = start
+        for op in ops:
+            end = apply_op(end, op)
+        doc = cert_to_obj(OpCertificate(start, tuple(ops), end))
+        if far is not None:
+            doc["ops"].append({"kind": "expansion", "degree": far, "position": 0})
+        path.write_text(dumps_canonical(doc), encoding="utf-8")
+
+    def test_expansions_at_the_reach_of_each_op_verify(self, tmp_path, capsys):
+        """An expansion may lie one degree below or at the top of the window
+        the expansions before it built; one degree further is refused."""
+        start = cert_from_obj(json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))).start
+        lo, hi = start.min_degree, start.max_degree
+        path = tmp_path / "reach.json"
+        reach = [Expansion(lo - 1, 0), Expansion(hi, 0)]
+        for last in (lo - 2, hi + 1):
+            self._write_cert(path, start, reach + [Expansion(last, 0)])
+            assert main(["verify-cert", str(path)]) == 0
+        for last in (lo - 3, hi + 2):
+            self._write_cert(path, start, reach, far=last)
+            capsys.readouterr()
+            assert main(["verify-cert", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {path}: op 2: expansion degree {last} lies outside"
+                f" {lo - 2}..{hi + 1}, the degrees the ops before it can reach\n"
+            )
+
+    def test_ops_that_keep_the_window_do_not_widen_its_reach(self, tmp_path, capsys):
+        """N deck transforms leave the window as it was, so an expansion at
+        max_degree + N after them is refused: replay would fill N - 1 empty
+        degrees in one step."""
+        start = cert_from_obj(json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))).start
+        lo, hi = start.min_degree, start.max_degree
+        d = next(k for k in start.degrees if start.rank(k))
+        decks = [DeckTransform(d, 0, generator_word(start.spec, 0, 1))] * 5
+        path = tmp_path / "decks.json"
+        self._write_cert(path, start, decks, far=hi + 5)
+        assert main(["verify-cert", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: op 5: expansion degree {hi + 5} lies outside"
+            f" {lo - 1}..{hi}, the degrees the ops before it can reach\n"
+        )
+
+
+    def test_gen_cert_length_400_verifies(self, lens_file, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        assert main(["gen-cert", str(lens_file), "--length", "400", "--seed", "7", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify-cert", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("fingerprints: AGREE\n")
+
     def test_start_that_is_not_a_complex_exits_1(self, tmp_path, capsys):
         """verify-cert checks d.d = 0 on start, as torsion does on a complex file."""
         doc = json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))
@@ -499,6 +572,40 @@ class TestCertificates:
         write_tampered_cert(path)
         assert main(["verify-cert", str(path)]) == 2
         assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("part", ["group", "degree_window", "rank", "label", "entry"])
+    def test_replay_mismatch_names_the_first_difference(self, tmp_path, capsys, part):
+        """A replay mismatch names the first differing part of the ends, in
+        the order group, degree window, rank, label, differential entry."""
+        doc = json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))
+        end = cert_from_obj(doc).end
+        lo = end.min_degree
+        if part == "group":
+            doc["end"]["group"] = {"kind": "free_product", "factor_orders": [7, 7]}
+            where, line = {}, "group Z/7 replayed, Z/7*Z/7 recorded"
+        elif part == "degree_window":
+            doc["end"] = complex_to_obj(apply_op(end, Expansion(lo - 1, 0)))
+            where, line = {}, f"degrees {lo}..{end.max_degree} replayed, {lo - 1}..{end.max_degree} recorded"
+        elif part == "rank":
+            doc["end"] = complex_to_obj(apply_op(end, Expansion(lo + 1, 0)))
+            where = {"degree": lo + 1}
+            line = f"rank in degree {lo + 1} {end.rank(lo + 1)} replayed, {end.rank(lo + 1) + 1} recorded"
+        elif part == "label":
+            doc["end"]["labels"][2][0] = "renamed"
+            where = {"degree": lo + 2, "index": 0}
+            line = f"label 0 in degree {lo + 2} {end.degree_labels(lo + 2)[0]!r} replayed, 'renamed' recorded"
+        else:
+            doc["end"] = complex_to_obj(apply_op(end, DeckTransform(lo + 1, 0, generator_word(GroupSpec.cyclic(7)))))
+            where = {"degree": lo, "row": 0, "column": 0}
+            line = f"differential entry (degree {lo}, row 0, column 0)"
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-cert", str(path)]) == 2
+        assert capsys.readouterr().out == f"replay: FAILED (end complex does not match: {line})\n"
+        assert main(["--json", "verify-cert", str(path)]) == 2
+        mismatch = json.loads(capsys.readouterr().out)["results"]["mismatch"]
+        assert mismatch["part"] == part
+        assert {k: mismatch[k] for k in where} == where
 
     def test_invalid_op_exits_1_with_step(self, tmp_path, capsys):
         c = lens_complex(lens_params(7, 2))

@@ -1,4 +1,4 @@
-"""Hypothesis properties: file round-trips, field axioms, the Galois action.
+"""Hypothesis properties: file round-trips, slides, field axioms, the Galois action.
 
 The complexes and certificates come from the generators in ``helpers``,
 seeded by hypothesis; the field values are dense, with small coefficients
@@ -8,7 +8,7 @@ import json
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from torsionkit.grouprings import GroupSpec
 from torsionkit.cyclofield import (
@@ -23,10 +23,17 @@ from torsionkit.cyclofield import (
     units,
 )
 from torsionkit.chaincomplex import complex_from_obj, complex_to_obj, dumps_canonical
-from torsionkit.simpleops import cert_from_obj, cert_to_obj, random_op_sequence
+from torsionkit.simpleops import (
+    HandleSlide,
+    apply_op,
+    cert_from_obj,
+    cert_to_obj,
+    random_op_sequence,
+)
 
 from helpers import (
     random_acyclic_complex,
+    random_elem,
     random_acyclic_int_complex,
     random_group_complex,
     random_int_complex,
@@ -76,6 +83,20 @@ def test_certificate_round_trip(c, length, seed):
     back = cert_from_obj(_through_json(obj))
     assert back == cert
     assert dumps_canonical(cert_to_obj(back)) == dumps_canonical(obj)
+
+
+@settings(max_examples=40, deadline=None)
+@given(complexes(), st.data())
+def test_slide_then_its_inverse_is_the_identity(c, data):
+    """c_a -> c_a + x*c_b, then c_a -> c_a - x*c_b, gives back the complex."""
+    degrees = [d for d in c.degrees if c.rank(d) >= 2]
+    assume(degrees)
+    d = data.draw(st.sampled_from(degrees), label="degree")
+    a, b = data.draw(st.permutations(range(c.rank(d))), label="indices")[:2]
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = random_elem(c.spec, rng, terms=3)
+    slid = apply_op(c, HandleSlide(d, a, b, x))
+    assert apply_op(slid, HandleSlide(d, a, b, -x)) == c
 
 
 @st.composite

@@ -1,0 +1,133 @@
+"""Differential tests: the group-ring product against the word-by-word product.
+
+``reference_ring_mul`` is the product as it was computed before Z/n became a
+cyclic convolution and free products checked each word once: one validated
+``word_multiply`` per pair of terms, then ``elem_from_dict``.  ``ring_mul``
+and ``ring_mul_add`` must give exactly its results (elements compare term by
+term, so term order is included), and must still refuse a word that is not
+reduced.
+"""
+import random
+
+import pytest
+
+from torsionkit.grouprings import (
+    GroupRingElem,
+    GroupSpec,
+    GroupWord,
+    IDENTITY_WORD,
+    InvalidWordError,
+    ONE_ELEM,
+    ZERO_ELEM,
+    elem_from_dict,
+    generator_elem,
+    ring_add,
+    ring_mul,
+    ring_mul_add,
+    word_multiply,
+)
+
+from helpers import random_elem
+
+CYCLIC = [GroupSpec.cyclic(n) for n in (1, 2, 7, 13)]
+FREE = [GroupSpec.free_product(orders) for orders in ([2, 3], [5, 5], [7, 7])]
+SPECS = CYCLIC + FREE
+
+
+def reference_ring_mul(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
+    acc = {}
+    for wa, ca in a.terms:
+        for wb, cb in b.terms:
+            w = word_multiply(spec, wa, wb)
+            acc[w] = acc.get(w, 0) + ca * cb
+    return elem_from_dict(acc)
+
+
+def _spec_id(spec: GroupSpec) -> str:
+    return "*".join(f"Z{m}" for m in spec.factor_orders)
+
+
+def _operands(spec: GroupSpec, rng: random.Random, count: int):
+    """Random elements of a few sizes, with zero among them."""
+    out = [ZERO_ELEM, ONE_ELEM]
+    for _ in range(count):
+        out.append(random_elem(spec, rng, terms=rng.choice([1, 2, 4, 9]), span=4))
+    return out
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+def test_ring_mul_matches_reference(spec):
+    rng = random.Random(sum(spec.factor_orders))
+    elems = _operands(spec, rng, 14)
+    for a in elems:
+        for b in elems:
+            assert ring_mul(spec, a, b) == reference_ring_mul(spec, a, b)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+def test_ring_mul_add_matches_reference(spec):
+    rng = random.Random(100 + sum(spec.factor_orders))
+    elems = _operands(spec, rng, 8)
+    for a in elems:
+        for b in elems:
+            product = reference_ring_mul(spec, a, b)
+            for acc in elems[:6]:
+                assert ring_mul_add(spec, acc, a, b) == ring_add(acc, product)
+            # an accumulator that cancels the product: the sum is zero
+            assert ring_mul_add(spec, -product, a, b) == ZERO_ELEM
+
+
+def test_free_product_order_matters():
+    """a*b and b*a differ over Z/7*Z/7, and ring_mul keeps a's words on the left."""
+    spec = FREE[2]
+    a = generator_elem(spec, 0, 1)
+    b = generator_elem(spec, 1, 1)
+    ab = GroupWord(((0, 1), (1, 1)))
+    assert ring_mul(spec, a, b) == elem_from_dict({ab: 1})
+    assert ring_mul(spec, a, b) != ring_mul(spec, b, a)
+    assert ring_mul_add(spec, ZERO_ELEM, a, b) == ring_mul(spec, a, b)
+
+
+def test_cyclic_exponents_wrap():
+    spec = GroupSpec.cyclic(7)
+    t5 = generator_elem(spec, 0, 5)
+    t4 = generator_elem(spec, 0, 4)
+    assert ring_mul(spec, t5, t4) == generator_elem(spec, 0, 2)
+    assert ring_mul(spec, t4, generator_elem(spec, 0, 3)) == ONE_ELEM
+
+
+def test_large_cyclic_group_matches_reference():
+    """Z/n takes one path for every n: sparse operands of Z/1000 included."""
+    spec = GroupSpec.cyclic(1000)
+    rng = random.Random(5)
+    elems = _operands(spec, rng, 6)
+    for a in elems:
+        for b in elems:
+            assert ring_mul(spec, a, b) == reference_ring_mul(spec, a, b)
+
+
+Z7 = GroupSpec.cyclic(7)
+FP77 = GroupSpec.free_product([7, 7])
+INVALID = [
+    (Z7, ((0, 0),)),
+    (Z7, ((0, 7),)),
+    (Z7, ((0, -1),)),
+    (Z7, ((1, 1),)),
+    (Z7, ((0, 1), (0, 2))),
+    (GroupSpec.cyclic(1000), ((0, 1000),)),
+    (FP77, ((0, 1), (0, 2))),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, letters", INVALID, ids=[f"{_spec_id(s)}-{l}" for s, l in INVALID]
+)
+def test_invalid_words_raise_in_either_operand(spec, letters):
+    bad = GroupRingElem(((GroupWord(letters), 1),))
+    good = elem_from_dict({IDENTITY_WORD: 2, GroupWord(((0, 1),)): -1})
+    with pytest.raises(InvalidWordError):
+        ring_mul(spec, bad, good)
+    with pytest.raises(InvalidWordError):
+        ring_mul(spec, good, bad)
+    with pytest.raises(InvalidWordError):
+        ring_mul_add(spec, ONE_ELEM, good, bad)
