@@ -93,25 +93,17 @@ def mat_neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def mat_compose(
-    spec: GroupSpec, second: Matrix, first: Matrix, source_cols: int | None = None
-) -> Matrix:
-    """Matrix of (second . first); see the module docstring for the order of
-    ring products inside each entry.
-
-    ``source_cols`` disambiguates the width of a zero-row ``first`` (a 0 x k
-    matrix is stored as an empty tuple, losing k).
-    """
+def mat_compose(spec: GroupSpec, second: Matrix, first: Matrix, cols: int) -> Matrix:
+    """Matrix of (second . first), ``cols`` wide; see the module docstring
+    for the order of ring products inside each entry."""
     rows2, mid2 = mat_shape(second)
-    mid1, cols1 = mat_shape(first)
-    if not first and source_cols is not None:
-        cols1 = source_cols
+    mid1 = len(first)
     if second and first and mid1 != mid2:
         raise ShapeMismatchError(f"inner dimensions differ: {mid1} vs {mid2}")
     out = []
     for g in range(rows2):
         row = []
-        for a in range(cols1):
+        for a in range(cols):
             acc = ZERO_ELEM
             for b in range(mid1):
                 x = first[b][a]
@@ -287,7 +279,7 @@ def first_difference(a: BasedComplex, b: BasedComplex):
 def validate(c: BasedComplex) -> None:
     """Check d.d = 0 over Z[G]; raises NotAComplexError at the first failure."""
     for i in range(c.min_degree, c.max_degree - 1):
-        comp = mat_compose(c.spec, c.diff(i + 1), c.diff(i), source_cols=c.rank(i))
+        comp = mat_compose(c.spec, c.diff(i + 1), c.diff(i), c.rank(i))
         if not mat_is_zero(comp):
             raise NotAComplexError(i)
 
@@ -397,8 +389,8 @@ def chain_map(
     hi = max(source.max_degree, target.max_degree)
     for i in range(lo, hi + 1):
         cols = source.rank(i)
-        left = mat_compose(source.spec, target.diff(i), f.component(i), source_cols=cols)
-        right = mat_compose(source.spec, f.component(i + 1), source.diff(i), source_cols=cols)
+        left = mat_compose(source.spec, target.diff(i), f.component(i), cols)
+        right = mat_compose(source.spec, f.component(i + 1), source.diff(i), cols)
         if left != right:
             raise ShapeMismatchError(f"chain map does not commute at degree {i}")
     return f
@@ -426,7 +418,7 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     hi = max(f.source.max_degree, g.target.max_degree)
     comps = {
         i: mat_compose(
-            f.source.spec, g.component(i), f.component(i), source_cols=f.source.rank(i)
+            f.source.spec, g.component(i), f.component(i), f.source.rank(i)
         )
         for i in range(lo, hi + 1)
     }
@@ -450,8 +442,8 @@ def homotopy_perturbation(f: ChainMap, h: dict[int, "Matrix"]) -> ChainMap:
     hi = max(f.source.max_degree, f.target.max_degree) + 1
     for i in range(lo, hi + 1):
         cols = f.source.rank(i)
-        term1 = mat_compose(spec, hcomp(i + 1), f.source.diff(i), source_cols=cols)
-        term2 = mat_compose(spec, f.target.diff(i - 1), hcomp(i), source_cols=cols)
+        term1 = mat_compose(spec, hcomp(i + 1), f.source.diff(i), cols)
+        term2 = mat_compose(spec, f.target.diff(i - 1), hcomp(i), cols)
         comps[i] = mat_add(f.component(i), mat_add(term1, term2))
     return chain_map(f.source, f.target, comps)
 

@@ -259,12 +259,13 @@ def cyclo_str(a: CycloNum) -> str:
     for j, c in enumerate(a.nums):
         if not c:
             continue
-        mag = Fraction(abs(c), a.den)
+        g = gcd(c, a.den)
+        mag = f"{abs(c) // g}" if g == a.den else f"{abs(c) // g}/{a.den // g}"
         if j == 0:
-            body = str(mag)
+            body = mag
         else:
             var = "z" if j == 1 else f"z^{j}"
-            body = var if mag == 1 else f"{mag}*{var}"
+            body = var if mag == "1" else f"{mag}*{var}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

@@ -294,13 +294,26 @@ def json_int(value) -> int:
     return value
 
 
+def _json_pairs(value, what: str):
+    """A document's list of pairs, refused rather than iterated if a dict,
+    string or scalar stands where the list or one of its pairs belongs."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidWordError(f"expected a list of {what}s, got {value!r}")
+    for pair in value:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise InvalidWordError(f"bad {what} {pair!r}")
+    return value
+
+
+def _word_from_obj(letters) -> GroupWord:
+    """The word a document's letter list spells; the caller validates it."""
+    return GroupWord(tuple((json_int(f), json_int(e)) for f, e in _json_pairs(letters, "letter")))
+
+
 def elem_from_obj(spec: GroupSpec, obj) -> GroupRingElem:
     acc: dict[GroupWord, int] = {}
-    for pair in obj:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise InvalidWordError(f"bad term {pair!r}")
-        c, letters = pair
-        w = GroupWord(tuple((json_int(f), json_int(e)) for f, e in letters))
+    for c, letters in _json_pairs(obj, "term"):
+        w = _word_from_obj(letters)
         validate_word(spec, w)
         acc[w] = acc.get(w, 0) + json_int(c)
     return elem_from_dict(acc)

@@ -1,28 +1,38 @@
 """Elementary simple operations on based complexes, plus certificates.
 
-The three operation kinds (expansion/retraction, handle slide, deck
-transformation) generate simple homotopy equivalence of based complexes.
-Coefficients act on the left of basis vectors, so a slide replacing c_a by
-c_a + x*c_b multiplies the outgoing column a by x on the left and corrects
-the incoming row b by x on the right; a deck transform c -> g*c does the
-analogous one-sided rescalings.  Certificates record (start, ops, end) and
-can be replayed mechanically.
+Simple homotopy equivalence of based complexes is generated by two kinds of
+edit, and each has one primitive here:
+
+- ``_edit_block`` inserts or deletes a trivial summand [Z[G] --1--> Z[G]]
+  in degrees (d, d+1): an expansion or a retraction.  It changes ranks and
+  labels and may move the degree window, so its result goes through
+  ``based_complex``.
+- ``_change_basis`` makes an elementary change of basis in one degree: a
+  handle slide c_a -> c_a + x*c_b or a deck transform c -> g*c.  It keeps
+  ranks, labels, the window and every matrix shape, so it replaces the
+  differentials of the complex and checks nothing else.
+
+Coefficients act on the left of basis vectors, so a slide multiplies the
+outgoing column a by x on the left and corrects the incoming row b by x on
+the right; a deck transform does the analogous one-sided rescalings.
+Certificates record (start, ops, end) and can be replayed mechanically.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .grouprings import (
     GroupRingElem,
     GroupSpec,
     GroupWord,
     IDENTITY_WORD,
+    ONE_ELEM,
     ZERO_ELEM,
+    _word_from_obj,
     elem_from_dict,
     elem_from_obj,
     elem_to_obj,
-    from_int,
     generator_word,
     json_int,
     monomial,
@@ -32,7 +42,6 @@ from .grouprings import (
 )
 from .chaincomplex import (
     BasedComplex,
-    Matrix,
     ShapeMismatchError,
     based_complex,
     complex_from_obj,
@@ -85,110 +94,84 @@ class DeckTransform:
 SimpleOp = Expansion | Retraction | HandleSlide | DeckTransform
 
 
-def _insert_row(m: Matrix, at: int, row) -> Matrix:
-    rows = list(m)
-    rows.insert(at, tuple(row))
-    return tuple(rows)
+def _edit_block(c: BasedComplex, d: int, k: int, insert: bool) -> BasedComplex:
+    """Insert (or delete) basis vector k of degrees d and d+1.
 
-
-def _insert_col(m: Matrix, at: int, value) -> Matrix:
-    out = []
-    for row in m:
-        r = list(row)
-        r.insert(at, value)
-        out.append(tuple(r))
-    return tuple(out)
-
-
-def _delete_row(m: Matrix, at: int) -> Matrix:
-    return tuple(r for i, r in enumerate(m) if i != at)
-
-
-def _delete_col(m: Matrix, at: int) -> Matrix:
-    return tuple(tuple(x for j, x in enumerate(r) if j != at) for r in m)
-
-
-def _with_degree_window(c: BasedComplex, lo: int, hi: int):
-    """Ranks, differentials and labels over the widened range [lo, hi]."""
+    Their ranks and labels change, and so do column k of each outgoing
+    differential and row k of each incoming one; an inserted block gets the
+    pivot 1 at [k][k] of d_d.  The window grows to hold both degrees, and
+    ``based_complex`` trims a zero-rank end degree that a deletion leaves.
+    """
+    lo, hi = min(c.min_degree, d), max(c.max_degree, d + 1)
     ranks = [c.rank(i) for i in range(lo, hi + 1)]
     labels = [list(c.degree_labels(i)) for i in range(lo, hi + 1)]
     diffs = [c.diff(i) for i in range(lo, hi)]
-    return ranks, diffs, labels
+    for i, label in ((d, f"u{d}_{k}"), (d + 1, f"v{d + 1}_{k}")):
+        at = i - lo
+        if insert:
+            ranks[at] += 1
+            labels[at].insert(k, label)
+        else:
+            ranks[at] -= 1
+            del labels[at][k]
+        if i < hi:  # column k of the outgoing d_i
+            diffs[at] = [
+                r[:k] + (ZERO_ELEM,) + r[k:] if insert else r[:k] + r[k + 1:]
+                for r in diffs[at]
+            ]
+        if i > lo:  # row k of the incoming d_{i-1}, as wide as C_{i-1} is now
+            rows = list(diffs[at - 1])
+            if insert:
+                rows.insert(k, (ZERO_ELEM,) * ranks[at - 1])
+            else:
+                del rows[k]
+            diffs[at - 1] = rows
+    if insert:
+        m = diffs[d - lo]
+        m[k] = m[k][:k] + (ONE_ELEM,) + m[k][k + 1:]
+    return based_complex(c.spec, lo, ranks, diffs, labels)
 
 
 def _apply_expansion(c: BasedComplex, op: Expansion) -> BasedComplex:
     d, k = op.degree, op.position
     if k < 0 or k > c.rank(d) or k > c.rank(d + 1):
         raise InvalidOpError(f"expansion position {k} out of range at degree {d}")
-    lo = min(c.min_degree, d)
-    hi = max(c.max_degree, d + 1)
-    ranks, diffs, labels = _with_degree_window(c, lo, hi)
-    di, dj = d - lo, d + 1 - lo
-    ranks[di] += 1
-    ranks[dj] += 1
-    labels[di].insert(k, f"u{d}_{k}")
-    labels[dj].insert(k, f"v{d + 1}_{k}")
-    zero = from_int(0)
-    one = from_int(1)
-    # outgoing d_d: new column k (source u) and new row k (target v), pivot 1
-    m = _insert_col(c.diff(d), k, zero)
-    new_row = [zero] * (c.rank(d) + 1)
-    new_row[k] = one
-    m = _insert_row(m, k, new_row)
-    diffs[di] = m
-    if d - 1 >= lo:
-        diffs[di - 1] = _insert_row(c.diff(d - 1), k, [zero] * c.rank(d - 1))
-    if d + 1 < hi:
-        diffs[dj] = _insert_col(c.diff(d + 1), k, zero)
-    return based_complex(c.spec, lo, ranks, diffs, labels)
+    return _edit_block(c, d, k, insert=True)
 
 
-def _is_unit_monomial(x: GroupRingElem) -> bool:
-    return len(x.terms) == 1 and x.terms[0][1] in (1, -1)
+def _is_retractable(c: BasedComplex, d: int, k: int) -> bool:
+    """Whether basis vector k of degrees d and d+1 spans a trivial summand:
+    a +-g pivot at [k][k] of d_d, and nothing else in row k or column k of
+    d_d, in row k of d_{d-1} or in column k of d_{d+1}."""
+    m = c.diff(d)
+    terms = m[k][k].terms
+    return (
+        len(terms) == 1
+        and terms[0][1] in (1, -1)
+        and not any(x for j, x in enumerate(m[k]) if j != k)
+        and not any(r[k] for i, r in enumerate(m) if i != k)
+        and not any(c.diff(d - 1)[k])
+        and not any(r[k] for r in c.diff(d + 1))
+    )
 
 
 def retractable_positions(c: BasedComplex, degree: int) -> list[int]:
     """Indices k where (degree, k) names a deletable trivial summand."""
-    out = []
-    m = c.diff(degree)
-    prev = c.diff(degree - 1)
-    nxt = c.diff(degree + 1)
-    for k in range(min(c.rank(degree), c.rank(degree + 1))):
-        if not _is_unit_monomial(m[k][k]):
-            continue
-        if any(m[k][j] for j in range(c.rank(degree)) if j != k):
-            continue
-        if any(m[i][k] for i in range(c.rank(degree + 1)) if i != k):
-            continue
-        if any(prev[k][j] for j in range(c.rank(degree - 1))):
-            continue
-        if any(nxt[i][k] for i in range(c.rank(degree + 2))):
-            continue
-        out.append(k)
-    return out
+    return [
+        k for k in range(min(c.rank(degree), c.rank(degree + 1)))
+        if _is_retractable(c, degree, k)
+    ]
 
 
 def _apply_retraction(c: BasedComplex, op: Retraction) -> BasedComplex:
     d, k = op.degree, op.position
     if not (0 <= k < c.rank(d) and k < c.rank(d + 1)):
         raise InvalidOpError(f"retraction position {k} out of range at degree {d}")
-    if k not in retractable_positions(c, d):
+    if not _is_retractable(c, d, k):
         raise InvalidOpError(
             f"block ({d}, {k}) is not a trivial [Z[G] -> Z[G]] summand"
         )
-    lo, hi = c.min_degree, c.max_degree
-    ranks, diffs, labels = _with_degree_window(c, lo, hi)
-    di, dj = d - lo, d + 1 - lo
-    ranks[di] -= 1
-    ranks[dj] -= 1
-    del labels[di][k]
-    del labels[dj][k]
-    diffs[di] = _delete_col(_delete_row(c.diff(d), k), k)
-    if d - 1 >= lo:
-        diffs[di - 1] = _delete_row(c.diff(d - 1), k)
-    if d + 1 < hi:
-        diffs[dj] = _delete_col(c.diff(d + 1), k)
-    return based_complex(c.spec, lo, ranks, diffs, labels)
+    return _edit_block(c, d, k, insert=False)
 
 
 def _change_basis(
@@ -202,6 +185,8 @@ def _change_basis(
     ``source`` on the left; the incoming differential's row ``source`` takes
     row ``target`` times ``right``, the matching entry of the inverse change,
     on the right.  Rows with a zero in column ``source`` are kept as they are.
+    Ranks, labels and the window stay, and every row stays a tuple of the
+    same length, so the result needs no shape check.
     """
     spec = c.spec
     lo = c.min_degree
@@ -221,7 +206,7 @@ def _change_basis(
             ring_mul_add(spec, acc, x, right) if x else acc for x, acc in zip(m[target], accs)
         )
         diffs[d - 1 - lo] = tuple(m)
-    return based_complex(spec, lo, c.ranks, diffs, c.labels)
+    return replace(c, differentials=tuple(diffs))
 
 
 def _apply_handle_slide(c: BasedComplex, op: HandleSlide) -> BasedComplex:
@@ -238,7 +223,7 @@ def _apply_deck(c: BasedComplex, op: DeckTransform) -> BasedComplex:
     d, idx, w = op.degree, op.index, op.word
     if not (0 <= idx < c.rank(d)):
         raise InvalidOpError(f"deck index {idx} out of range at degree {d}")
-    validate_word(c.spec, w)
+    # word_inverse validates w
     return _change_basis(
         c, d, idx, idx, monomial(w), monomial(word_inverse(c.spec, w))
     )
@@ -399,7 +384,7 @@ def _op_from_obj(spec: GroupSpec, obj) -> SimpleOp:
             elem_from_obj(spec, obj["coefficient"]),
         )
     if kind == "deck_transform":
-        w = GroupWord(tuple((json_int(f), json_int(e)) for f, e in obj["word"]))
+        w = _word_from_obj(obj["word"])
         validate_word(spec, w)
         return DeckTransform(json_int(obj["degree"]), json_int(obj["index"]), w)
     raise InvalidOpError(f"unknown op kind {kind!r}")

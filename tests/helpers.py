@@ -182,8 +182,8 @@ def filtered_extension(a: BasedComplex, b: BasedComplex, rng: random.Random) -> 
     labels = [a.degree_labels(i) + b.degree_labels(i) for i in range(lo, hi + 1)]
     diffs = []
     for i in range(lo, hi):
-        term1 = mat_compose(spec, a.diff(i), u[i], source_cols=b.rank(i))
-        term2 = mat_compose(spec, u[i + 1], b.diff(i), source_cols=b.rank(i))
+        term1 = mat_compose(spec, a.diff(i), u[i], b.rank(i))
+        term2 = mat_compose(spec, u[i + 1], b.diff(i), b.rank(i))
         h = tuple(
             tuple(_sub(spec, x, y) for x, y in zip(r1, r2))
             for r1, r2 in zip(term1, term2)
@@ -232,7 +232,7 @@ def iso_via_ops(c: BasedComplex, rng: random.Random, steps=5):
             pm = tuple(tuple(row) for row in p)
         current = apply_op(current, op)
         mats[d] = mat_compose(spec, pm, mats.get(d, mat_identity(c.rank(d))),
-                              source_cols=c.rank(d))
+                              c.rank(d))
     return chain_map(c, current, mats), current
 
 

@@ -1,9 +1,10 @@
 """The names the benchmark harness reaches into must keep existing.
 
 ``perfbench/tracing.py`` rebinds the functions it lists in ``TRACED`` and
-reads the caches of those in ``CACHED``; a rename or a dropped cache would
-only show when the benchmark runs.  This test reads that file as text (it
-imports nothing from ``perfbench``) and checks the names against the library.
+reads the caches of those in ``CACHED``, and the modules of ``perfbench``
+import names from ``torsionkit``; a rename or a dropped cache would only
+show when the benchmark runs.  These tests read those files as text (they
+import nothing from ``perfbench``) and check the names against the library.
 """
 import ast
 import importlib
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _constant(name):
@@ -41,3 +43,19 @@ def test_traced_function_exists(entry):
 def test_cached_function_keeps_its_cache(entry):
     fn = _lookup(entry)
     assert callable(fn.cache_info) and callable(fn.cache_clear)
+
+
+def _imported_names():
+    """Every (module, name) of a ``from torsionkit.<module> import <name>`` in perfbench."""
+    pairs = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("torsionkit."):
+                module = node.module.removeprefix("torsionkit.")
+                pairs.update((module, alias.name) for alias in node.names)
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("entry", _imported_names(), ids=".".join)
+def test_imported_name_exists(entry):
+    _lookup(entry)

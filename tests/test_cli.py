@@ -260,6 +260,37 @@ class TestInputBounds:
             captured = capsys.readouterr()
             assert captured.err.startswith("error:") and captured.out == ""
 
+    @pytest.mark.parametrize("bad", [{}, ""])
+    @pytest.mark.parametrize(
+        "name, path",
+        [
+            ("l72.json", ("differentials", "1", 0, 0)),  # an entry's term list
+            ("l72.json", ("differentials", "0", 0, 0, 0)),  # one term
+            ("l72.json", ("differentials", "0", 0, 0, 0, 1)),  # its letter list
+            ("l72.json", ("differentials", "0", 0, 0, 1, 1, 0)),  # one letter pair
+            ("cert.json", ("ops", 0, "word")),  # a deck transform's letter list
+            ("cert.json", ("ops", 3, "coefficient")),  # a slide's term list
+        ],
+        ids=["term-list", "term", "letters", "letter", "deck-word", "slide-coefficient"],
+    )
+    def test_non_list_where_a_list_belongs_exits_1(self, tmp_path, capsys, name, path, bad):
+        """A dict or string in place of a list is refused, not read as an
+        empty term list (zero) or an empty letter list (the identity)."""
+        doc = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        target = tmp_path / "coerced.json"
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        if name == "l72.json":
+            argv = ["torsion", str(target), "--rep", "n=7;g0=1"]
+        else:
+            argv = ["verify-cert", str(target)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
     def test_differential_key_outside_window_exits_1(self, tmp_path, capsys):
         """A differential the degree window cannot hold is refused, not dropped."""
         doc = json.loads((GOLDEN / "l72.json").read_text(encoding="utf-8"))

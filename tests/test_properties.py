@@ -1,12 +1,17 @@
-"""Hypothesis properties: file round-trips, slides, field axioms, the Galois action.
+"""Hypothesis properties: file round-trips, the two kinds of simple edit,
+field axioms, the Galois action, and the CLI on damaged documents.
 
 The complexes and certificates come from the generators in ``helpers``,
 seeded by hypothesis; the field values are dense, with small coefficients
 over a small denominator.
 """
+import contextlib
+import io
 import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -22,13 +27,22 @@ from torsionkit.cyclofield import (
     torsion_class,
     units,
 )
-from torsionkit.chaincomplex import complex_from_obj, complex_to_obj, dumps_canonical
+from torsionkit import cli
+from torsionkit.chaincomplex import (
+    based_complex,
+    complex_from_obj,
+    complex_to_obj,
+    dumps_canonical,
+)
 from torsionkit.simpleops import (
+    Expansion,
     HandleSlide,
+    Retraction,
     apply_op,
     cert_from_obj,
     cert_to_obj,
     random_op_sequence,
+    retractable_positions,
 )
 
 from helpers import (
@@ -99,6 +113,68 @@ def test_slide_then_its_inverse_is_the_identity(c, data):
     assert apply_op(slid, HandleSlide(d, a, b, -x)) == c
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from((GroupSpec.cyclic(7), GroupSpec.free_product([5, 5]))),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_retraction_undoes_every_expansion(spec, acyclic, seed):
+    """Every valid (d, k), also d = min - 1 and d = max, which widen the window."""
+    rng = random.Random(seed)
+    c = random_acyclic_complex(spec, rng) if acyclic else random_group_complex(spec, rng)
+    for d in range(c.min_degree - 1, c.max_degree + 1):
+        for k in range(min(c.rank(d), c.rank(d + 1)) + 1):
+            expanded = apply_op(c, Expansion(d, k))
+            assert apply_op(expanded, Retraction(d, k)) == c
+
+
+def _steps(cert):
+    """The complexes a certificate passes through, with the op that leaves each."""
+    c = cert.start
+    for op in cert.ops:
+        yield c, op
+        c = apply_op(c, op)
+
+
+@settings(max_examples=25, deadline=None)
+@given(complexes(), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_every_op_builds_the_canonical_complex(c, length, seed):
+    """What an op builds, trusted shapes and all, is what the checked
+    constructor builds from the same parts."""
+    for step, op in _steps(random_op_sequence(c, length, seed)):
+        r = apply_op(step, op)
+        assert r == based_complex(r.spec, r.min_degree, r.ranks, r.differentials, r.labels)
+
+
+def _reference_retractable_positions(c, degree):
+    """Indices k where (degree, k) names a deletable trivial summand, entry by entry."""
+    out = []
+    m, prev, nxt = c.diff(degree), c.diff(degree - 1), c.diff(degree + 1)
+    for k in range(min(c.rank(degree), c.rank(degree + 1))):
+        pivot = m[k][k]
+        if not (len(pivot.terms) == 1 and pivot.terms[0][1] in (1, -1)):
+            continue
+        if any(m[k][j] for j in range(c.rank(degree)) if j != k):
+            continue
+        if any(m[i][k] for i in range(c.rank(degree + 1)) if i != k):
+            continue
+        if any(prev[k][j] for j in range(c.rank(degree - 1))):
+            continue
+        if any(nxt[i][k] for i in range(c.rank(degree + 2))):
+            continue
+        out.append(k)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(complexes(), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_retractable_positions_match_the_entrywise_definition(c, length, seed):
+    for step, _ in _steps(random_op_sequence(c, length, seed)):
+        for d in range(step.min_degree - 1, step.max_degree + 1):
+            assert retractable_positions(step, d) == _reference_retractable_positions(step, d)
+
+
 @st.composite
 def field_values(draw, n):
     phi = euler_phi(n)
@@ -134,3 +210,48 @@ def test_conjugation_is_an_action(data):
     cls = torsion_class(value, group)
     assert cls.conjugate(d).conjugate(e) == cls.conjugate(d * e % n)
     assert cls.conjugate(1) == cls
+
+
+GOLDEN = Path(__file__).parent / "golden"
+DAMAGE = ({}, "", [], 0, -1, 1.5, True, None, [[[]]])
+
+
+def _node_paths(node, prefix=()):
+    """The key path of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+DOCUMENTS = {
+    name: (json.loads((GOLDEN / name).read_text(encoding="utf-8")), argv)
+    for name, argv in (
+        ("l72.json", ["torsion", "{}", "--rep", "n=7;g0=1"]),
+        ("cert.json", ["verify-cert", "{}"]),
+    )
+}
+PATHS = {name: list(_node_paths(doc)) for name, (doc, _) in DOCUMENTS.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(DOCUMENTS)), st.data(), st.sampled_from(DAMAGE))
+def test_damaged_document_ends_in_a_documented_exit(name, data, value):
+    """One node of a golden input replaced by a wrong value or container: the
+    CLI exits 0, 1 or 2, and exit 1 comes with an ``error:`` line."""
+    doc, argv = DOCUMENTS[name]
+    path = data.draw(st.sampled_from(PATHS[name]), label="node")
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / name
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main([str(target) if a == "{}" else a for a in argv])
+    assert status in (0, 1, 2)
+    if status == 1:
+        assert err.getvalue().startswith("error:")
