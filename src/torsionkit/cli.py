@@ -76,8 +76,8 @@ DEFAULT_REP_COUNT = 6
 # --primes p`, every pair, 0.96 s and 9.1 s; one sweep in the library grows
 # about as p^2.7 (0.06 s at p = 127, 0.33 s at 251, 2.1 s at 509).  So sweeps
 # no longer set the cap: it bounds lens-sweep's p^2/2 pairs and the one field
-# inversion of an elimination under --rep n, 0.6-0.8 s for a dense value at
-# n = 127.
+# inversion of an elimination under --rep n, about 0.8 s for a dense value
+# with 40-bit coefficients at n = 127.
 MAX_MODULUS = 127
 # Most simple operations in a certificate: the --length of gen-cert and the
 # ops of a certificate verify-cert reads.  On L(7,2) and a 2-vCPU machine,

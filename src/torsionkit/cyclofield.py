@@ -1,17 +1,30 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-A CycloNum is a rational polynomial in zeta_n reduced modulo the n-th
-cyclotomic polynomial Phi_n, stored as integer coefficients over a common
-positive denominator.  Inversion goes through the Galois conjugates, so no
-polynomial gcd is ever needed: 1/a = (prod of conjugates of a) / norm(a).
+A CycloNum is an element of Q(zeta_n) in the power basis 1, zeta, ...,
+zeta^(phi-1), phi = deg Phi_n: integer coefficients over a common positive
+denominator.
+
+Field arithmetic works in the lift Z[x]/(x^n - 1), where zeta^k is slot
+k mod n of an n-long coefficient list, and reduces mod Phi_n once per
+result, in ``_reduce_mod_phi``.  A product is one schoolbook convolution
+(``cyclo_mul``; ``cyclo_mul_sub`` adds two products into one buffer for the
+elimination step p*a - f*b); a group-ring element scatters each term's
+coefficient into the slot of its exponent (``evaluate_rep``); zeta ->
+zeta^k moves slot j to slot j*k mod n (``galois_conjugate``).  Phi_n
+divides x^n - 1, so the reduction first adds slot k onto slot k mod n and
+then clears what is left above x^phi by Phi_n: at most n - phi
+coefficients, one for prime n, so a product reduces in O(n) there.
+Inversion goes through the Galois conjugates, so no polynomial gcd is ever
+needed: 1/a = (prod of conjugates of a) / norm(a).
 
 Also here: representations of group rings into Q(zeta_n), the finite unit
 subgroups +-rho(G), and torsion classes (units modulo that subgroup).
 +-rho(G) is {+-zeta^(jg)}, stored by its step g (the least g with zeta^g in
 it), so it is visibly stable under every zeta -> zeta^d.  Units act by
 rotation: a coset representative comes from walking the orbit one
-multiplication by zeta (a shift of the coefficients folded back by Phi_n,
-O(phi)) at a time, so it needs no full product.
+multiplication by zeta (a shift of the coefficients with the one
+coefficient above x^phi folded back by Phi_n, O(phi), inline because the
+walk takes n such steps per class) at a time, so it needs no full product.
 """
 from __future__ import annotations
 
@@ -21,7 +34,7 @@ from functools import lru_cache
 from math import gcd
 from operator import neg
 
-from .grouprings import GroupRingElem, GroupSpec, validate_word
+from .grouprings import GroupRingElem, GroupSpec, cyclic_terms, validate_word
 
 
 class ModulusMismatchError(ValueError):
@@ -37,13 +50,13 @@ def _poly_trim(p: list[int]) -> list[int]:
     return p
 
 
-def _poly_mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
+def _poly_mul_add(out: list[int], a, b, s: int) -> None:
+    """out += s*a*b: the one schoolbook product of coefficient vectors."""
     for i, x in enumerate(a):
         if x:
+            x *= s
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return out
 
 
 def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -80,15 +93,27 @@ def euler_phi(n: int) -> int:
 
 
 def _reduce_mod_phi(n: int, coeffs: list[int]) -> tuple[int, ...]:
-    """Fold a dense integer polynomial down modulo the monic Phi_n."""
+    """The power-basis vector of a dense integer polynomial mod Phi_n.
+
+    Phi_n divides x^n - 1, so coefficient k first moves onto slot k mod n;
+    what is left above x^phi, at most n - phi coefficients (one for prime
+    n), is then cleared from the top by the monic Phi_n."""
     phi = euler_phi(n)
     mod = cyclotomic_polynomial(n)
-    tmp = list(coeffs) + [0] * max(phi - len(coeffs), 0)
+    if len(coeffs) > n:
+        tmp = coeffs[:n]
+        for k in range(n, len(coeffs)):
+            tmp[k % n] += coeffs[k]
+    else:
+        tmp = coeffs[:]
+        if len(tmp) < phi:
+            tmp += [0] * (phi - len(tmp))
     for k in range(len(tmp) - 1, phi - 1, -1):
         c = tmp[k]
         if c:
+            lo = k - phi
             for j in range(phi):
-                tmp[k - phi + j] -= c * mod[j]
+                tmp[lo + j] -= c * mod[j]
     return tuple(tmp[:phi])
 
 
@@ -103,13 +128,7 @@ def units(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _zeta_power_row(n: int, k: int) -> tuple[int, ...]:
     """zeta_n^k reduced mod Phi_n."""
-    k %= n
-    phi = euler_phi(n)
-    if k < phi:
-        row = [0] * phi
-        row[k] = 1
-        return tuple(row)
-    return _reduce_mod_phi(n, [0] * k + [1])
+    return _reduce_mod_phi(n, [0] * (k % n) + [1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,7 +186,7 @@ def cyclo_zero(n: int) -> CycloNum:
 def cyclo_int(n: int, m: int) -> CycloNum:
     nums = [0] * euler_phi(n)
     nums[0] = int(m)
-    return _make(n, _reduce_mod_phi(n, nums), 1)
+    return _make(n, nums, 1)
 
 
 def cyclo_one(n: int) -> CycloNum:
@@ -204,29 +223,41 @@ def cyclo_neg(a: CycloNum) -> CycloNum:
 
 def cyclo_mul(a: CycloNum, b: CycloNum) -> CycloNum:
     _check_same_modulus(a, b)
-    prod = _poly_mul_int(list(a.nums), list(b.nums)) if a and b else []
-    if not prod:
+    if not (a and b):
         return cyclo_zero(a.n)
+    prod = [0] * (2 * len(a.nums) - 1)
+    _poly_mul_add(prod, a.nums, b.nums, 1)
     return _make(a.n, _reduce_mod_phi(a.n, prod), a.den * b.den)
 
 
+def cyclo_mul_sub(p: CycloNum, a: CycloNum, f: CycloNum, b: CycloNum) -> CycloNum:
+    """p*a - f*b, the update of a fraction-free elimination step: both
+    products go into one buffer over the least common denominator, then one
+    reduction mod Phi_n."""
+    _check_same_modulus(p, a)
+    _check_same_modulus(f, b)
+    _check_same_modulus(p, f)
+    n = p.n
+    da, db = p.den * a.den, f.den * b.den
+    g = gcd(da, db)
+    acc = [0] * (2 * len(p.nums) - 1)
+    if p and a:
+        _poly_mul_add(acc, p.nums, a.nums, db // g)
+    if f and b:
+        _poly_mul_add(acc, f.nums, b.nums, -(da // g))
+    return _make(n, _reduce_mod_phi(n, acc), da // g * db)
+
+
 def galois_conjugate(a: CycloNum, k: int) -> CycloNum:
-    """Apply zeta -> zeta^k; requires gcd(k, n) = 1."""
+    """Apply zeta -> zeta^k; requires gcd(k, n) = 1.  In the lift, slot j
+    moves to slot j*k mod n."""
     if gcd(k, a.n) != 1:
         raise ValueError(f"{k} is not coprime to {a.n}")
     n = a.n
-    phi = euler_phi(n)
-    acc = [0] * phi
+    acc = [0] * n
     for j, c in enumerate(a.nums):
-        if c:
-            e = j * k % n
-            if e < phi:  # zeta^e is a basis vector
-                acc[e] += c
-            else:
-                for i, x in enumerate(_zeta_power_row(n, e)):
-                    if x:
-                        acc[i] += c * x
-    return _make(n, acc, a.den)
+        acc[j * k % n] = c  # j -> j*k mod n is injective for a unit k
+    return _make(n, _reduce_mod_phi(n, acc), a.den)
 
 
 def cyclo_inv(a: CycloNum) -> CycloNum:
@@ -248,8 +279,12 @@ def cyclo_pow(a: CycloNum, k: int) -> CycloNum:
     if k < 0:
         return cyclo_pow(cyclo_inv(a), -k)
     out = cyclo_one(a.n)
-    for _ in range(k):
-        out = cyclo_mul(out, a)
+    while k:  # square and multiply, over the bits of k from the lowest
+        if k & 1:
+            out = cyclo_mul(out, a)
+        k >>= 1
+        if k:
+            a = cyclo_mul(a, a)
     return out
 
 
@@ -305,16 +340,24 @@ def representation(spec: GroupSpec, modulus: int, exponents) -> Representation:
 
 
 def evaluate_rep(rep: Representation, x: GroupRingElem) -> CycloNum:
+    """rho(x): each term's coefficient goes to the slot of its exponent in
+    the lift, then one reduction mod Phi_n.  Over Z/m reading a word's
+    exponent is its validity check; free-product words are validated."""
     n = rep.modulus
-    phi = euler_phi(n)
-    acc = [0] * phi
-    for w, c in x.terms:
-        validate_word(rep.spec, w)
-        e = sum(exp * rep.generator_exponents[f] for f, exp in w.letters) % n
-        row = _zeta_power_row(n, e)
-        for i in range(phi):
-            acc[i] += c * row[i]
-    return _make(n, acc, 1)
+    if not x:
+        return cyclo_zero(n)
+    spec = rep.spec
+    exps = rep.generator_exponents
+    acc = [0] * n
+    if spec.kind == "cyclic":
+        g = exps[0]
+        for e, c in cyclic_terms(spec.factor_orders[0], x, {}):
+            acc[e * g % n] += c
+    else:
+        for w, c in x.terms:
+            validate_word(spec, w)
+            acc[sum(exp * exps[f] for f, exp in w.letters) % n] += c
+    return _make(n, _reduce_mod_phi(n, acc), 1)
 
 
 @dataclass(frozen=True, slots=True)

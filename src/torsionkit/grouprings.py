@@ -11,9 +11,10 @@ the public word functions ``word_multiply`` and ``word_inverse``, which
 validate their operands on every call.  ``ring_mul`` and ``ring_mul_add``
 check each operand word once per product, not once per pair of terms, and
 raise ``InvalidWordError`` for a word that is not reduced.  Over Z/n, for
-every n, that check is reading the exponent e (0 <= e < n) off the word,
-and elements multiply as sums indexed by the exponent, a cyclic
-convolution.  Over a free product two words concatenate when the seam
+every n, that check is reading the exponent e (0 <= e < n) off the word
+(``cyclic_terms``, which ``cyclofield.evaluate_rep`` shares), and elements
+multiply as sums indexed by the exponent, a cyclic convolution.  Over a
+free product two words concatenate when the seam
 letters lie in different factors and merge on a stack when they share one.
 """
 from __future__ import annotations
@@ -192,7 +193,7 @@ def ring_sub(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingEl
     return ring_add(a, -b)
 
 
-def _cyclic_terms(n: int, x: GroupRingElem, words: dict) -> list[tuple[int, int]]:
+def cyclic_terms(n: int, x: GroupRingElem, words: dict) -> list[tuple[int, int]]:
     """(exponent, coefficient) per term of x over Z/n, filing each word under
     its exponent in ``words``.  A word that is not g^e with 0 <= e < n raises."""
     terms = []
@@ -213,9 +214,9 @@ def _cyclic_mul_add(n: int, acc: GroupRingElem, a: GroupRingElem, b: GroupRingEl
     """acc + a*b over Z/n, summed by exponent.  A product's word is one of
     the operands' words when one has its exponent, else a new g^k."""
     words: dict[int, GroupWord] = {}
-    sums = dict(_cyclic_terms(n, acc, words))
-    eb = _cyclic_terms(n, b, words)
-    for i, ca in _cyclic_terms(n, a, words):
+    sums = dict(cyclic_terms(n, acc, words))
+    eb = cyclic_terms(n, b, words)
+    for i, ca in cyclic_terms(n, a, words):
         for j, cb in eb:
             k = (i + j) % n
             sums[k] = sums.get(k, 0) + ca * cb

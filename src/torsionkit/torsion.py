@@ -38,6 +38,7 @@ from .cyclofield import (
     TorsionClass,
     cyclo_inv,
     cyclo_mul,
+    cyclo_mul_sub,
     cyclo_one,
     torsion_class,
     unit_subgroup,
@@ -99,7 +100,7 @@ def _eliminate(mat, rows: list[int], scan: list[int], n: int):
             f = wr[j]
             if f:
                 for c in scan[t + 1:]:
-                    wr[c] = p * wr[c] - f * wp[c]
+                    wr[c] = cyclo_mul_sub(p, wr[c], f, wp[c])
                 den = cyclo_mul(den, p)
         if not work:
             break

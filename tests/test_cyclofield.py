@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 from torsionkit.grouprings import (
     GroupSpec,
     GroupWord,
+    InvalidWordError,
     ZERO_ELEM,
+    elem_from_dict,
     monomial,
     ONE_ELEM,
     generator_elem,
     ring_mul,
     ring_sub,
+    validate_word,
 )
 from torsionkit import cyclofield
 from torsionkit.cyclofield import (
@@ -38,6 +41,7 @@ from torsionkit.cyclofield import (
     representation,
     torsion_class,
     unit_subgroup,
+    units,
     zeta,
 )
 
@@ -449,3 +453,195 @@ def test_rendering():
     assert cyclo_str(x) == "2 - 3/7*z^2 (mod Phi_7)"
     assert cyclo_str(cyclo_zero(7)) == "0 (mod Phi_7)"
     assert cyclo_str(zeta(7)) == "z (mod Phi_7)"
+
+
+# --- the lift Z[x]/(x^n - 1) against the row arithmetic it replaced ---
+
+LIFT_MODULI = [1, 2, 3, 4, 6, 8, 9, 12, 15, 30, 31, 61, 127]
+
+
+def reference_reduce(n, coeffs):
+    """Clear every coefficient above x^phi from the top by Phi_n, without
+    folding mod x^n - 1 first: the reduction the fold replaced."""
+    phi = euler_phi(n)
+    mod = cyclotomic_polynomial(n)
+    tmp = list(coeffs) + [0] * max(phi - len(coeffs), 0)
+    for k in range(len(tmp) - 1, phi - 1, -1):
+        c = tmp[k]
+        if c:
+            for j in range(phi):
+                tmp[k - phi + j] -= c * mod[j]
+    return tmp[:phi]
+
+
+def reference_power_row(n, k):
+    return reference_reduce(n, [0] * (k % n) + [1])
+
+
+def from_fractions(n, coeffs):
+    """The CycloNum with these rational power-basis coordinates, built
+    without the library's normalisation: the least common denominator."""
+    den = lcm(*(q.denominator for q in coeffs))
+    return CycloNum(n, tuple(int(q * den) for q in coeffs), den)
+
+
+def reference_mul(a, b):
+    """Schoolbook product, then the unfolded reduction."""
+    prod = reference_reduce(a.n, poly_mul(list(a.nums), list(b.nums)))
+    return from_fractions(a.n, [Fraction(c, a.den * b.den) for c in prod])
+
+
+def reference_evaluate_rep(rep, x):
+    """rho(x) as the sum of one reduced row zeta^e per term."""
+    n = rep.modulus
+    acc = [0] * euler_phi(n)
+    for w, c in x.terms:
+        validate_word(rep.spec, w)
+        e = sum(exp * rep.generator_exponents[f] for f, exp in w.letters)
+        for i, r in enumerate(reference_power_row(n, e)):
+            acc[i] += c * r
+    return CycloNum(n, tuple(acc), 1)
+
+
+def reference_galois_conjugate(a, k):
+    """zeta^j -> zeta^(jk) as one reduced row per coefficient."""
+    n = a.n
+    acc = [0] * euler_phi(n)
+    for j, c in enumerate(a.nums):
+        for i, r in enumerate(reference_power_row(n, j * k)):
+            acc[i] += c * r
+    return from_fractions(n, [Fraction(c, a.den) for c in acc])
+
+
+def lift_values(n, count, seed):
+    """Zero, an integer, zeta and values with large coefficients over
+    denominators above 1."""
+    rng = random.Random(seed)
+    phi = euler_phi(n)
+    out = [cyclo_zero(n), cyclo_int(n, -3), zeta(n)]
+    while len(out) < count:
+        nums = tuple(rng.randint(-10**6, 10**6) for _ in range(phi))
+        out.append(CycloNum(n, nums, 1) * cyclo_fraction(n, Fraction(1, rng.randint(1, 30))))
+    return out
+
+
+@pytest.mark.parametrize("n", LIFT_MODULI)
+class TestLift:
+    def test_reduction_matches_unfolded(self, n):
+        rng = random.Random(n)
+        for length in (1, euler_phi(n), n, 2 * euler_phi(n) - 1, 2 * n + 3, 3 * n):
+            coeffs = [rng.randint(-99, 99) for _ in range(length)]
+            assert list(cyclofield._reduce_mod_phi(n, coeffs)) == reference_reduce(n, coeffs)
+
+    def test_zeta_powers(self, n):
+        for k in range(-n, 2 * n + 1):
+            assert zeta(n, k).nums == tuple(reference_power_row(n, k))
+
+    def test_mul_matches_schoolbook(self, n):
+        values = lift_values(n, 5 if n > 60 else 8, n)
+        for a in values:
+            for b in values:
+                assert cyclo_mul(a, b) == reference_mul(a, b)
+
+    def test_mul_sub_matches_two_products(self, n):
+        """p*a - f*b with zero operands and denominators above 1."""
+        values = lift_values(n, 4 if n > 60 else 6, n + 1)
+        rng = random.Random(n)
+        for _ in range(12 if n > 60 else 60):
+            p, a, f, b = (rng.choice(values) for _ in range(4))
+            got = cyclofield.cyclo_mul_sub(p, a, f, b)
+            assert got == p * a - f * b
+            assert got == cyclo_add(reference_mul(p, a), cyclo_neg(reference_mul(f, b)))
+
+    def test_galois_conjugate_matches_rows(self, n):
+        for a in lift_values(n, 4, n + 2):
+            for k in units(n):
+                assert galois_conjugate(a, k) == reference_galois_conjugate(a, k)
+                assert galois_conjugate(a, k - n) == galois_conjugate(a, k)
+
+    def test_evaluate_rep_matches_rows(self, n):
+        rng = random.Random(n)
+        for e in sorted({0, 1, n // 2, n - 1, rng.randrange(n)}):
+            rep = representation(GroupSpec.cyclic(n), n, [e])
+            assert evaluate_rep(rep, ZERO_ELEM) == cyclo_zero(n)
+            for _ in range(20):
+                x = random_elem(rep.spec, rng, terms=4, span=5)
+                assert evaluate_rep(rep, x) == reference_evaluate_rep(rep, x)
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        representation(GroupSpec.cyclic(3), 12, [4]),
+        representation(GroupSpec.cyclic(5), 30, [12]),
+        representation(GroupSpec.cyclic(1), 9, [0]),
+        representation(FP77, 7, [1, 3]),
+        representation(FP77, 7, [0, 0]),
+        representation(GroupSpec.free_product([2, 3]), 6, [3, 2]),
+        representation(GroupSpec.free_product([2, 3, 5]), 30, [15, 10, 6]),
+        representation(GroupSpec.free_product([3, 5]), 15, [5, 0]),
+    ],
+    ids=rep_id,
+)
+def test_evaluate_rep_matches_rows_beyond_the_regular_rep(rep):
+    rng = random.Random(rep.modulus)
+    assert evaluate_rep(rep, ZERO_ELEM) == cyclo_zero(rep.modulus)
+    for _ in range(40):
+        x = random_elem(rep.spec, rng, terms=4, span=5)
+        assert evaluate_rep(rep, x) == reference_evaluate_rep(rep, x)
+
+
+@pytest.mark.parametrize(
+    "rep, letters",
+    [
+        (representation(Z7, 7, [1]), ((0, 0),)),
+        (representation(Z7, 7, [1]), ((0, 7),)),
+        (representation(Z7, 7, [1]), ((0, -1),)),
+        (representation(Z7, 7, [1]), ((1, 1),)),
+        (representation(Z7, 7, [1]), ((0, 1), (0, 2))),
+        (representation(GroupSpec.cyclic(1), 7, [0]), ((0, 1),)),
+        (representation(FP77, 7, [1, 1]), ((0, 1), (0, 2))),
+        (representation(FP77, 7, [1, 1]), ((2, 1),)),
+        (representation(FP77, 7, [1, 1]), ((1, 7),)),
+    ],
+    ids=lambda v: rep_id(v) if hasattr(v, "spec") else str(v),
+)
+def test_evaluate_rep_rejects_invalid_words(rep, letters):
+    x = elem_from_dict({GroupWord(letters): 2, GroupWord(): 1})
+    with pytest.raises(InvalidWordError):
+        evaluate_rep(rep, x)
+
+
+def linear_pow(a, k):
+    """a^k as |k| products, of 1/a for negative k."""
+    base = cyclo_inv(a) if k < 0 else a
+    out = cyclo_one(a.n)
+    for _ in range(abs(k)):
+        out = cyclo_mul(out, base)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 12])
+def test_pow_matches_repeated_products(n):
+    values = [cyclo_int(n, 2), zeta(n), cyclo_one(n) - zeta(n, 5) * cyclo_fraction(n, Fraction(2, 3))]
+    for a in values:
+        for k in range(-20, 21):
+            if a or k >= 0:
+                assert cyclo_pow(a, k) == linear_pow(a, k)
+    assert cyclo_pow(cyclo_zero(n), 0) == cyclo_one(n)
+    with pytest.raises(ZeroDivisionError):
+        cyclo_pow(cyclo_zero(n), -1)
+
+
+def test_large_power_takes_logarithmically_many_products(monkeypatch):
+    calls = []
+    mul = cyclofield.cyclo_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(cyclofield, "cyclo_mul", counted)
+    k = 10**6
+    assert cyclo_pow(zeta(7), k) == zeta(7, k % 7)
+    assert len(calls) <= 2 * k.bit_length()
