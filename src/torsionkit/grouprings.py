@@ -13,8 +13,12 @@ check each operand word once per product, not once per pair of terms, and
 raise ``InvalidWordError`` for a word that is not reduced.  Over Z/n, for
 every n, that check is reading the exponent e (0 <= e < n) off the word
 (``cyclic_terms``, which ``cyclofield.evaluate_rep`` shares), and elements
-multiply as sums indexed by the exponent, a cyclic convolution.  Over a
-free product two words concatenate when the seam
+multiply as sums indexed by the exponent, a cyclic convolution.  Certificate
+replay over Z/n reads each word once, when ``exponent_form`` turns start's
+entries and each op's coefficient into maps from exponent to coefficient;
+``exponent_mul_add`` then multiplies exponents only, and
+``elem_from_exponents`` writes only reduced words.  Over a free product two
+words concatenate when the seam
 letters lie in different factors and merge on a stack when they share one.
 """
 from __future__ import annotations
@@ -210,16 +214,23 @@ def cyclic_terms(n: int, x: GroupRingElem, words: dict) -> list[tuple[int, int]]
     return terms
 
 
+def _convolve_into(n: int, sums: dict, a, b) -> dict:
+    """Add a*b into ``sums`` by exponent over Z/n; a and b are
+    (exponent, coefficient) pairs, and g^i * g^j = g^((i + j) % n)."""
+    for i, ca in a:
+        for j, cb in b:
+            k = (i + j) % n
+            sums[k] = sums.get(k, 0) + ca * cb
+    return sums
+
+
 def _cyclic_mul_add(n: int, acc: GroupRingElem, a: GroupRingElem, b: GroupRingElem):
     """acc + a*b over Z/n, summed by exponent.  A product's word is one of
     the operands' words when one has its exponent, else a new g^k."""
     words: dict[int, GroupWord] = {}
-    sums = dict(cyclic_terms(n, acc, words))
-    eb = cyclic_terms(n, b, words)
-    for i, ca in cyclic_terms(n, a, words):
-        for j, cb in eb:
-            k = (i + j) % n
-            sums[k] = sums.get(k, 0) + ca * cb
+    sums = _convolve_into(
+        n, dict(cyclic_terms(n, acc, words)), cyclic_terms(n, a, words), cyclic_terms(n, b, words)
+    )
     terms = []
     for k, c in sorted(sums.items()):
         if c:
@@ -228,6 +239,47 @@ def _cyclic_mul_add(n: int, acc: GroupRingElem, a: GroupRingElem, b: GroupRingEl
                 w = GroupWord(((0, k),)) if k else IDENTITY_WORD
             terms.append((w, c))
     return GroupRingElem(tuple(terms))
+
+
+# Z[Z/n] in exponent form: a map from exponent to coefficient with no zero
+# coefficient, which ``simpleops.replay_end`` folds a certificate's ops on.
+
+
+def exponent_form(n: int, x: GroupRingElem) -> dict[int, int]:
+    """x over Z/n in exponent form, each word checked by ``cyclic_terms``.
+    Callers treat the map as immutable."""
+    return dict(cyclic_terms(n, x, {}))
+
+
+def exponent_mul_add(n: int, acc: dict, a: dict, b: dict) -> dict[int, int]:
+    """acc + a*b over Z/n in exponent form, as a new map.  A one-term factor
+    shifts the other factor's exponents, so that product has no collisions."""
+    if len(a) == 1:
+        ((i, ca),) = a.items()
+        prod = {(i + j) % n: ca * cb for j, cb in b.items()}
+    elif len(b) == 1:
+        ((j, cb),) = b.items()
+        prod = {(i + j) % n: ca * cb for i, ca in a.items()}
+    else:
+        prod = {k: c for k, c in _convolve_into(n, {}, a.items(), b.items()).items() if c}
+    if not acc:
+        return prod
+    sums = acc.copy()
+    get = sums.get
+    for k, c in prod.items():
+        c += get(k, 0)
+        if c:
+            sums[k] = c
+        else:
+            del sums[k]
+    return sums
+
+
+def elem_from_exponents(x: dict) -> GroupRingElem:
+    """The element of Z[Z/n] whose coefficient at g^k is x[k]."""
+    return GroupRingElem(tuple(
+        (GroupWord(((0, k),)) if k else IDENTITY_WORD, c) for k, c in sorted(x.items())
+    ))
 
 
 def _word_mul_add(spec: GroupSpec, acc: GroupRingElem, a: GroupRingElem, b: GroupRingElem):

@@ -16,11 +16,21 @@ Coefficients act on the left of basis vectors, so a slide multiplies the
 outgoing column a by x on the left and corrects the incoming row b by x on
 the right; a deck transform does the analogous one-sided rescalings.
 Certificates record (start, ops, end) and can be replayed mechanically.
+
+Both primitives, and so every op's checks and errors, take the arithmetic
+of the entries as an ``_Entries``: zero, one, the fused multiply-add and the
++-g pivot test.  ``apply_op`` works on ``GroupRingElem`` entries.  Over Z/n,
+``replay_end`` works in exponent form (``grouprings.exponent_form``, a map
+from exponent to coefficient) and converts at two points: start's entries
+once before the first op, and the end back to ``GroupRingElem``s once after
+the last.  Over a free product it folds the ops on words.
 """
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 from .grouprings import (
     GroupRingElem,
@@ -31,8 +41,11 @@ from .grouprings import (
     ZERO_ELEM,
     _word_from_obj,
     elem_from_dict,
+    elem_from_exponents,
     elem_from_obj,
     elem_to_obj,
+    exponent_form,
+    exponent_mul_add,
     generator_word,
     json_int,
     monomial,
@@ -94,7 +107,48 @@ class DeckTransform:
 SimpleOp = Expansion | Retraction | HandleSlide | DeckTransform
 
 
-def _edit_block(c: BasedComplex, d: int, k: int, insert: bool) -> BasedComplex:
+@dataclass(frozen=True, slots=True)
+class _Entries:
+    """The arithmetic of a complex's entries that the ops use: ``zero`` and
+    ``one``, ``entry`` to read an op's coefficient, ``mul_add(acc, a, b)`` =
+    acc + a*b with a's words on the left, and ``is_signed_word``, the +-g
+    test of a retraction's pivot.  Entries are never mutated, so one zero
+    fills every new slot."""
+
+    zero: object
+    one: object
+    entry: Callable[[GroupRingElem], object]
+    mul_add: Callable[[object, object, object], object]
+    is_signed_word: Callable[[object], bool]
+
+
+@lru_cache(maxsize=64)
+def _word_entries(spec: GroupSpec) -> _Entries:
+    """Entries are ``GroupRingElem``s.  Cached, because ``apply_op`` and
+    ``retractable_positions`` ask for it on every call."""
+    return _Entries(ZERO_ELEM, ONE_ELEM, _as_is, partial(ring_mul_add, spec), _is_signed_elem)
+
+
+def _exponent_entries(n: int) -> _Entries:
+    """Entries over Z/n are exponent maps (``grouprings.exponent_form``)."""
+    return _Entries(
+        {}, {0: 1}, partial(exponent_form, n), partial(exponent_mul_add, n), _is_signed_exponents
+    )
+
+
+def _as_is(x):
+    return x
+
+
+def _is_signed_elem(x: GroupRingElem) -> bool:
+    return len(x.terms) == 1 and x.terms[0][1] in (1, -1)
+
+
+def _is_signed_exponents(x: dict) -> bool:
+    return len(x) == 1 and next(iter(x.values())) in (1, -1)
+
+
+def _edit_block(c: BasedComplex, d: int, k: int, ar: _Entries, insert: bool) -> BasedComplex:
     """Insert (or delete) basis vector k of degrees d and d+1.
 
     Their ranks and labels change, and so do column k of each outgoing
@@ -106,6 +160,7 @@ def _edit_block(c: BasedComplex, d: int, k: int, insert: bool) -> BasedComplex:
     ranks = [c.rank(i) for i in range(lo, hi + 1)]
     labels = [list(c.degree_labels(i)) for i in range(lo, hi + 1)]
     diffs = [c.diff(i) for i in range(lo, hi)]
+    zero = ar.zero
     for i, label in ((d, f"u{d}_{k}"), (d + 1, f"v{d + 1}_{k}")):
         at = i - lo
         if insert:
@@ -116,38 +171,36 @@ def _edit_block(c: BasedComplex, d: int, k: int, insert: bool) -> BasedComplex:
             del labels[at][k]
         if i < hi:  # column k of the outgoing d_i
             diffs[at] = [
-                r[:k] + (ZERO_ELEM,) + r[k:] if insert else r[:k] + r[k + 1:]
+                r[:k] + (zero,) + r[k:] if insert else r[:k] + r[k + 1:]
                 for r in diffs[at]
             ]
         if i > lo:  # row k of the incoming d_{i-1}, as wide as C_{i-1} is now
             rows = list(diffs[at - 1])
             if insert:
-                rows.insert(k, (ZERO_ELEM,) * ranks[at - 1])
+                rows.insert(k, (zero,) * ranks[at - 1])
             else:
                 del rows[k]
             diffs[at - 1] = rows
     if insert:
         m = diffs[d - lo]
-        m[k] = m[k][:k] + (ONE_ELEM,) + m[k][k + 1:]
+        m[k] = m[k][:k] + (ar.one,) + m[k][k + 1:]
     return based_complex(c.spec, lo, ranks, diffs, labels)
 
 
-def _apply_expansion(c: BasedComplex, op: Expansion) -> BasedComplex:
+def _apply_expansion(c: BasedComplex, op: Expansion, ar: _Entries) -> BasedComplex:
     d, k = op.degree, op.position
     if k < 0 or k > c.rank(d) or k > c.rank(d + 1):
         raise InvalidOpError(f"expansion position {k} out of range at degree {d}")
-    return _edit_block(c, d, k, insert=True)
+    return _edit_block(c, d, k, ar, insert=True)
 
 
-def _is_retractable(c: BasedComplex, d: int, k: int) -> bool:
+def _is_retractable(c: BasedComplex, d: int, k: int, ar: _Entries) -> bool:
     """Whether basis vector k of degrees d and d+1 spans a trivial summand:
     a +-g pivot at [k][k] of d_d, and nothing else in row k or column k of
     d_d, in row k of d_{d-1} or in column k of d_{d+1}."""
     m = c.diff(d)
-    terms = m[k][k].terms
     return (
-        len(terms) == 1
-        and terms[0][1] in (1, -1)
+        ar.is_signed_word(m[k][k])
         and not any(x for j, x in enumerate(m[k]) if j != k)
         and not any(r[k] for i, r in enumerate(m) if i != k)
         and not any(c.diff(d - 1)[k])
@@ -157,26 +210,27 @@ def _is_retractable(c: BasedComplex, d: int, k: int) -> bool:
 
 def retractable_positions(c: BasedComplex, degree: int) -> list[int]:
     """Indices k where (degree, k) names a deletable trivial summand."""
+    ar = _word_entries(c.spec)
     return [
         k for k in range(min(c.rank(degree), c.rank(degree + 1)))
-        if _is_retractable(c, degree, k)
+        if _is_retractable(c, degree, k, ar)
     ]
 
 
-def _apply_retraction(c: BasedComplex, op: Retraction) -> BasedComplex:
+def _apply_retraction(c: BasedComplex, op: Retraction, ar: _Entries) -> BasedComplex:
     d, k = op.degree, op.position
     if not (0 <= k < c.rank(d) and k < c.rank(d + 1)):
         raise InvalidOpError(f"retraction position {k} out of range at degree {d}")
-    if not _is_retractable(c, d, k):
+    if not _is_retractable(c, d, k, ar):
         raise InvalidOpError(
             f"block ({d}, {k}) is not a trivial [Z[G] -> Z[G]] summand"
         )
-    return _edit_block(c, d, k, insert=False)
+    return _edit_block(c, d, k, ar, insert=False)
 
 
 def _change_basis(
     c: BasedComplex, d: int, target: int, source: int,
-    left: GroupRingElem, right: GroupRingElem,
+    left: GroupRingElem, right: GroupRingElem, ar: _Entries,
 ) -> BasedComplex:
     """Replace basis element ``target`` of degree d by left*c_source, added
     to c_target when the indices differ.
@@ -188,7 +242,8 @@ def _change_basis(
     Ranks, labels and the window stay, and every row stays a tuple of the
     same length, so the result needs no shape check.
     """
-    spec = c.spec
+    mul_add = ar.mul_add
+    left, right = ar.entry(left), ar.entry(right)
     lo = c.min_degree
     diffs = list(c.differentials)
     if d < c.max_degree:
@@ -196,48 +251,51 @@ def _change_basis(
         for i, row in enumerate(m):
             x = row[source]
             if x:
-                acc = ZERO_ELEM if target == source else row[target]
-                m[i] = row[:target] + (ring_mul_add(spec, acc, left, x),) + row[target + 1:]
+                acc = ar.zero if target == source else row[target]
+                m[i] = row[:target] + (mul_add(acc, left, x),) + row[target + 1:]
         diffs[d - lo] = tuple(m)
     if d > lo:
         m = list(c.diff(d - 1))
-        accs = m[source] if target != source else (ZERO_ELEM,) * len(m[target])
+        accs = m[source] if target != source else (ar.zero,) * len(m[target])
         m[source] = tuple(
-            ring_mul_add(spec, acc, x, right) if x else acc for x, acc in zip(m[target], accs)
+            mul_add(acc, x, right) if x else acc for x, acc in zip(m[target], accs)
         )
         diffs[d - 1 - lo] = tuple(m)
-    return replace(c, differentials=tuple(diffs))
+    return BasedComplex(c.spec, lo, c.max_degree, c.ranks, tuple(diffs), c.labels)
 
 
-def _apply_handle_slide(c: BasedComplex, op: HandleSlide) -> BasedComplex:
+def _apply_handle_slide(c: BasedComplex, op: HandleSlide, ar: _Entries) -> BasedComplex:
     d, a, b, x = op.degree, op.target, op.source, op.coefficient
     r = c.rank(d)
     if a == b:
         raise InvalidOpError("handle slide needs distinct indices")
     if not (0 <= a < r and 0 <= b < r):
         raise InvalidOpError(f"slide indices ({a}, {b}) out of range at degree {d}")
-    return _change_basis(c, d, a, b, x, -x)
+    return _change_basis(c, d, a, b, x, -x, ar)
 
 
-def _apply_deck(c: BasedComplex, op: DeckTransform) -> BasedComplex:
+def _apply_deck(c: BasedComplex, op: DeckTransform, ar: _Entries) -> BasedComplex:
     d, idx, w = op.degree, op.index, op.word
     if not (0 <= idx < c.rank(d)):
         raise InvalidOpError(f"deck index {idx} out of range at degree {d}")
     # word_inverse validates w
     return _change_basis(
-        c, d, idx, idx, monomial(w), monomial(word_inverse(c.spec, w))
+        c, d, idx, idx, monomial(w), monomial(word_inverse(c.spec, w)), ar
     )
 
 
-def apply_op(c: BasedComplex, op: SimpleOp) -> BasedComplex:
+def apply_op(c: BasedComplex, op: SimpleOp, ar: _Entries | None = None) -> BasedComplex:
+    """The complex after one op.  ``ar`` is the arithmetic of c's entries
+    when they are not ``GroupRingElem``s, as inside ``replay_end``."""
+    ar = ar or _word_entries(c.spec)
     if isinstance(op, Expansion):
-        return _apply_expansion(c, op)
+        return _apply_expansion(c, op, ar)
     if isinstance(op, Retraction):
-        return _apply_retraction(c, op)
+        return _apply_retraction(c, op, ar)
     if isinstance(op, HandleSlide):
-        return _apply_handle_slide(c, op)
+        return _apply_handle_slide(c, op, ar)
     if isinstance(op, DeckTransform):
-        return _apply_deck(c, op)
+        return _apply_deck(c, op, ar)
     raise InvalidOpError(f"unknown operation {op!r}")
 
 
@@ -250,12 +308,30 @@ class OpCertificate:
     end: BasedComplex
 
 
+def _map_entries(c: BasedComplex, f) -> BasedComplex:
+    return replace(c, differentials=tuple(
+        tuple(tuple(f(x) for x in row) for row in m) for m in c.differentials
+    ))
+
+
 def replay_end(cert: OpCertificate) -> BasedComplex:
-    """The complex that folding the ops over start builds."""
-    c = cert.start
-    for step, op in enumerate(cert.ops):
+    """The complex that folding the ops over start builds.
+
+    Over Z/n the fold runs in exponent form: start's entries are read into
+    it once, every op acts on exponent maps, and the end is converted back
+    to ``GroupRingElem``s once.  Over a free product it runs on words."""
+    spec = cert.start.spec
+    if spec.kind != "cyclic":
+        return _fold(cert.start, cert.ops, _word_entries(spec))
+    n = spec.factor_orders[0]
+    c = _map_entries(cert.start, partial(exponent_form, n))
+    return _map_entries(_fold(c, cert.ops, _exponent_entries(n)), elem_from_exponents)
+
+
+def _fold(c: BasedComplex, ops, ar: _Entries) -> BasedComplex:
+    for step, op in enumerate(ops):
         try:
-            c = apply_op(c, op)
+            c = apply_op(c, op, ar)
         except InvalidOpError as exc:
             raise InvalidOpError(f"step {step}: {exc}") from exc
     return c

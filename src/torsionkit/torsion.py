@@ -100,7 +100,8 @@ def _eliminate(mat, rows: list[int], scan: list[int], n: int):
             f = wr[j]
             if f:
                 for c in scan[t + 1:]:
-                    wr[c] = cyclo_mul_sub(p, wr[c], f, wp[c])
+                    if wr[c] or wp[c]:  # else p*0 - f*0 leaves the zero
+                        wr[c] = cyclo_mul_sub(p, wr[c], f, wp[c])
                 den = cyclo_mul(den, p)
         if not work:
             break

@@ -242,7 +242,9 @@ class TestCanonicalRep:
 
 def bfs_units(n, exponents):
     """The group generated by -1 and the zeta^e for e in ``exponents``, by
-    breadth-first search through cyclo_mul."""
+    breadth-first search through cyclo_mul.  It lies in {+-zeta^k}, so a
+    search that finds more than 2n elements fails: a wrong cyclo_mul then
+    fails the test instead of searching forever."""
     gens = [cyclo_neg(cyclo_one(n))] + [zeta(n, e) for e in exponents]
     elems = {cyclo_one(n)}
     frontier = list(elems)
@@ -254,6 +256,8 @@ def bfs_units(n, exponents):
                 if v not in elems:
                     elems.add(v)
                     nxt.append(v)
+                    if len(elems) > 2 * n:
+                        pytest.fail(f"more than 2n = {2 * n} products of -1 and zeta^e in Q(zeta_{n})")
         frontier = nxt
     return frozenset(elems)
 
