@@ -180,6 +180,20 @@ class BasedComplex(_GradedComplex):
         return ZERO_ELEM
 
 
+def support(ranks) -> tuple[int, int] | None:
+    """The first and last index of a nonzero rank, or None when all are zero.
+
+    A based complex keeps only this window of degrees (the zero complex keeps
+    degree 0), so structural equality agrees with equality of based
+    complexes."""
+    if ranks[0] and ranks[-1]:
+        return 0, len(ranks) - 1
+    if not any(ranks):
+        return None
+    first = next(k for k, r in enumerate(ranks) if r)
+    return first, len(ranks) - 1 - next(k for k, r in enumerate(reversed(ranks)) if r)
+
+
 def based_complex(
     spec: GroupSpec,
     min_degree: int,
@@ -206,12 +220,10 @@ def based_complex(
         labels = list(labels)
         if len(labels) != len(ranks):
             raise ShapeMismatchError("labels must match ranks degreewise")
-    # canonical support window: trim zero-rank degrees at both ends, so
-    # structural equality agrees with equality of based complexes
-    if not any(ranks):
+    window = support(ranks)
+    if window is None:
         return BasedComplex(spec, 0, 0, (0,), (), ((),))
-    first = next(k for k, r in enumerate(ranks) if r)
-    last = len(ranks) - 1 - next(k for k, r in enumerate(reversed(ranks)) if r)
+    first, last = window
     if first or last != len(ranks) - 1:
         min_degree += first
         ranks = ranks[first : last + 1]

@@ -556,7 +556,10 @@ def cmd_gen_cert(args) -> Report:
     # max_growth, so it can reach start + max_growth + 1; verify-cert refuses
     # a certificate whose replay passes MAX_TOTAL_RANK
     growth = min(DEFAULT_MAX_GROWTH, MAX_TOTAL_RANK - 1 - c.total_rank())
-    cert = random_op_sequence(c, args.length, args.seed, growth)
+    try:
+        cert = random_op_sequence(c, args.length, args.seed, growth)
+    except InvalidOpError as exc:
+        raise CliError(f"cannot generate a certificate: {exc}")
     _write_text(args.out, dumps_canonical(cert_to_obj(cert)))
     return Report(
         "gen-cert",

@@ -6,20 +6,26 @@ group words; all values are immutable and normalization is eager, so
 equality is structural.
 
 Validity.  A word is checked against its group where it comes in: the file
-reader ``elem_from_obj`` and the certificate reader, ``generator_word``, and
-the public word functions ``word_multiply`` and ``word_inverse``, which
-validate their operands on every call.  ``ring_mul`` and ``ring_mul_add``
-check each operand word once per product, not once per pair of terms, and
-raise ``InvalidWordError`` for a word that is not reduced.  Over Z/n, for
-every n, that check is reading the exponent e (0 <= e < n) off the word
-(``cyclic_terms``, which ``cyclofield.evaluate_rep`` shares), and elements
-multiply as sums indexed by the exponent, a cyclic convolution.  Certificate
-replay over Z/n reads each word once, when ``exponent_form`` turns start's
-entries and each op's coefficient into maps from exponent to coefficient;
-``exponent_mul_add`` then multiplies exponents only, and
+readers ``elem_from_obj`` and ``word_from_obj``, ``generator_word``, and the
+public word functions ``word_multiply`` and ``word_inverse``, which validate
+their operands on every call.  Over Z/n the readers check a document term
+``[c, []]`` or ``[c, [[0, e]]]`` in place, as plain JSON ints (no bools)
+with factor 0 and 0 < e < n, and read it straight into an exponent; every
+other term takes the word path (``_word_from_obj``, then
+``validate_word``), so a refused term gets the same error text either way.
+``ring_mul`` and ``ring_mul_add`` check each operand word once per product,
+not once per pair of terms, and raise ``InvalidWordError`` for a word that
+is not reduced.  Over Z/n, for every n, that check is reading the exponent
+e (0 <= e < n) off the word (``cyclic_terms``, which
+``cyclofield.evaluate_rep`` shares), and elements multiply as sums indexed
+by the exponent, a cyclic convolution.  Certificate replay over Z/n reads
+each word once more, when ``exponent_form`` turns start's entries and each
+slide's coefficient into maps from exponent to coefficient (a deck's word
+is checked by ``validate_word``); ``exponent_mul_add`` then multiplies
+exponents only, adding into its accumulator in place, and
 ``elem_from_exponents`` writes only reduced words.  Over a free product two
-words concatenate when the seam
-letters lie in different factors and merge on a stack when they share one.
+words concatenate when the seam letters lie in different factors and merge
+on a stack when they share one.
 """
 from __future__ import annotations
 
@@ -88,13 +94,14 @@ IDENTITY_WORD = GroupWord()
 
 
 def validate_word(spec: GroupSpec, w: GroupWord) -> None:
+    orders = spec.factor_orders
     prev_factor = -1
     for factor, exp in w.letters:
-        if not 0 <= factor < spec.num_factors:
+        if not 0 <= factor < len(orders):
             raise InvalidWordError(f"factor index {factor} out of range")
         if factor == prev_factor:
             raise InvalidWordError("adjacent letters share a factor")
-        order = spec.order_of(factor)
+        order = orders[factor]
         if not 1 <= exp <= order - 1:
             raise InvalidWordError(f"exponent {exp} not reduced mod {order}")
         prev_factor = factor
@@ -246,33 +253,35 @@ def _cyclic_mul_add(n: int, acc: GroupRingElem, a: GroupRingElem, b: GroupRingEl
 
 
 def exponent_form(n: int, x: GroupRingElem) -> dict[int, int]:
-    """x over Z/n in exponent form, each word checked by ``cyclic_terms``.
-    Callers treat the map as immutable."""
+    """x over Z/n in exponent form, each word checked by ``cyclic_terms``,
+    as a new map that the caller owns."""
     return dict(cyclic_terms(n, x, {}))
 
 
 def exponent_mul_add(n: int, acc: dict, a: dict, b: dict) -> dict[int, int]:
-    """acc + a*b over Z/n in exponent form, as a new map.  A one-term factor
-    shifts the other factor's exponents, so that product has no collisions."""
-    if len(a) == 1:
-        ((i, ca),) = a.items()
-        prod = {(i + j) % n: ca * cb for j, cb in b.items()}
-    elif len(b) == 1:
-        ((j, cb),) = b.items()
-        prod = {(i + j) % n: ca * cb for i, ca in a.items()}
-    else:
-        prod = {k: c for k, c in _convolve_into(n, {}, a.items(), b.items()).items() if c}
+    """acc + a*b over Z/n in exponent form.  A non-empty acc is updated in
+    place and returned; an empty acc, which may be a shared zero, is never
+    written, and the sum comes back as a new map.  acc must be neither a nor
+    b.  A one-term factor shifts the other factor's exponents, so that
+    product into an empty acc has no collisions."""
     if not acc:
-        return prod
-    sums = acc.copy()
-    get = sums.get
-    for k, c in prod.items():
-        c += get(k, 0)
-        if c:
-            sums[k] = c
-        else:
-            del sums[k]
-    return sums
+        if len(a) == 1:
+            ((i, ca),) = a.items()
+            return {(i + j) % n: ca * cb for j, cb in b.items()}
+        if len(b) == 1:
+            ((j, cb),) = b.items()
+            return {(i + j) % n: ca * cb for i, ca in a.items()}
+        acc = {}
+    get = acc.get
+    for i, ca in a.items():
+        for j, cb in b.items():
+            k = (i + j) % n
+            c = get(k, 0) + ca * cb
+            if c:
+                acc[k] = c
+            else:  # ca * cb != 0, so k was in acc
+                del acc[k]
+    return acc
 
 
 def elem_from_exponents(x: dict) -> GroupRingElem:
@@ -363,13 +372,57 @@ def _word_from_obj(letters) -> GroupWord:
     return GroupWord(tuple((json_int(f), json_int(e)) for f, e in _json_pairs(letters, "letter")))
 
 
+def _plain_exponent(n: int, letters) -> int | None:
+    """e when a document's letter list is ``[]`` (e = 0) or ``[[0, e]]`` with
+    plain ints and 0 < e < n, else None."""
+    if type(letters) is not list:
+        return None
+    if not letters:
+        return 0
+    if len(letters) == 1 and type(letters[0]) is list and len(letters[0]) == 2:
+        f, e = letters[0]
+        if type(f) is int and f == 0 and type(e) is int and 0 < e < n:
+            return e
+    return None
+
+
+def word_from_obj(spec: GroupSpec, letters) -> GroupWord:
+    """The word a document's letter list spells, checked against spec: over
+    Z/n a plain ``[]`` or ``[[0, e]]`` is read at once, any other list goes
+    through ``_word_from_obj`` and ``validate_word``."""
+    if spec.kind == "cyclic":
+        e = _plain_exponent(spec.factor_orders[0], letters)
+        if e is not None:
+            return GroupWord(((0, e),)) if e else IDENTITY_WORD
+    w = _word_from_obj(letters)
+    validate_word(spec, w)
+    return w
+
+
 def elem_from_obj(spec: GroupSpec, obj) -> GroupRingElem:
-    acc: dict[GroupWord, int] = {}
-    for c, letters in _json_pairs(obj, "term"):
-        w = _word_from_obj(letters)
-        validate_word(spec, w)
-        acc[w] = acc.get(w, 0) + json_int(c)
-    return elem_from_dict(acc)
+    """The element a document's term list spells, each word checked.
+
+    Over Z/n a term ``[c, []]`` or ``[c, [[0, e]]]`` with plain ints c, e and
+    0 < e < n is read straight into a map from exponent to coefficient; every
+    other term goes through ``word_from_obj``, which refuses it with the word
+    path's text or gives its exponent, and ``json_int``."""
+    pairs = _json_pairs(obj, "term")
+    if spec.kind != "cyclic":
+        acc: dict[GroupWord, int] = {}
+        for c, letters in pairs:
+            w = word_from_obj(spec, letters)
+            acc[w] = acc.get(w, 0) + json_int(c)
+        return elem_from_dict(acc)
+    n = spec.factor_orders[0]
+    sums: dict[int, int] = {}
+    for c, letters in pairs:
+        e = _plain_exponent(n, letters) if type(c) is int else None
+        if e is None:
+            w = word_from_obj(spec, letters)
+            e = w.letters[0][1] if w.letters else 0
+            c = json_int(c)
+        sums[e] = sums.get(e, 0) + c
+    return elem_from_exponents({e: c for e, c in sums.items() if c})
 
 
 def spec_to_obj(spec: GroupSpec) -> dict:

@@ -16,9 +16,18 @@ from torsionkit.grouprings import (
     from_int,
     generator_elem,
     generator_word,
+    monomial,
     ring_sub,
+    word_inverse,
 )
-from torsionkit.chaincomplex import BasedComplex, based_complex, direct_sum, two_term_complex
+from torsionkit.chaincomplex import (
+    BasedComplex,
+    based_complex,
+    direct_sum,
+    mat_compose,
+    mat_identity,
+    two_term_complex,
+)
 from torsionkit.simpleops import DeckTransform, HandleSlide, apply_op
 
 Z7 = GroupSpec.cyclic(7)
@@ -272,3 +281,25 @@ def twisted_lens_cells(spec: GroupSpec, factor: int, twist: int, p: int, r: int)
         [((top,),), ((norm,),), ((bottom,),)],
         [("e3",), ("e2",), ("e1",), ("e0",)],
     )
+
+
+def basis_change_by_matrices(c, op):
+    """A slide c_a -> c_a + x*c_b or a deck c_i -> w*c_i as d_d . P on the
+    outgoing side and P^-1 . d_(d-1) on the incoming side, where P holds the
+    new basis in old coordinates."""
+    spec, d = c.spec, op.degree
+    p = [list(row) for row in mat_identity(c.rank(d))]
+    q = [list(row) for row in mat_identity(c.rank(d))]
+    if isinstance(op, HandleSlide):
+        p[op.source][op.target] = op.coefficient
+        q[op.source][op.target] = -op.coefficient
+    else:
+        p[op.index][op.index] = monomial(op.word)
+        q[op.index][op.index] = monomial(word_inverse(spec, op.word))
+    p, q = tuple(map(tuple, p)), tuple(map(tuple, q))
+    diffs = [c.diff(i) for i in range(c.min_degree, c.max_degree)]
+    if d < c.max_degree:
+        diffs[d - c.min_degree] = mat_compose(spec, c.diff(d), p, c.rank(d))
+    if d > c.min_degree:
+        diffs[d - 1 - c.min_degree] = mat_compose(spec, q, c.diff(d - 1), c.rank(d - 1))
+    return based_complex(spec, c.min_degree, c.ranks, diffs, c.labels)

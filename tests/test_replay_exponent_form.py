@@ -1,9 +1,9 @@
 """Differential tests: replay over Z/n in exponent form against the word form.
 
 ``replay_end`` reads start's entries into exponent form once, folds the ops
-on exponent maps and converts the end back once.  ``word_replay_end`` is
-the fold as it was before: every op on ``GroupRingElem`` entries, through
-``apply_op`` without an arithmetic.  Both must build the same end, term
+on exponent maps in one working copy and converts the end back once.
+``word_replay_end`` folds ``apply_op`` instead: every op on its own copy
+with ``GroupRingElem`` entries.  Both must build the same end, term
 order included, and refuse an invalid op with the same ``step i: ...``
 text.  ``basis_change_by_matrices`` is an independent reference for the
 two ops that multiply: a slide or deck is the product with its basis-change
@@ -14,14 +14,7 @@ import random
 
 import pytest
 
-from torsionkit.chaincomplex import (
-    based_complex,
-    direct_sum,
-    dumps_canonical,
-    mat_compose,
-    mat_identity,
-    two_term_complex,
-)
+from torsionkit.chaincomplex import direct_sum, dumps_canonical, two_term_complex
 from torsionkit.cli import main
 from torsionkit.grouprings import (
     GroupSpec,
@@ -35,10 +28,8 @@ from torsionkit.grouprings import (
     exponent_mul_add,
     generator_elem,
     generator_word,
-    monomial,
     ring_mul_add,
     ring_sub,
-    word_inverse,
 )
 from torsionkit.lensspaces import lens_complex, lens_params
 from torsionkit.simpleops import (
@@ -55,14 +46,13 @@ from torsionkit.simpleops import (
     replay_end,
 )
 
-from helpers import random_acyclic_complex, random_elem, random_group_complex
+from helpers import basis_change_by_matrices, random_acyclic_complex, random_elem, random_group_complex
 
 ORDERS = (1, 2, 7, 13, 1000)
 
 
 def word_replay_end(cert):
-    """The fold on ``GroupRingElem`` entries, as ``replay_end`` was before
-    the exponent form."""
+    """The fold on ``GroupRingElem`` entries, one ``apply_op`` per op."""
     c = cert.start
     for step, op in enumerate(cert.ops):
         try:
@@ -70,28 +60,6 @@ def word_replay_end(cert):
         except InvalidOpError as exc:
             raise InvalidOpError(f"step {step}: {exc}") from exc
     return c
-
-
-def basis_change_by_matrices(c, op):
-    """A slide c_a -> c_a + x*c_b or a deck c_i -> w*c_i as d_d . P on the
-    outgoing side and P^-1 . d_(d-1) on the incoming side, where P holds the
-    new basis in old coordinates."""
-    spec, d = c.spec, op.degree
-    p = [list(row) for row in mat_identity(c.rank(d))]
-    q = [list(row) for row in mat_identity(c.rank(d))]
-    if isinstance(op, HandleSlide):
-        p[op.source][op.target] = op.coefficient
-        q[op.source][op.target] = -op.coefficient
-    else:
-        p[op.index][op.index] = monomial(op.word)
-        q[op.index][op.index] = monomial(word_inverse(spec, op.word))
-    p, q = tuple(map(tuple, p)), tuple(map(tuple, q))
-    diffs = [c.diff(i) for i in range(c.min_degree, c.max_degree)]
-    if d < c.max_degree:
-        diffs[d - c.min_degree] = mat_compose(spec, c.diff(d), p, c.rank(d))
-    if d > c.min_degree:
-        diffs[d - 1 - c.min_degree] = mat_compose(spec, q, c.diff(d - 1), c.rank(d - 1))
-    return based_complex(spec, c.min_degree, c.ranks, diffs, c.labels)
 
 
 def _starts(n):
