@@ -351,7 +351,7 @@ def evaluate_rep(rep: Representation, x: GroupRingElem) -> CycloNum:
     acc = [0] * n
     if spec.kind == "cyclic":
         g = exps[0]
-        for e, c in cyclic_terms(spec.factor_orders[0], x, {}):
+        for e, c in cyclic_terms(spec.factor_orders[0], x.terms):
             acc[e * g % n] += c
     else:
         for w, c in x.terms:

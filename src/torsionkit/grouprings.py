@@ -18,18 +18,26 @@ not once per pair of terms, and raise ``InvalidWordError`` for a word that
 is not reduced.  Over Z/n, for every n, that check is reading the exponent
 e (0 <= e < n) off the word (``cyclic_terms``, which
 ``cyclofield.evaluate_rep`` shares), and elements multiply as sums indexed
-by the exponent, a cyclic convolution.  Certificate replay over Z/n reads
-each word once more, when ``exponent_form`` turns start's entries and each
-slide's coefficient into maps from exponent to coefficient (a deck's word
-is checked by ``validate_word``); ``exponent_mul_add`` then multiplies
-exponents only, adding into its accumulator in place, and
-``elem_from_exponents`` writes only reduced words.  Over a free product two
-words concatenate when the seam letters lie in different factors and merge
-on a stack when they share one.
+by the exponent, a cyclic convolution.  Over a free product two words
+concatenate when the seam letters lie in different factors and merge on a
+stack when they share one.
+
+Coefficient maps.  ``simpleops`` folds simple operations on entries in one
+form: a map from group element to coefficient with no zero coefficient,
+keyed by the exponent over Z/n and by the letter tuple over a free
+product.  ``map_form`` is the reader (each word checked, as in a product)
+and ``elem_from_map`` the writer, whose words g^k over Z/n come from a
+bounded cache (``_power_word``, which ``ring_mul_add`` shares) rather than
+being built for every term.  Each group kind has one multiply-add kernel,
+``exponent_mul_add`` and ``letter_mul_add``, which adds into a non-empty
+accumulator in place; ``map_mul_add`` picks it.  The free-product
+``ring_mul_add`` reads its operands, runs ``letter_mul_add`` and writes
+the result.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class InvalidWordError(ValueError):
@@ -204,11 +212,11 @@ def ring_sub(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingEl
     return ring_add(a, -b)
 
 
-def cyclic_terms(n: int, x: GroupRingElem, words: dict) -> list[tuple[int, int]]:
-    """(exponent, coefficient) per term of x over Z/n, filing each word under
-    its exponent in ``words``.  A word that is not g^e with 0 <= e < n raises."""
-    terms = []
-    for w, c in x.terms:
+def cyclic_terms(n: int, terms) -> list[tuple[int, int]]:
+    """(exponent, coefficient) per (word, coefficient) pair of ``terms`` over
+    Z/n.  A word that is not g^e with 0 <= e < n raises."""
+    out = []
+    for w, c in terms:
         letters = w.letters
         if not letters:
             e = 0
@@ -216,9 +224,8 @@ def cyclic_terms(n: int, x: GroupRingElem, words: dict) -> list[tuple[int, int]]
             e = letters[0][1]
         else:
             raise InvalidWordError(f"not a reduced word of Z/{n}: {letters}")
-        words[e] = w
-        terms.append((e, c))
-    return terms
+        out.append((e, c))
+    return out
 
 
 def _convolve_into(n: int, sums: dict, a, b) -> dict:
@@ -232,37 +239,53 @@ def _convolve_into(n: int, sums: dict, a, b) -> dict:
 
 
 def _cyclic_mul_add(n: int, acc: GroupRingElem, a: GroupRingElem, b: GroupRingElem):
-    """acc + a*b over Z/n, summed by exponent.  A product's word is one of
-    the operands' words when one has its exponent, else a new g^k."""
-    words: dict[int, GroupWord] = {}
+    """acc + a*b over Z/n, summed by exponent."""
     sums = _convolve_into(
-        n, dict(cyclic_terms(n, acc, words)), cyclic_terms(n, a, words), cyclic_terms(n, b, words)
+        n, dict(cyclic_terms(n, acc.terms)), cyclic_terms(n, a.terms), cyclic_terms(n, b.terms)
     )
-    terms = []
-    for k, c in sorted(sums.items()):
-        if c:
-            w = words.get(k)
-            if w is None:
-                w = GroupWord(((0, k),)) if k else IDENTITY_WORD
-            terms.append((w, c))
-    return GroupRingElem(tuple(terms))
+    return GroupRingElem(tuple([(_power_word(k), c) for k, c in sorted(sums.items()) if c]))
 
 
-# Z[Z/n] in exponent form: a map from exponent to coefficient with no zero
-# coefficient, which ``simpleops.replay_end`` folds a certificate's ops on.
+# Coefficient maps: group element -> coefficient, no zero coefficient; the
+# key is the exponent over Z/n and the letter tuple over a free product.
 
 
-def exponent_form(n: int, x: GroupRingElem) -> dict[int, int]:
-    """x over Z/n in exponent form, each word checked by ``cyclic_terms``,
-    as a new map that the caller owns."""
-    return dict(cyclic_terms(n, x, {}))
+def map_form(spec: GroupSpec, terms) -> dict:
+    """The (word, coefficient) pairs ``terms`` as a new coefficient map that
+    the caller owns, each word checked: over Z/n by ``cyclic_terms``, over a
+    free product by ``validate_word``."""
+    if spec.kind == "cyclic":
+        return dict(cyclic_terms(spec.factor_orders[0], terms))
+    for w, _ in terms:
+        validate_word(spec, w)
+    return {w.letters: c for w, c in terms}
+
+
+@lru_cache(maxsize=1024)
+def _power_word(k: int) -> GroupWord:
+    """g^k of factor 0, shared by the elements ``elem_from_map`` writes."""
+    return GroupWord(((0, k),)) if k else IDENTITY_WORD
+
+
+def _letter_order(term) -> tuple:
+    return len(term[0]), term[0]
+
+
+def elem_from_map(spec: GroupSpec, x: dict) -> GroupRingElem:
+    """The element whose coefficient at each key of x is its value, terms
+    sorted by word."""
+    if not x:
+        return ZERO_ELEM
+    if spec.kind == "cyclic":
+        return GroupRingElem(tuple([(_power_word(k), c) for k, c in sorted(x.items())]))
+    return GroupRingElem(tuple([(GroupWord(l), c) for l, c in sorted(x.items(), key=_letter_order)]))
 
 
 def exponent_mul_add(n: int, acc: dict, a: dict, b: dict) -> dict[int, int]:
-    """acc + a*b over Z/n in exponent form.  A non-empty acc is updated in
-    place and returned; an empty acc, which may be a shared zero, is never
-    written, and the sum comes back as a new map.  acc must be neither a nor
-    b.  A one-term factor shifts the other factor's exponents, so that
+    """acc + a*b over Z/n on maps keyed by exponent.  A non-empty acc is
+    updated in place and returned; an empty acc, which may be shared, is
+    never written, and the sum comes back as a new map.  acc must be neither
+    a nor b.  A one-term factor shifts the other factor's exponents, so that
     product into an empty acc has no collisions."""
     if not acc:
         if len(a) == 1:
@@ -284,27 +307,37 @@ def exponent_mul_add(n: int, acc: dict, a: dict, b: dict) -> dict[int, int]:
     return acc
 
 
-def elem_from_exponents(x: dict) -> GroupRingElem:
-    """The element of Z[Z/n] whose coefficient at g^k is x[k]."""
-    return GroupRingElem(tuple(
-        (GroupWord(((0, k),)) if k else IDENTITY_WORD, c) for k, c in sorted(x.items())
-    ))
+def letter_mul_add(orders: tuple[int, ...], acc: dict, a: dict, b: dict) -> dict:
+    """acc + a*b over the free product of cyclic groups of these orders, on
+    maps keyed by letter tuple, a's words on the left.  The contract of
+    ``exponent_mul_add``: a non-empty acc is updated in place, an empty one
+    is never written.  Left or right multiplication by one word is
+    injective, so a one-term factor's product has no collisions."""
+    if not acc:
+        if len(a) == 1:
+            ((la, ca),) = a.items()
+            return {_merge(orders, la, lb): ca * cb for lb, cb in b.items()}
+        if len(b) == 1:
+            ((lb, cb),) = b.items()
+            return {_merge(orders, la, lb): ca * cb for la, ca in a.items()}
+        acc = {}
+    get = acc.get
+    for la, ca in a.items():
+        for lb, cb in b.items():
+            k = _merge(orders, la, lb)
+            c = get(k, 0) + ca * cb
+            if c:
+                acc[k] = c
+            else:  # ca * cb != 0, so k was in acc
+                del acc[k]
+    return acc
 
 
-def _word_mul_add(spec: GroupSpec, acc: GroupRingElem, a: GroupRingElem, b: GroupRingElem):
-    for w, _ in a.terms:
-        validate_word(spec, w)
-    for w, _ in b.terms:
-        validate_word(spec, w)
-    orders = spec.factor_orders
-    sums = {w.letters: c for w, c in acc.terms}
-    for wa, ca in a.terms:
-        la = wa.letters
-        for wb, cb in b.terms:
-            w = _merge(orders, la, wb.letters)
-            sums[w] = sums.get(w, 0) + ca * cb
-    ordered = sorted((len(w), w, c) for w, c in sums.items() if c)
-    return GroupRingElem(tuple((GroupWord(w), c) for _, w, c in ordered))
+def map_mul_add(spec: GroupSpec, acc: dict, a: dict, b: dict) -> dict:
+    """acc + a*b on coefficient maps, by the kernel of spec's group kind."""
+    if spec.kind == "cyclic":
+        return exponent_mul_add(spec.factor_orders[0], acc, a, b)
+    return letter_mul_add(spec.factor_orders, acc, a, b)
 
 
 def ring_mul_add(
@@ -315,7 +348,8 @@ def ring_mul_add(
         return acc
     if spec.kind == "cyclic":
         return _cyclic_mul_add(spec.factor_orders[0], acc, a, b)
-    return _word_mul_add(spec, acc, a, b)
+    maps = map_form(spec, acc.terms), map_form(spec, a.terms), map_form(spec, b.terms)
+    return elem_from_map(spec, letter_mul_add(spec.factor_orders, *maps))
 
 
 def ring_mul(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
@@ -422,7 +456,7 @@ def elem_from_obj(spec: GroupSpec, obj) -> GroupRingElem:
             e = w.letters[0][1] if w.letters else 0
             c = json_int(c)
         sums[e] = sums.get(e, 0) + c
-    return elem_from_exponents({e: c for e, c in sums.items() if c})
+    return elem_from_map(spec, {e: c for e, c in sums.items() if c})
 
 
 def spec_to_obj(spec: GroupSpec) -> dict:

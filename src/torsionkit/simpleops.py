@@ -20,26 +20,26 @@ a mutable copy of a based complex whose differentials are lists of row
 lists, with ranks, labels and the degree window beside them.  ``_thaw``
 makes it and ``_freeze`` turns it back into a ``BasedComplex`` (trimming
 zero-rank end degrees, with no shape re-check, since every edit keeps the
-shapes).  ``apply_op`` thaws, applies one op and freezes, and copies only
-the rows the op writes; ``replay_end`` thaws ``start`` once, folds every
-op into the same copy in place and freezes once.  So each op's checks and
-``InvalidOpError`` texts exist once.
+shapes).  ``apply_op``, ``replay_end`` and ``random_op_sequence`` all thaw
+once, apply their ops to the one copy in place and freeze once, so each
+op's checks and ``InvalidOpError`` texts exist once.
 
-The primitives take the arithmetic of the entries as an ``_Entries``: the
-zero, a fresh pivot one, the two factors of a slide or a deck, the fused
-multiply-add and the +-g pivot test.  ``apply_op`` and
-replay over a free product hold ``GroupRingElem`` entries.  Replay over Z/n
-holds exponent maps (``grouprings.exponent_form``, exponent -> coefficient):
-start's entries are read into maps when it is thawed, a slide's factors are
-the coefficient's map and its negation, a deck's are {e: 1} and
-{-e % n: 1} after one check of the word, and the maps are written back to
-``GroupRingElem``s when the copy is frozen.
+Entries.  A slide or deck computes on coefficient maps
+(``grouprings.map_form``: group element -> coefficient, keyed by the
+exponent over Z/n and by the letter tuple over a free product) with the
+multiply-add kernel of the group (``grouprings.map_mul_add``).  A slide's
+factors are its coefficient's map and that map negated; a deck's are the
+maps of its word and of the word's inverse.
 
-Ownership.  Over Z/n, ``exponent_mul_add`` adds into a non-empty map in
-place, so a working copy keeps this rule: every non-empty entry is held by
-exactly one slot, the shared zero is never written (an empty entry may be
-shared, and a product into it is a new map), and ``start``, ``end`` and the
-op coefficients are never mutated, since thawing reads them into new maps.
+Ownership.  An entry is read from its ``GroupRingElem`` the first time an
+op touches it, and maps are written back (``elem_from_map``) only when
+the copy is frozen.  So an entry is either an unread ``GroupRingElem``,
+which is immutable and may be shared (the zeros and pivot ones that a
+block edit inserts are), or a map that its slot owns and that the kernels
+add into in place.  An unread zero is read as the shared empty map
+``_NO_TERMS``, which no slot holds: the kernels never write an empty
+accumulator but return a new map.  ``start``, ``end`` and the ops are never
+mutated, since reading makes new maps.
 
 Size.  No entry may hold more than ``MAX_ENTRY_TERMS`` terms.  Over a large
 group products rarely collide, so each slide by a two-term coefficient can
@@ -50,10 +50,7 @@ result can hold, must stay within the cap, else ``InvalidOpError``.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Sized
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from operator import attrgetter
 
 from .grouprings import (
     GroupRingElem,
@@ -63,14 +60,13 @@ from .grouprings import (
     ONE_ELEM,
     ZERO_ELEM,
     elem_from_dict,
-    elem_from_exponents,
+    elem_from_map,
     elem_from_obj,
     elem_to_obj,
-    exponent_form,
-    exponent_mul_add,
     generator_word,
     json_int,
-    ring_mul_add,
+    map_form,
+    map_mul_add,
     validate_word,
     word_from_obj,
     word_inverse,
@@ -143,96 +139,6 @@ class DeckTransform:
 SimpleOp = Expansion | Retraction | HandleSlide | DeckTransform
 
 
-@dataclass(frozen=True, slots=True)
-class _Entries:
-    """The arithmetic of a working copy's entries that the ops use.
-
-    ``zero`` fills new slots and is never written; ``one()`` is a new pivot.
-    ``slide(x)`` and ``deck(w)`` give the (left, right) factors of a slide
-    by x and of a deck transform by w: the change of basis and the matching
-    entry of its inverse.  ``mul_add(acc, a, b)`` = acc + a*b with a's words
-    on the left; it may update a non-empty acc in place.  ``len(terms(x))``
-    counts an entry's terms, and ``is_signed_word`` is the +-g test of a
-    retraction's pivot.  ``read`` and ``write`` convert a ``GroupRingElem``
-    into an entry and back when the copy is thawed and frozen; None keeps
-    entries as they are.
-    """
-
-    zero: object
-    one: Callable[[], object]
-    slide: Callable[[GroupRingElem], tuple[object, object]]
-    deck: Callable[[GroupWord], tuple[object, object]]
-    mul_add: Callable[[object, object, object], object]
-    terms: Callable[[object], Sized]
-    is_signed_word: Callable[[object], bool]
-    read: Callable[[GroupRingElem], object] | None = None
-    write: Callable[[object], GroupRingElem] | None = None
-
-
-def _word_entries(spec: GroupSpec) -> _Entries:
-    """Entries are ``GroupRingElem``s, which are immutable, so ``one`` and
-    ``zero`` may be shared.  Cached, because ``apply_op`` and
-    ``retractable_positions`` ask for it on every call, and keyed on the
-    group's kind and orders, which hash in C where a ``GroupSpec`` does not."""
-    return _word_entries_of(spec.kind, spec.factor_orders)
-
-
-@lru_cache(maxsize=64)
-def _word_entries_of(kind: str, orders: tuple[int, ...]) -> _Entries:
-    spec = GroupSpec(kind, orders)
-    return _Entries(
-        ZERO_ELEM, _one_elem, _word_slide, partial(_word_deck, spec),
-        partial(ring_mul_add, spec), attrgetter("terms"), _is_signed_elem,
-    )
-
-
-def _exponent_entries(spec: GroupSpec) -> _Entries:
-    """Entries over Z/n are exponent maps (``grouprings.exponent_form``),
-    which ``exponent_mul_add`` updates in place."""
-    n = spec.factor_orders[0]
-    return _Entries(
-        {}, _exponent_one, partial(_exponent_slide, n), partial(_exponent_deck, spec),
-        partial(exponent_mul_add, n), dict.keys, _is_signed_exponents,
-        partial(exponent_form, n), elem_from_exponents,
-    )
-
-
-def _one_elem() -> GroupRingElem:
-    return ONE_ELEM
-
-
-def _word_slide(x: GroupRingElem):
-    return x, -x
-
-
-def _word_deck(spec: GroupSpec, w: GroupWord):
-    # word_inverse validates w; both monomials are one term, so sorted
-    return GroupRingElem(((w, 1),)), GroupRingElem(((word_inverse(spec, w), 1),))
-
-
-def _is_signed_elem(x: GroupRingElem) -> bool:
-    return len(x.terms) == 1 and x.terms[0][1] in (1, -1)
-
-
-def _exponent_one() -> dict:
-    return {0: 1}
-
-
-def _exponent_slide(n: int, x: GroupRingElem):
-    left = exponent_form(n, x)
-    return left, {e: -c for e, c in left.items()}
-
-
-def _exponent_deck(spec: GroupSpec, w: GroupWord):
-    validate_word(spec, w)  # the check and text of word_inverse
-    e = w.letters[0][1] if w.letters else 0
-    return {e: 1}, {-e % spec.factor_orders[0]: 1}
-
-
-def _is_signed_exponents(x: dict) -> bool:
-    return len(x) == 1 and next(iter(x.values())) in (1, -1)
-
-
 class _Work(_GradedComplex):
     """A mutable working copy of a based complex.  ``ranks`` is a list,
     ``labels`` a list of per-degree tuples and each differential a list of
@@ -241,19 +147,18 @@ class _Work(_GradedComplex):
     ``rows`` and ``_row`` make matrices and rows lists.  After a block edit
     [min_degree, max_degree] may keep zero-rank end degrees until frozen."""
 
-    __slots__ = ("spec", "min_degree", "max_degree", "ranks", "differentials", "labels", "zero")
+    __slots__ = ("spec", "min_degree", "max_degree", "ranks", "differentials", "labels")
 
-    def __init__(self, spec, min_degree, max_degree, ranks, differentials, labels, zero):
+    def __init__(self, spec, min_degree, max_degree, ranks, differentials, labels):
         self.spec = spec
         self.min_degree = min_degree
         self.max_degree = max_degree
         self.ranks = ranks
         self.differentials = differentials
         self.labels = labels
-        self.zero = zero
 
     def _zero(self):
-        return self.zero
+        return ZERO_ELEM
 
     def rows(self, degree: int) -> list:
         """The differential leaving ``degree``, in the window, as a list of
@@ -273,36 +178,45 @@ def _row(m: list, i: int) -> list:
     return row
 
 
-def _thaw(c: BasedComplex, ar: _Entries) -> _Work:
-    """A working copy of c.  With ``ar.read`` every entry is read into a new
-    one at once; else a row is copied only when an op first writes it."""
-    read, zero = ar.read, ar.zero
-    if read is None:
-        diffs = list(c.differentials)
-    else:
-        diffs = [[[read(x) if x else zero for x in row] for row in m] for m in c.differentials]
-    return _Work(c.spec, c.min_degree, c.max_degree, c.ranks, diffs, c.labels, zero)
+# The map of every unread zero entry.  No slot holds it, and the kernels
+# never write an empty accumulator, so it stays empty.
+_NO_TERMS: dict = {}
 
 
-def _freeze(w: _Work, ar: _Entries) -> BasedComplex:
-    """The based complex w holds, on its support window.  Every edit keeps
-    each matrix rank(i+1) x rank(i), so the shapes are not checked again."""
-    ranks, labels, lo, mats = w.ranks, w.labels, w.min_degree, w.differentials
+def _read(spec: GroupSpec, x) -> dict:
+    """Entry x as a coefficient map: x itself once read, else a new map read
+    from its element (``_NO_TERMS`` for a zero)."""
+    if type(x) is dict:
+        return x
+    return map_form(spec, x.terms) if x else _NO_TERMS
+
+
+def _thaw(c: BasedComplex) -> _Work:
+    """A working copy of c; a row is copied only when an op first writes it."""
+    return _Work(c.spec, c.min_degree, c.max_degree, c.ranks, list(c.differentials), c.labels)
+
+
+def _frozen_row(spec: GroupSpec, row) -> tuple:
+    """A row of a working copy as a tuple of elements, each map written back."""
+    if type(row) is tuple:
+        return row
+    return tuple([elem_from_map(spec, x) if type(x) is dict else x for x in row])
+
+
+def _freeze(w: _Work) -> BasedComplex:
+    """The based complex w holds, on its support window, with every map
+    written back.  Every edit keeps each matrix rank(i+1) x rank(i), so the
+    shapes are not checked again."""
+    ranks, labels, lo, mats, spec = w.ranks, w.labels, w.min_degree, w.differentials, w.spec
     if type(ranks) is not tuple:  # a block edit ran, so trim the window
         window = support(ranks)
         if window is None:
-            return zero_complex(w.spec)
+            return zero_complex(spec)
         first, last = window
         ranks, labels = tuple(ranks[first:last + 1]), tuple(labels[first:last + 1])
         lo, mats = lo + first, mats[first:last]
-    write = ar.write
-    if write is None:
-        mats = tuple([m if type(m) is tuple else tuple(map(tuple, m)) for m in mats])
-    else:
-        mats = tuple(
-            tuple(tuple(write(x) if x else ZERO_ELEM for x in row) for row in m) for m in mats
-        )
-    return BasedComplex(w.spec, lo, lo + len(ranks) - 1, ranks, mats, labels)
+    mats = tuple([m if type(m) is tuple else tuple([_frozen_row(spec, row) for row in m]) for m in mats])
+    return BasedComplex(spec, lo, lo + len(ranks) - 1, ranks, mats, labels)
 
 
 def _widen(w: _Work, lo: int, hi: int) -> None:
@@ -323,20 +237,20 @@ def _widen(w: _Work, lo: int, hi: int) -> None:
         w.max_degree = hi
 
 
-def _edit_block(w: _Work, d: int, k: int, ar: _Entries, insert: bool) -> None:
+def _edit_block(w: _Work, d: int, k: int, insert: bool) -> None:
     """Insert (or delete) basis vector k of degrees d and d+1 in w.
 
     Their ranks and labels change, and so do column k of each outgoing
     differential and row k of each incoming one; an inserted block gets a
-    new pivot 1 at [k][k] of d_d.  The window first grows to hold both
-    degrees; a zero-rank end degree that a deletion leaves is trimmed when
-    w is frozen.
+    pivot 1 at [k][k] of d_d.  The new entries are the unread ``ZERO_ELEM``
+    and ``ONE_ELEM``.  The window first grows to hold both degrees; a
+    zero-rank end degree that a deletion leaves is trimmed when w is frozen.
     """
     if type(w.ranks) is tuple:
         w.ranks, w.labels = list(w.ranks), list(w.labels)
     _widen(w, d, d + 1)
     lo, hi = w.min_degree, w.max_degree
-    ranks, labels, zero = w.ranks, w.labels, ar.zero
+    ranks, labels = w.ranks, w.labels
     for i, label in ((d, f"u{d}_{k}"), (d + 1, f"v{d + 1}_{k}")):
         at, ls = i - lo, labels[i - lo]
         if insert:
@@ -350,33 +264,39 @@ def _edit_block(w: _Work, d: int, k: int, ar: _Entries, insert: bool) -> None:
             for j in range(len(m)):
                 row = _row(m, j)
                 if insert:
-                    row.insert(k, zero)
+                    row.insert(k, ZERO_ELEM)
                 else:
                     del row[k]
         if i > lo:  # row k of the incoming d_{i-1}, as wide as C_{i-1} is now
             if insert:
-                w.rows(i - 1).insert(k, [zero] * ranks[at - 1])
+                w.rows(i - 1).insert(k, [ZERO_ELEM] * ranks[at - 1])
             else:
                 del w.rows(i - 1)[k]
     if insert:
-        _row(w.rows(d), k)[k] = ar.one()
+        _row(w.rows(d), k)[k] = ONE_ELEM
 
 
-def _apply_expansion(w: _Work, op: Expansion, ar: _Entries) -> None:
+def _apply_expansion(w: _Work, op: Expansion) -> None:
     d, k = op.degree, op.position
     if k < 0 or k > w.rank(d) or k > w.rank(d + 1):
         raise InvalidOpError(f"expansion position {k} out of range at degree {d}")
-    _edit_block(w, d, k, ar, insert=True)
+    _edit_block(w, d, k, insert=True)
 
 
-def _is_retractable(c, d: int, k: int, ar: _Entries) -> bool:
+def _is_signed_word(x) -> bool:
+    """Whether entry x, read or unread, is +-g: one term, coefficient +-1."""
+    terms = x.items() if type(x) is dict else x.terms
+    return len(terms) == 1 and next(iter(terms))[1] in (1, -1)
+
+
+def _is_retractable(c, d: int, k: int) -> bool:
     """Whether basis vector k of degrees d and d+1 spans a trivial summand:
     a +-g pivot at [k][k] of d_d, and nothing else in row k or column k of
     d_d, in row k of d_{d-1} or in column k of d_{d+1}.  It reads only
     ``diff``, so c is a working copy or a frozen ``BasedComplex``."""
     m = c.diff(d)
     return (
-        ar.is_signed_word(m[k][k])
+        _is_signed_word(m[k][k])
         and not any(x for j, x in enumerate(m[k]) if j != k)
         and not any(r[k] for i, r in enumerate(m) if i != k)
         and not any(c.diff(d - 1)[k])
@@ -386,65 +306,64 @@ def _is_retractable(c, d: int, k: int, ar: _Entries) -> bool:
 
 def retractable_positions(c: BasedComplex, degree: int) -> list[int]:
     """Indices k where (degree, k) names a deletable trivial summand."""
-    ar = _word_entries(c.spec)
     return [
         k for k in range(min(c.rank(degree), c.rank(degree + 1)))
-        if _is_retractable(c, degree, k, ar)
+        if _is_retractable(c, degree, k)
     ]
 
 
-def _apply_retraction(w: _Work, op: Retraction, ar: _Entries) -> None:
+def _apply_retraction(w: _Work, op: Retraction) -> None:
     d, k = op.degree, op.position
     if not (0 <= k < w.rank(d) and k < w.rank(d + 1)):
         raise InvalidOpError(f"retraction position {k} out of range at degree {d}")
-    if not _is_retractable(w, d, k, ar):
+    if not _is_retractable(w, d, k):
         raise InvalidOpError(
             f"block ({d}, {k}) is not a trivial [Z[G] -> Z[G]] summand"
         )
-    _edit_block(w, d, k, ar, insert=False)
+    _edit_block(w, d, k, insert=False)
 
 
-def _change_basis(
-    w: _Work, d: int, target: int, source: int, left, right, ar: _Entries,
-) -> None:
+def _change_basis(w: _Work, d: int, target: int, source: int, left: dict, right: dict) -> None:
     """Replace basis element ``target`` of degree d by left*c_source, added
     to c_target when the indices differ.
 
     The outgoing differential's column ``target`` takes ``left`` times column
     ``source`` on the left; the incoming differential's row ``source`` takes
     row ``target`` times ``right``, the matching entry of the inverse change,
-    on the right.  Entries with a zero factor are kept as they are.  When the
-    indices are equal, each product goes into the zero, so the old entry is
-    never updated in place while it is read.
+    on the right.  Entries with a zero factor are kept as they are, and each
+    factor entry is kept in its slot once read.  When the indices are equal,
+    each product goes into ``_NO_TERMS``, so the old entry is never updated
+    in place while it is read.
 
     Before each multiply-add, the most terms its result can hold, acc's plus
     the product of the factors' counts, is checked against
     ``MAX_ENTRY_TERMS``, so no step does more work or builds a larger entry.
     """
-    mul_add, terms, zero = ar.mul_add, ar.terms, ar.zero
-    lo, same = w.min_degree, target == source
+    spec, same = w.spec, target == source
     if d < w.max_degree:
-        m, width = w.rows(d), len(terms(left))
+        m, width = w.rows(d), len(left)
         for i, row in enumerate(m):
             x = row[source]
             if x:
-                acc = zero if same else row[target]
-                bound = len(terms(acc)) + width * len(terms(x))
-                if bound > MAX_ENTRY_TERMS:
-                    raise _too_many_terms(d, bound)
                 if type(row) is tuple:
                     row = m[i] = list(row)
-                row[target] = mul_add(acc, left, x)
-    if d > lo:
-        m, width = w.rows(d - 1), len(terms(right))
-        out = _row(m, source)
-        for j, x in enumerate(m[target]):
+                x = row[source] = _read(spec, x)
+                acc = _NO_TERMS if same else _read(spec, row[target])
+                bound = len(acc) + width * len(x)
+                if bound > MAX_ENTRY_TERMS:
+                    raise _too_many_terms(d, bound)
+                row[target] = map_mul_add(spec, acc, left, x)
+    if d > w.min_degree:
+        m, width = w.rows(d - 1), len(right)
+        src, out = _row(m, target), _row(m, source)
+        for j, x in enumerate(src):
             if x:
-                acc = zero if same else out[j]
-                bound = len(terms(acc)) + len(terms(x)) * width
+                x = src[j] = _read(spec, x)
+                acc = _NO_TERMS if same else _read(spec, out[j])
+                bound = len(acc) + len(x) * width
                 if bound > MAX_ENTRY_TERMS:
                     raise _too_many_terms(d - 1, bound)
-                out[j] = mul_add(acc, x, right)
+                out[j] = map_mul_add(spec, acc, x, right)
 
 
 def _too_many_terms(degree: int, bound: int) -> InvalidOpError:
@@ -454,43 +373,53 @@ def _too_many_terms(degree: int, bound: int) -> InvalidOpError:
     )
 
 
-def _apply_handle_slide(w: _Work, op: HandleSlide, ar: _Entries) -> None:
+def _apply_handle_slide(w: _Work, op: HandleSlide) -> None:
     d, a, b = op.degree, op.target, op.source
     r = w.rank(d)
     if a == b:
         raise InvalidOpError("handle slide needs distinct indices")
     if not (0 <= a < r and 0 <= b < r):
         raise InvalidOpError(f"slide indices ({a}, {b}) out of range at degree {d}")
-    _change_basis(w, d, a, b, *ar.slide(op.coefficient), ar)
+    left = map_form(w.spec, op.coefficient.terms)
+    _change_basis(w, d, a, b, left, {g: -c for g, c in left.items()})
 
 
-def _apply_deck(w: _Work, op: DeckTransform, ar: _Entries) -> None:
+def _apply_deck(w: _Work, op: DeckTransform) -> None:
     d, idx = op.degree, op.index
     if not (0 <= idx < w.rank(d)):
         raise InvalidOpError(f"deck index {idx} out of range at degree {d}")
-    _change_basis(w, d, idx, idx, *ar.deck(op.word), ar)
+    spec, g = w.spec, op.word
+    validate_word(spec, g)  # before map_form, so a bad word has one text over every group
+    _change_basis(w, d, idx, idx, map_form(spec, ((g, 1),)), map_form(spec, ((word_inverse(spec, g), 1),)))
 
 
-def _apply(w: _Work, op: SimpleOp, ar: _Entries) -> None:
+def _apply(w: _Work, op: SimpleOp) -> None:
     """Apply one op to the working copy w, in place."""
     if isinstance(op, HandleSlide):
-        _apply_handle_slide(w, op, ar)
+        _apply_handle_slide(w, op)
     elif isinstance(op, DeckTransform):
-        _apply_deck(w, op, ar)
+        _apply_deck(w, op)
     elif isinstance(op, Expansion):
-        _apply_expansion(w, op, ar)
+        _apply_expansion(w, op)
     elif isinstance(op, Retraction):
-        _apply_retraction(w, op, ar)
+        _apply_retraction(w, op)
     else:
         raise InvalidOpError(f"unknown operation {op!r}")
 
 
+def _apply_step(w: _Work, step: int, op: SimpleOp) -> None:
+    """``_apply``, with the op's index in a sequence on its error."""
+    try:
+        _apply(w, op)
+    except InvalidOpError as exc:
+        raise InvalidOpError(f"step {step}: {exc}") from exc
+
+
 def apply_op(c: BasedComplex, op: SimpleOp) -> BasedComplex:
     """The complex after one op."""
-    ar = _word_entries(c.spec)
-    w = _thaw(c, ar)
-    _apply(w, op, ar)
-    return _freeze(w, ar)
+    w = _thaw(c)
+    _apply(w, op)
+    return _freeze(w)
 
 
 @dataclass(frozen=True, slots=True)
@@ -503,20 +432,13 @@ class OpCertificate:
 
 
 def replay_end(cert: OpCertificate) -> BasedComplex:
-    """The complex that folding the ops over start builds.
-
-    Start is thawed once into a working copy, every op edits that copy in
-    place, and it is frozen once.  Over Z/n its entries are exponent maps,
-    over a free product ``GroupRingElem``s."""
-    spec = cert.start.spec
-    ar = _exponent_entries(spec) if spec.kind == "cyclic" else _word_entries(spec)
-    w = _thaw(cert.start, ar)
+    """The complex that folding the ops over start builds: start is thawed
+    once into a working copy, every op edits it in place, and it is frozen
+    once."""
+    w = _thaw(cert.start)
     for step, op in enumerate(cert.ops):
-        try:
-            _apply(w, op, ar)
-        except InvalidOpError as exc:
-            raise InvalidOpError(f"step {step}: {exc}") from exc
-    return _freeze(w, ar)
+        _apply_step(w, step, op)
+    return _freeze(w)
 
 
 def replay(cert: OpCertificate) -> bool:
@@ -556,55 +478,59 @@ def random_op_sequence(
 ) -> OpCertificate:
     """A valid random certificate starting at ``c``.
 
+    Like replay, it thaws c once and applies each op to that working copy;
+    each op is drawn from the copy as it stands (its ranks, its window and
+    its trivial summands), and the copy is frozen once at the end.
     Expansions are suppressed once the total rank exceeds the starting rank
     by ``max_growth``, so long certificates stay desk-sized.  Every op drawn
     applies, so the only ``InvalidOpError`` is ``step i: ...`` for an entry
     that could pass ``MAX_ENTRY_TERMS``.
     """
     rng = random.Random(seed)
-    start = c
+    w = _thaw(c)
     ops: list[SimpleOp] = []
-    budget = start.total_rank() + max_growth
+    budget = c.total_rank() + max_growth
     for _ in range(length):
+        # the window of the complex w would freeze to (the zero complex's is {0})
+        window = support(w.ranks)
+        lo, hi = (0, 0) if window is None else (w.min_degree + window[0], w.min_degree + window[1])
+        degrees = range(lo, hi + 1)
         menu = []
-        slide_degrees = [d for d in c.degrees if c.rank(d) >= 2]
+        slide_degrees = [d for d in degrees if w.rank(d) >= 2]
         if slide_degrees:
             menu += ["slide"] * 4 + ["deck"] * 3
-        elif any(c.rank(d) for d in c.degrees):
+        elif any(w.rank(d) for d in degrees):
             menu += ["deck"] * 3
         retr = [
             (d, k)
-            for d in range(c.min_degree, c.max_degree)
-            for k in retractable_positions(c, d)
+            for d in range(lo, hi)
+            for k in range(min(w.rank(d), w.rank(d + 1)))
+            if _is_retractable(w, d, k)
         ]
         if retr:
             menu += ["retract"] * 2
-        if c.total_rank() < budget:
+        if w.total_rank() < budget:
             menu += ["expand"] * 2
         if not menu:
             break
         kind = rng.choice(menu)
         if kind == "slide":
             d = rng.choice(slide_degrees)
-            a, b = rng.sample(range(c.rank(d)), 2)
-            op: SimpleOp = HandleSlide(d, a, b, _random_coefficient(c.spec, rng))
+            a, b = rng.sample(range(w.rank(d)), 2)
+            op: SimpleOp = HandleSlide(d, a, b, _random_coefficient(w.spec, rng))
         elif kind == "deck":
-            degs = [d for d in c.degrees if c.rank(d)]
-            d = rng.choice(degs)
-            op = DeckTransform(d, rng.randrange(c.rank(d)), _random_word(c.spec, rng))
+            d = rng.choice([d for d in degrees if w.rank(d)])
+            op = DeckTransform(d, rng.randrange(w.rank(d)), _random_word(w.spec, rng))
         elif kind == "retract":
             d, k = rng.choice(retr)
             op = Retraction(d, k)
         else:
-            d = rng.randint(c.min_degree - 1, c.max_degree)
-            k = rng.randint(0, min(c.rank(d), c.rank(d + 1)))
+            d = rng.randint(lo - 1, hi)
+            k = rng.randint(0, min(w.rank(d), w.rank(d + 1)))
             op = Expansion(d, k)
-        try:
-            c = apply_op(c, op)
-        except InvalidOpError as exc:  # a step past MAX_ENTRY_TERMS
-            raise InvalidOpError(f"step {len(ops)}: {exc}") from exc
+        _apply_step(w, len(ops), op)  # fails only past MAX_ENTRY_TERMS
         ops.append(op)
-    return OpCertificate(start, tuple(ops), c)
+    return OpCertificate(c, tuple(ops), _freeze(w))
 
 
 # --- certificate file format ---

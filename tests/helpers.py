@@ -1,7 +1,10 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and reference implementations for the test suite.
 
 All generators are deterministic given an explicit random.Random instance;
-sizes stay small so the exact arithmetic keeps every suite desk-scale.
+sizes stay small so the exact arithmetic keeps every suite desk-scale.  The
+references (``basis_change_by_matrices``, ``block_edit_reference``,
+``reference_ends``) compute simple operations entry by entry on
+``GroupRingElem``s, independently of the working copy in ``simpleops``.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ from torsionkit.grouprings import (
     GroupWord,
     ONE_ELEM,
     TRIVIAL_GROUP,
+    ZERO_ELEM,
     elem_from_dict,
     from_int,
     generator_elem,
@@ -28,7 +32,7 @@ from torsionkit.chaincomplex import (
     mat_identity,
     two_term_complex,
 )
-from torsionkit.simpleops import DeckTransform, HandleSlide, apply_op
+from torsionkit.simpleops import DeckTransform, Expansion, HandleSlide, Retraction, apply_op
 
 Z7 = GroupSpec.cyclic(7)
 
@@ -303,3 +307,62 @@ def basis_change_by_matrices(c, op):
     if d > c.min_degree:
         diffs[d - 1 - c.min_degree] = mat_compose(spec, q, c.diff(d - 1), c.rank(d - 1))
     return based_complex(spec, c.min_degree, c.ranks, diffs, c.labels)
+
+
+def block_edit_reference(c, d, k, insert):
+    """c with basis vector k of degrees d and d+1 inserted (pivot 1, labels
+    u{d}_{k} and v{d+1}_{k}) or deleted, every entry of every differential
+    over the window [min(lo, d), max(hi, d + 1)] written out."""
+    step = 1 if insert else -1
+    lo, hi = min(c.min_degree, d), max(c.max_degree, d + 1)
+
+    def rank(i):
+        return c.rank(i) + step * (i in (d, d + 1))
+
+    def old_index(i, j):
+        """The old index of basis vector j of degree i, None for a new one."""
+        if i not in (d, d + 1) or j < k:
+            return j
+        if insert:
+            return None if j == k else j - 1
+        return j + 1
+
+    diffs = []
+    for i in range(lo, hi):
+        old, rows = c.diff(i), []
+        for r in range(rank(i + 1)):
+            row = []
+            for s in range(rank(i)):
+                a, b = old_index(i + 1, r), old_index(i, s)
+                if a is None or b is None:
+                    row.append(ONE_ELEM if (i, r, s) == (d, k, k) else ZERO_ELEM)
+                else:
+                    row.append(old[a][b])
+            rows.append(row)
+        diffs.append(rows)
+    labels = []
+    for i in range(lo, hi + 1):
+        ls = list(c.degree_labels(i))
+        if i in (d, d + 1) and insert:
+            ls.insert(k, f"u{d}_{k}" if i == d else f"v{d + 1}_{k}")
+        elif i in (d, d + 1):
+            del ls[k]
+        labels.append(ls)
+    return based_complex(c.spec, lo, [rank(i) for i in range(lo, hi + 1)], diffs, labels)
+
+
+def reference_step(c, op):
+    if isinstance(op, Expansion):
+        return block_edit_reference(c, op.degree, op.position, insert=True)
+    if isinstance(op, Retraction):
+        return block_edit_reference(c, op.degree, op.position, insert=False)
+    return basis_change_by_matrices(c, op)
+
+
+def reference_ends(start, ops):
+    """The complex after each prefix of ops, built by the references."""
+    ends, c = [start], start
+    for op in ops:
+        c = reference_step(c, op)
+        ends.append(c)
+    return ends

@@ -1,13 +1,15 @@
-"""The working copy that ``replay_end`` folds a certificate's ops into.
+"""The working copy that ``apply_op``, ``replay_end`` and
+``random_op_sequence`` fold simple operations into.
 
-Over Z/n ``replay_end`` thaws ``start`` once into exponent maps that the
-ops update in place, and ``apply_op`` runs the same primitives on a copy per
-op, so neither can serve as the other's reference.  The references here are
-written out in the tests: ``block_edit_reference`` inserts or deletes a
-trivial block entry by entry, and ``basis_change_by_matrices`` multiplies by
-a slide's or deck's basis-change matrices.  Other tests pin the ownership
-rule (no entry is shared between slots, nothing given to replay is
-mutated) and the ``MAX_ENTRY_TERMS`` cap, also under ``python -O``.
+All three thaw once, read each entry into a coefficient map the first time
+an op touches it, update the maps in place and freeze once, so none can
+serve as another's reference.  The references are written out in
+``helpers``: ``block_edit_reference`` inserts or deletes a trivial block
+entry by entry, and ``basis_change_by_matrices`` multiplies by a slide's or
+deck's basis-change matrices.  Other tests pin the ownership rule (no map
+is shared between slots, the kernels never write an empty accumulator,
+nothing given to replay is mutated) and the ``MAX_ENTRY_TERMS`` cap, also
+under ``python -O``.
 """
 import copy
 import json
@@ -20,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from torsionkit.chaincomplex import (
-    based_complex,
     complex_to_obj,
     direct_sum,
     dumps_canonical,
@@ -30,12 +31,12 @@ from torsionkit.chaincomplex import (
 from torsionkit.cli import main
 from torsionkit.grouprings import (
     ONE_ELEM,
-    ZERO_ELEM,
     GroupSpec,
     elem_from_dict,
     exponent_mul_add,
     generator_elem,
     generator_word,
+    letter_mul_add,
     ring_sub,
 )
 from torsionkit.lensspaces import lens_complex, lens_params
@@ -53,7 +54,7 @@ from torsionkit.simpleops import (
     replay_end,
 )
 
-from helpers import basis_change_by_matrices, random_group_complex
+from helpers import random_group_complex, reference_ends, reference_step
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -63,65 +64,6 @@ SPECS = (
     GroupSpec.cyclic(1000),
     GroupSpec.free_product([2, 3]),
 )
-
-
-def block_edit_reference(c, d, k, insert):
-    """c with basis vector k of degrees d and d+1 inserted (pivot 1, labels
-    u{d}_{k} and v{d+1}_{k}) or deleted, every entry of every differential
-    over the window [min(lo, d), max(hi, d + 1)] written out."""
-    step = 1 if insert else -1
-    lo, hi = min(c.min_degree, d), max(c.max_degree, d + 1)
-
-    def rank(i):
-        return c.rank(i) + step * (i in (d, d + 1))
-
-    def old_index(i, j):
-        """The old index of basis vector j of degree i, None for a new one."""
-        if i not in (d, d + 1) or j < k:
-            return j
-        if insert:
-            return None if j == k else j - 1
-        return j + 1
-
-    diffs = []
-    for i in range(lo, hi):
-        old, rows = c.diff(i), []
-        for r in range(rank(i + 1)):
-            row = []
-            for s in range(rank(i)):
-                a, b = old_index(i + 1, r), old_index(i, s)
-                if a is None or b is None:
-                    row.append(ONE_ELEM if (i, r, s) == (d, k, k) else ZERO_ELEM)
-                else:
-                    row.append(old[a][b])
-            rows.append(row)
-        diffs.append(rows)
-    labels = []
-    for i in range(lo, hi + 1):
-        ls = list(c.degree_labels(i))
-        if i in (d, d + 1) and insert:
-            ls.insert(k, f"u{d}_{k}" if i == d else f"v{d + 1}_{k}")
-        elif i in (d, d + 1):
-            del ls[k]
-        labels.append(ls)
-    return based_complex(c.spec, lo, [rank(i) for i in range(lo, hi + 1)], diffs, labels)
-
-
-def reference_step(c, op):
-    if isinstance(op, Expansion):
-        return block_edit_reference(c, op.degree, op.position, insert=True)
-    if isinstance(op, Retraction):
-        return block_edit_reference(c, op.degree, op.position, insert=False)
-    return basis_change_by_matrices(c, op)
-
-
-def reference_ends(start, ops):
-    """The complex after each prefix of ops, built by the references."""
-    ends, c = [start], start
-    for op in ops:
-        c = reference_step(c, op)
-        ends.append(c)
-    return ends
 
 
 def _certificates(spec, count=3, length=40):
@@ -211,15 +153,30 @@ def test_slides_into_an_inserted_block_then_retraction(spec):
         assert replay_end(OpCertificate(c, ops[:i], c)) == ends[i]
 
 
-def test_exponent_mul_add_never_writes_an_empty_acc():
-    n, zero = 7, {}
-    a, b = {1: 1, 2: -1}, {0: 3, 5: 1}
-    got = exponent_mul_add(n, zero, a, b)
-    assert zero == {} and got is not zero
-    acc = {3: 1}
-    assert exponent_mul_add(n, acc, a, b) is acc
-    assert acc == {1: 3, 2: -3, 3: 1, 6: 1, 0: -1}
-    assert (a, b) == ({1: 1, 2: -1}, {0: 3, 5: 1})
+# Each kernel on the same products: over Z/7 keyed by exponent, and over
+# Z/7 * Z/7 keyed by the letter tuples of the same powers of factor 0.
+KERNELS = {
+    "exponent_mul_add": (lambda acc, a, b: exponent_mul_add(7, acc, a, b), lambda e: e),
+    "letter_mul_add": (lambda acc, a, b: letter_mul_add((7, 7), acc, a, b), lambda e: ((0, e),) if e else ()),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_exponent_mul_add_never_writes_an_empty_acc(kernel):
+    mul_add, key = KERNELS[kernel]
+
+    def form(x):
+        return {key(e): c for e, c in x.items()}
+
+    a, b = form({1: 1, 2: -1}), form({0: 3, 5: 1})
+    for one_term in (False, True):
+        zero = {}
+        got = mul_add(zero, a, form({5: 1}) if one_term else b)
+        assert zero == {} and got is not zero
+    acc = form({3: 1})
+    assert mul_add(acc, a, b) is acc
+    assert acc == form({1: 3, 2: -3, 3: 1, 6: 1, 0: -1})
+    assert (a, b) == (form({1: 1, 2: -1}), form({0: 3, 5: 1}))
 
 
 # --- MAX_ENTRY_TERMS ---
