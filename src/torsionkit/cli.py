@@ -72,7 +72,7 @@ DEFAULT_REP_COUNT = 6
 # elimination and p conjugated classes over Q(zeta_p).  On a 2-vCPU machine
 # (medians of 3 runs, each about 0.16 s of start-up) `lens-classify p 1 2
 # --all-d` takes 0.18 s at p = 61 and 0.25 s at p = 127, and `lens-sweep
-# --primes p`, every pair, 0.96 s and 9.1 s; one sweep in the library grows
+# --primes p`, every pair, 0.85 s and 6.7 s; one sweep in the library grows
 # about as p^2.7 (0.06 s at p = 127, 0.33 s at 251, 2.1 s at 509).  So sweeps
 # no longer set the cap: it bounds lens-sweep's p^2/2 pairs and the one field
 # inversion of an elimination under --rep n, about 0.8 s for a dense value
@@ -80,8 +80,8 @@ DEFAULT_REP_COUNT = 6
 MAX_MODULUS = 127
 # Most simple operations in a certificate: the --length of gen-cert and the
 # ops of a certificate verify-cert reads.  On L(7,2) and a 2-vCPU machine,
-# gen-cert at the cap takes 3.0 s and verify-cert of its output 2.1 s
-# (medians of 3 runs); the certificate file is 0.8 MB.
+# gen-cert at the cap takes 0.45 s and verify-cert of its output 0.34 s
+# (medians of 3 runs, start-up included); the certificate file is 0.8 MB.
 MAX_CERT_OPS = 10_000
 # Largest total rank (the sum of the ranks over all degrees) of a complex file
 # given to torsion or gen-cert, and of every complex verify-cert builds from a

@@ -169,7 +169,7 @@ class GroupRingElem:
         return bool(self.terms)
 
     def __neg__(self) -> "GroupRingElem":
-        return GroupRingElem(tuple((w, -c) for w, c in self.terms))
+        return GroupRingElem(tuple([(w, -c) for w, c in self.terms]))
 
 
 def elem_from_dict(terms: dict[GroupWord, int]) -> GroupRingElem:

@@ -7,8 +7,9 @@ edit, and each has one primitive here:
   in degrees (d, d+1): an expansion or a retraction.  It changes ranks and
   labels and may widen the degree window.
 - ``_change_basis`` makes an elementary change of basis in one degree: a
-  handle slide c_a -> c_a + x*c_b or a deck transform c -> g*c.  It keeps
-  ranks, labels, the window and every matrix shape.
+  handle slide c_a -> c_a + x*c_b or, over a free product, a deck
+  transform c -> g*c (over Z/n a deck only records an exponent; see
+  Exponents).  It keeps ranks, labels, the window and every matrix shape.
 
 Coefficients act on the left of basis vectors, so a slide multiplies the
 outgoing column a by x on the left and corrects the incoming row b by x on
@@ -28,24 +29,44 @@ Entries.  A slide or deck computes on coefficient maps
 (``grouprings.map_form``: group element -> coefficient, keyed by the
 exponent over Z/n and by the letter tuple over a free product) with the
 multiply-add kernel of the group (``grouprings.map_mul_add``).  A slide's
-factors are its coefficient's map and that map negated; a deck's are the
-maps of its word and of the word's inverse.
+factors are its coefficient's map and that map negated; over a free
+product a deck's are the maps of its word and of the word's inverse.
+
+Exponents.  Over Z/n a deck c_i -> g^e*c_i is a trivial unit of Z[G], so
+it touches no entry: it adds e to the exponent s_i (mod n) that the copy
+keeps for every basis vector once a deck has run, and the stored entry
+(i, j) of d_d stands for g^(s_(d,j) - s_(d+1,i)) times itself (Z/n is
+abelian, so the two one-sided factors combine).  A slide c_a -> c_a +
+x*c_b in degree d multiplies by x*g^(s_b - s_a) instead of x, a block edit
+gives its new vectors exponent 0 and drops a deleted vector's, and
+``_is_retractable`` reads the stored entries as they are, since a unit
+factor changes neither whether an entry is zero nor whether it is +-g.
+``_freeze`` writes the exponents out once, visiting only the columns and
+rows of vectors whose exponent is nonzero, so a one-op ``apply_op`` deck
+does the work an eager deck does.  Free products keep eager decks: carrying
+letter-word units there (x becoming u_a^-1 x u_b) made the replay of the
+benchmark's 24 seed-4 free-product certificates about 17% slower (23-24 ->
+27-28 ms, best of 5), since their entries grow to hundreds of terms before
+the freeze multiplies every term by the units, where an eager deck
+multiplies an entry while it is small.
 
 Ownership.  An entry is read from its ``GroupRingElem`` the first time an
 op touches it, and maps are written back (``elem_from_map``) only when
 the copy is frozen.  So an entry is either an unread ``GroupRingElem``,
 which is immutable and may be shared (the zeros and pivot ones that a
 block edit inserts are), or a map that its slot owns and that the kernels
-add into in place.  An unread zero is read as the shared empty map
-``_NO_TERMS``, which no slot holds: the kernels never write an empty
-accumulator but return a new map.  ``start``, ``end`` and the ops are never
-mutated, since reading makes new maps.
+add into in place; writing out an exponent puts a new map in the slot.
+An unread zero is read as the shared empty map ``_NO_TERMS``, which no
+slot holds: the kernels never write an empty accumulator but return a new
+map.  ``start``, ``end`` and the ops are never mutated, since reading
+makes new maps.
 
 Size.  No entry may hold more than ``MAX_ENTRY_TERMS`` terms.  Over a large
 group products rarely collide, so each slide by a two-term coefficient can
 double an entry.  ``_change_basis`` checks each multiply-add before it runs:
 acc's terms plus the product of its factors' counts, the most terms the
-result can hold, must stay within the cap, else ``InvalidOpError``.
+result can hold, must stay within the cap, else ``InvalidOpError``.  A deck
+over Z/n changes no term count, so it makes no such check.
 """
 from __future__ import annotations
 
@@ -57,6 +78,7 @@ from .grouprings import (
     GroupSpec,
     GroupWord,
     IDENTITY_WORD,
+    InvalidWordError,
     ONE_ELEM,
     ZERO_ELEM,
     elem_from_dict,
@@ -145,17 +167,23 @@ class _Work(_GradedComplex):
     row lists, except that what no op has written yet may still be the tuple
     it was thawed from: ``_edit_block`` makes ranks and labels lists, and
     ``rows`` and ``_row`` make matrices and rows lists.  After a block edit
-    [min_degree, max_degree] may keep zero-rank end degrees until frozen."""
+    [min_degree, max_degree] may keep zero-rank end degrees until frozen.
 
-    __slots__ = ("spec", "min_degree", "max_degree", "ranks", "differentials", "labels")
+    Over Z/n, once a deck has run, ``shifts`` holds one list per degree of
+    the window with the exponent s (mod n) of each basis vector (see
+    Exponents in the module docstring).  Before that, and always over a
+    free product, it is None."""
 
-    def __init__(self, spec, min_degree, max_degree, ranks, differentials, labels):
+    __slots__ = ("spec", "min_degree", "max_degree", "ranks", "differentials", "labels", "shifts")
+
+    def __init__(self, spec, min_degree, max_degree, ranks, differentials, labels, shifts):
         self.spec = spec
         self.min_degree = min_degree
         self.max_degree = max_degree
         self.ranks = ranks
         self.differentials = differentials
         self.labels = labels
+        self.shifts = shifts
 
     def _zero(self):
         return ZERO_ELEM
@@ -193,7 +221,39 @@ def _read(spec: GroupSpec, x) -> dict:
 
 def _thaw(c: BasedComplex) -> _Work:
     """A working copy of c; a row is copied only when an op first writes it."""
-    return _Work(c.spec, c.min_degree, c.max_degree, c.ranks, list(c.differentials), c.labels)
+    return _Work(c.spec, c.min_degree, c.max_degree, c.ranks, list(c.differentials), c.labels, None)
+
+
+def _shifted(n: int, x: dict, e: int) -> dict:
+    """g^e * x over Z/n, as a new map keyed by exponent."""
+    return {(k + e) % n: c for k, c in x.items()}
+
+
+def _write_shifts(w: _Work) -> None:
+    """Multiply each stored entry (i, j) of each d_d by g^(s_(d,j) - s_(d+1,i))
+    and drop the exponents.  Only the columns and rows of basis vectors
+    with a nonzero exponent are visited, and each entry at most once."""
+    spec, lo, shifts = w.spec, w.min_degree, w.shifts
+    n = spec.factor_orders[0]
+    for at in range(len(shifts) - 1):  # d_d for d = lo + at
+        cols, rows = shifts[at], shifts[at + 1]
+        hot = [(j, e) for j, e in enumerate(cols) if e]
+        if not hot and not any(rows):
+            continue
+        m = w.rows(lo + at)
+        for i, t in enumerate(rows):
+            if t:  # the whole row, each entry by its column's shift too
+                row = _row(m, i)
+                for j, x in enumerate(row):
+                    e = (cols[j] - t) % n
+                    if x and e:
+                        row[j] = _shifted(n, _read(spec, x), e)
+            else:
+                for j, e in hot:
+                    x = m[i][j]
+                    if x:
+                        _row(m, i)[j] = _shifted(n, _read(spec, x), e)
+    w.shifts = None
 
 
 def _frozen_row(spec: GroupSpec, row) -> tuple:
@@ -205,8 +265,11 @@ def _frozen_row(spec: GroupSpec, row) -> tuple:
 
 def _freeze(w: _Work) -> BasedComplex:
     """The based complex w holds, on its support window, with every map
-    written back.  Every edit keeps each matrix rank(i+1) x rank(i), so the
-    shapes are not checked again."""
+    written back and, over Z/n, every exponent written out.  Every edit
+    keeps each matrix rank(i+1) x rank(i), so the shapes are not checked
+    again."""
+    if w.shifts is not None:
+        _write_shifts(w)
     ranks, labels, lo, mats, spec = w.ranks, w.labels, w.min_degree, w.differentials, w.spec
     if type(ranks) is not tuple:  # a block edit ran, so trim the window
         window = support(ranks)
@@ -228,12 +291,16 @@ def _widen(w: _Work, lo: int, hi: int) -> None:
         w.differentials[:0] = [()] * (gap - 1) + [((),) * w.ranks[0]]
         w.ranks[:0] = [0] * gap
         w.labels[:0] = [()] * gap
+        if w.shifts is not None:
+            w.shifts[:0] = [[] for _ in range(gap)]
         w.min_degree = lo
     if hi > w.max_degree:
         gap = hi - w.max_degree
         w.differentials += [()] * gap  # no rows: the new degrees have rank 0
         w.ranks += [0] * gap
         w.labels += [()] * gap
+        if w.shifts is not None:
+            w.shifts += [[] for _ in range(gap)]
         w.max_degree = hi
 
 
@@ -243,22 +310,28 @@ def _edit_block(w: _Work, d: int, k: int, insert: bool) -> None:
     Their ranks and labels change, and so do column k of each outgoing
     differential and row k of each incoming one; an inserted block gets a
     pivot 1 at [k][k] of d_d.  The new entries are the unread ``ZERO_ELEM``
-    and ``ONE_ELEM``.  The window first grows to hold both degrees; a
-    zero-rank end degree that a deletion leaves is trimmed when w is frozen.
+    and ``ONE_ELEM``; once exponents are kept, the new vectors get 0 and a
+    deleted vector's exponent goes with it.  The window first grows to hold
+    both degrees; a zero-rank end degree that a deletion leaves is trimmed
+    when w is frozen.
     """
     if type(w.ranks) is tuple:
         w.ranks, w.labels = list(w.ranks), list(w.labels)
     _widen(w, d, d + 1)
     lo, hi = w.min_degree, w.max_degree
-    ranks, labels = w.ranks, w.labels
+    ranks, labels, shifts = w.ranks, w.labels, w.shifts
     for i, label in ((d, f"u{d}_{k}"), (d + 1, f"v{d + 1}_{k}")):
         at, ls = i - lo, labels[i - lo]
         if insert:
             ranks[at] += 1
             labels[at] = ls[:k] + (label,) + ls[k:]
+            if shifts is not None:
+                shifts[at].insert(k, 0)
         else:
             ranks[at] -= 1
             labels[at] = ls[:k] + ls[k + 1:]
+            if shifts is not None:
+                del shifts[at][k]
         if i < hi:  # column k of the outgoing d_i
             m = w.rows(i)
             for j in range(len(m)):
@@ -381,6 +454,10 @@ def _apply_handle_slide(w: _Work, op: HandleSlide) -> None:
     if not (0 <= a < r and 0 <= b < r):
         raise InvalidOpError(f"slide indices ({a}, {b}) out of range at degree {d}")
     left = map_form(w.spec, op.coefficient.terms)
+    if w.shifts is not None:  # on the stored vectors, c_a + x*c_b is c_a + x*g^(s_b - s_a)*c_b
+        s = w.shifts[d - w.min_degree]
+        if s[a] != s[b]:
+            left = _shifted(w.spec.factor_orders[0], left, s[b] - s[a])
     _change_basis(w, d, a, b, left, {g: -c for g, c in left.items()})
 
 
@@ -390,6 +467,12 @@ def _apply_deck(w: _Work, op: DeckTransform) -> None:
         raise InvalidOpError(f"deck index {idx} out of range at degree {d}")
     spec, g = w.spec, op.word
     validate_word(spec, g)  # before map_form, so a bad word has one text over every group
+    if spec.kind == "cyclic":  # a word is g^e or the identity
+        if w.shifts is None:  # every basis vector starts at exponent 0
+            w.shifts = [[0] * r for r in w.ranks]
+        s = w.shifts[d - w.min_degree]
+        s[idx] = (s[idx] + (g.letters[0][1] if g else 0)) % spec.factor_orders[0]
+        return
     _change_basis(w, d, idx, idx, map_form(spec, ((g, 1),)), map_form(spec, ((word_inverse(spec, g), 1),)))
 
 
@@ -411,8 +494,8 @@ def _apply_step(w: _Work, step: int, op: SimpleOp) -> None:
     """``_apply``, with the op's index in a sequence on its error."""
     try:
         _apply(w, op)
-    except InvalidOpError as exc:
-        raise InvalidOpError(f"step {step}: {exc}") from exc
+    except (InvalidOpError, InvalidWordError) as exc:
+        raise type(exc)(f"step {step}: {exc}") from exc
 
 
 def apply_op(c: BasedComplex, op: SimpleOp) -> BasedComplex:

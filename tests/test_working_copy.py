@@ -10,6 +10,11 @@ deck's basis-change matrices.  Other tests pin the ownership rule (no map
 is shared between slots, the kernels never write an empty accumulator,
 nothing given to replay is mutated) and the ``MAX_ENTRY_TERMS`` cap, also
 under ``python -O``.
+
+Over Z/n a deck only adds to its basis vector's exponent, which slides
+shift their coefficients by and the freeze writes out; code-built
+certificates pin that against the references over every group, since the
+random ones slide by one-term coefficients only.
 """
 import copy
 import json
@@ -29,9 +34,12 @@ from torsionkit.chaincomplex import (
     two_term_complex,
 )
 from torsionkit.cli import main
+from torsionkit import simpleops
 from torsionkit.grouprings import (
     ONE_ELEM,
     GroupSpec,
+    GroupWord,
+    InvalidWordError,
     elem_from_dict,
     exponent_mul_add,
     generator_elem,
@@ -151,6 +159,131 @@ def test_slides_into_an_inserted_block_then_retraction(spec):
     assert ends[-1] == c
     for i in range(len(ops) + 1):
         assert replay_end(OpCertificate(c, ops[:i], c)) == ends[i]
+
+
+# --- exponents of basis vectors over Z/n ---
+
+EXPONENT_SPECS = [GroupSpec.cyclic(n) for n in (1, 2, 7, 13, 1000)] + [
+    GroupSpec.free_product(orders) for orders in ([2, 3], [5, 5])
+]
+
+
+def _spec_id(spec):
+    if spec.kind == "cyclic":
+        return f"Z{spec.factor_orders[0]}"
+    return "*".join(f"Z{m}" for m in spec.factor_orders)
+
+
+def _word(spec, k):
+    """g^k over Z/n; over a free product one letter for odd k, two for even."""
+    if spec.kind == "cyclic":
+        return generator_word(spec, 0, k)
+    a, b = spec.factor_orders
+    if k % 2:
+        return GroupWord(((0, 1 + k % (a - 1)),))
+    return GroupWord(((1, 1 + k % (b - 1)), (0, 1 + k % (a - 1))))
+
+
+def _coefficient(spec, *terms):
+    """The sum of c * word k over the (k, c) pairs."""
+    acc = {}
+    for k, c in terms:
+        w = _word(spec, k)
+        acc[w] = acc.get(w, 0) + c
+    return elem_from_dict(acc)
+
+
+def _exponent_start(spec):
+    """Ranks (2, 4, 2) in degrees 0..2, every vector linked both ways."""
+    parts = [
+        two_term_complex(spec, 0, _coefficient(spec, (0, 1), (1, -1))),
+        two_term_complex(spec, 1, _coefficient(spec, (2, 1))),
+        two_term_complex(spec, 0, _coefficient(spec, (3, 2))),
+        two_term_complex(spec, 1, _coefficient(spec, (0, 1), (4, 1))),
+    ]
+    c = parts[0]
+    for part in parts[1:]:
+        c = direct_sum(c, part)
+    for op in (HandleSlide(1, 0, 1, _coefficient(spec, (1, 1))), HandleSlide(1, 3, 2, _coefficient(spec, (5, -1)))):
+        c = apply_op(c, op)
+    return c
+
+
+def _exponent_ops(spec):
+    """Decks on both indices of later slides, slides by two- and three-term
+    coefficients, and decks on both vectors of inserted blocks (one inside
+    the window, one widening it) before their retraction."""
+    two, three = _coefficient(spec, (1, 2), (4, -1)), _coefficient(spec, (0, 1), (2, -3), (5, 1))
+    return (
+        DeckTransform(1, 0, _word(spec, 1)),
+        DeckTransform(1, 2, _word(spec, 3)),
+        HandleSlide(1, 0, 2, two),
+        DeckTransform(2, 1, _word(spec, 2)),
+        DeckTransform(0, 0, _word(spec, 5)),
+        HandleSlide(1, 2, 0, three),
+        HandleSlide(2, 0, 1, two),
+        HandleSlide(0, 1, 0, three),
+        Expansion(1, 1),
+        DeckTransform(1, 1, _word(spec, 2)),
+        DeckTransform(2, 1, _word(spec, 5)),
+        DeckTransform(1, 2, _word(spec, 4)),
+        Retraction(1, 1),
+        HandleSlide(1, 1, 2, two),
+        HandleSlide(2, 1, 0, three),
+        Expansion(2, 0),
+        DeckTransform(3, 0, _word(spec, 3)),
+        DeckTransform(2, 0, _word(spec, 6)),
+        HandleSlide(2, 1, 2, two),
+        Retraction(2, 0),
+        DeckTransform(1, 3, _word(spec, 6)),
+        HandleSlide(1, 3, 1, three),
+        HandleSlide(1, 1, 3, two),
+    )
+
+
+@pytest.mark.parametrize("spec", EXPONENT_SPECS, ids=_spec_id)
+def test_decks_and_slides_on_exponents_match_the_references(spec):
+    start, ops = _exponent_start(spec), _exponent_ops(spec)
+    ends = reference_ends(start, ops)
+    assert ends[-1] != start
+    for i in range(len(ops) + 1):
+        assert replay_end(OpCertificate(start, ops[:i], start)) == ends[i]
+    c = start
+    for op, want in zip(ops, ends[1:]):
+        c = apply_op(c, op)
+        assert c == want
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.cyclic(7), GroupSpec.free_product([5, 5])], ids=_spec_id)
+def test_decks_multiply_only_over_free_products(spec, monkeypatch):
+    """Over Z/7 a deck-only certificate replays with no multiply-add; over
+    Z/5 * Z/5 each deck still multiplies its column and row."""
+    start = _exponent_start(spec)
+    ops = tuple(
+        DeckTransform(d, k, _word(spec, 1 + d + k)) for d in start.degrees for k in range(start.rank(d))
+    )
+    calls = []
+    real = simpleops.map_mul_add
+    monkeypatch.setattr(simpleops, "map_mul_add", lambda *args: calls.append(args) or real(*args))
+    assert replay_end(OpCertificate(start, ops, start)) == reference_ends(start, ops)[-1]
+    assert bool(calls) == (spec.kind != "cyclic")
+
+
+@pytest.mark.parametrize(
+    "op, text",
+    [
+        (DeckTransform(2, 0, GroupWord(((0, 9),))), "step 2: exponent 9 not reduced mod 7"),
+        (HandleSlide(1, 0, 1, elem_from_dict({GroupWord(((0, 9),)): 1})), "step 2: not a reduced word of Z/7: ((0, 9),)"),
+    ],
+    ids=["deck", "slide"],
+)
+def test_a_bad_word_names_its_step(op, text):
+    spec = GroupSpec.cyclic(7)
+    start = _exponent_start(spec)
+    ops = _exponent_ops(spec)[:2] + (op,)
+    with pytest.raises(InvalidWordError) as err:
+        replay_end(OpCertificate(start, ops, start))
+    assert str(err.value) == text
 
 
 # Each kernel on the same products: over Z/7 keyed by exponent, and over
