@@ -75,8 +75,8 @@ DEFAULT_REP_COUNT = 6
 # --primes p`, every pair, 0.85 s and 6.7 s; one sweep in the library grows
 # about as p^2.7 (0.06 s at p = 127, 0.33 s at 251, 2.1 s at 509).  So sweeps
 # no longer set the cap: it bounds lens-sweep's p^2/2 pairs and the one field
-# inversion of an elimination under --rep n, about 0.8 s for a dense value
-# with 40-bit coefficients at n = 127.
+# inversion of an elimination under --rep n, about 0.36 s for a dense value
+# with 40-bit coefficients at n = 127 (30 ms at n = 61).
 MAX_MODULUS = 127
 # Most simple operations in a certificate: the --length of gen-cert and the
 # ops of a certificate verify-cert reads.  On L(7,2) and a 2-vCPU machine,
@@ -468,7 +468,12 @@ def cmd_verify_cert(args) -> Report:
     _check_complex(cert.start, args.cert_file)
     spec = cert.start.spec
     if args.rep:
-        reps = [parse_rep_spec(r, spec) for r in args.rep]
+        reps = []
+        for text in args.rep:
+            rep = parse_rep_spec(text, spec)
+            if rep in reps:  # compared reduced, so n=7;g0=8 repeats n=7;g0=1
+                raise CliError(f"--rep {_rep_label(rep)} is given more than once")
+            reps.append(rep)
     else:
         modulus = max(spec.factor_orders)
         _check_modulus("default modulus", modulus)

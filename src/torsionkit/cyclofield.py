@@ -15,7 +15,11 @@ divides x^n - 1, so the reduction first adds slot k onto slot k mod n and
 then clears what is left above x^phi by Phi_n: at most n - phi
 coefficients, one for prime n, so a product reduces in O(n) there.
 Inversion goes through the Galois conjugates, so no polynomial gcd is ever
-needed: 1/a = (prod of conjugates of a) / norm(a).
+needed: 1/a = (prod of conjugates of a) / norm(a).  The product comes from
+Itoh-Tsujii doubling chains, one per pair (d, o) of a coset decomposition
+of (Z/n)^x (``unit_chains``), so it takes O(log o) products per chain, not
+phi - 1.  Values are immutable and are built through their slot descriptors;
+``cyclo_zero`` is one shared value per modulus.
 
 Also here: representations of group rings into Q(zeta_n), the finite unit
 subgroups +-rho(G), and torsion classes (units modulo that subgroup).
@@ -139,11 +143,14 @@ class CycloNum:
     nums: tuple[int, ...]
     den: int
 
-    def __post_init__(self) -> None:
-        if len(self.nums) != euler_phi(self.n):
+    def __init__(self, n: int, nums: tuple[int, ...], den: int) -> None:
+        if len(nums) != euler_phi(n):
             raise ValueError("coefficient vector has wrong length")
-        if self.den < 1:
+        if den < 1:
             raise ValueError("denominator must be positive")
+        _set_n(self, n)
+        _set_nums(self, nums)
+        _set_den(self, den)
 
     def __bool__(self) -> bool:
         return any(self.nums)
@@ -159,6 +166,11 @@ class CycloNum:
 
     def __neg__(self) -> "CycloNum":
         return cyclo_neg(self)
+
+
+# Frozen: the fields are set once, through their slot descriptors, which is
+# cheaper than the object.__setattr__ of a generated __init__.
+_set_n, _set_nums, _set_den = (CycloNum.__dict__[f].__set__ for f in ("n", "nums", "den"))
 
 
 def _make(n: int, nums, den: int) -> CycloNum:
@@ -179,7 +191,9 @@ def _make(n: int, nums, den: int) -> CycloNum:
     return CycloNum(n, tuple(nums), den)
 
 
+@lru_cache(maxsize=64)
 def cyclo_zero(n: int) -> CycloNum:
+    """The zero of Q(zeta_n), one shared value per modulus."""
     return CycloNum(n, (0,) * euler_phi(n), 1)
 
 
@@ -260,16 +274,65 @@ def galois_conjugate(a: CycloNum, k: int) -> CycloNum:
     return _make(n, _reduce_mod_phi(n, acc), a.den)
 
 
+@lru_cache(maxsize=64)
+def unit_chains(n: int) -> tuple[tuple[int, int], ...]:
+    """A coset decomposition of (Z/n)^x as pairs (d_j, o_j): o_j is the
+    least power of d_j in the subgroup H_(j-1) spanned by d_1..d_(j-1), so
+    every unit is exactly one product of d_j^(i_j), 0 <= i_j < o_j.  Each
+    d_j is the least unit of greatest o_j, a generator when the group is
+    cyclic; () when the group is trivial (n = 1, 2)."""
+    phi = euler_phi(n)
+    group = {1 % n}
+    chains = []
+    while len(group) < phi:
+        best = (0, 0)
+        for d in units(n):
+            o, x = 1, d
+            while x not in group:
+                o, x = o + 1, x * d % n
+            if o > best[1]:
+                best = (d, o)
+                if o * len(group) == phi:  # d covers what is left
+                    break
+        d, o = best
+        group = {h * pow(d, i, n) % n for h in group for i in range(o)}
+        chains.append(best)
+    return tuple(chains)
+
+
+def _chain_product(x: CycloNum, d: int, o: int) -> CycloNum:
+    """prod over i = 1..o-1 of sigma_d^i(x), for o >= 2, by the
+    Itoh-Tsujii chain on P_k = prod over i < k of sigma_d^i(x):
+    P_2k = P_k * sigma_d^k(P_k) and P_(k+1) = x * sigma_d(P_k), walking
+    the bits of o - 1 from the top; the result is sigma_d(P_(o-1))."""
+    n = x.n
+    p, k = x, 1
+    for bit in bin(o - 1)[3:]:
+        p = cyclo_mul(p, galois_conjugate(p, pow(d, k, n)))
+        k *= 2
+        if bit == "1":
+            p = cyclo_mul(x, galois_conjugate(p, d))
+            k += 1
+    return galois_conjugate(p, d)
+
+
 def cyclo_inv(a: CycloNum) -> CycloNum:
-    """Inverse via conjugates: a * prod(sigma(a)) is the integer norm."""
+    """Inverse via conjugates: a * prod(sigma(a)) is the integer norm.
+
+    The conjugates come from one Itoh-Tsujii chain per pair (d_j, o_j) of
+    ``unit_chains(n)``: with x_0 = a, R_j = prod over i = 1..o_j-1 of
+    sigma_(d_j)^i(x_(j-1)) and x_j = x_(j-1) * R_j, x_j is the product of
+    sigma_u(a) over u in H_j.  So R_1 * ... * R_m is the product over every
+    unit but 1, once each, and x_m is the norm."""
     if not a:
         raise ZeroDivisionError("cyclotomic inverse of zero")
     n = a.n
-    ipart = CycloNum(n, a.nums, 1)
+    norm = CycloNum(n, a.nums, 1)  # x_j; the norm after the last chain
     conj_prod = cyclo_one(n)
-    for k in units(n)[1:]:  # every conjugate but the identity, 1 or (for n = 1) 0
-        conj_prod = cyclo_mul(conj_prod, galois_conjugate(ipart, k))
-    norm = cyclo_mul(ipart, conj_prod)
+    for d, o in unit_chains(n):
+        r = _chain_product(norm, d, o)
+        conj_prod = cyclo_mul(conj_prod, r)
+        norm = cyclo_mul(norm, r)
     if any(norm.nums[1:]) or norm.den != 1:
         raise ArithmeticError("norm must be a plain integer")
     return _make(n, [a.den * c for c in conj_prod.nums], norm.nums[0])

@@ -91,12 +91,20 @@ class GroupWord:
 
     letters: tuple[tuple[int, int], ...] = ()
 
+    def __init__(self, letters: tuple[tuple[int, int], ...] = ()) -> None:
+        _set_letters(self, letters)
+
     def __bool__(self) -> bool:
         return bool(self.letters)
 
     def sort_key(self):
         return (len(self.letters), self.letters)
 
+
+# Frozen: the field is set once, through its slot descriptor, which is
+# cheaper than the object.__setattr__ of a generated __init__ (so for
+# GroupRingElem below).
+_set_letters = GroupWord.__dict__["letters"].__set__
 
 IDENTITY_WORD = GroupWord()
 
@@ -165,11 +173,17 @@ class GroupRingElem:
 
     terms: tuple[tuple[GroupWord, int], ...] = ()
 
+    def __init__(self, terms: tuple[tuple[GroupWord, int], ...] = ()) -> None:
+        _set_terms(self, terms)
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __neg__(self) -> "GroupRingElem":
         return GroupRingElem(tuple([(w, -c) for w, c in self.terms]))
+
+
+_set_terms = GroupRingElem.__dict__["terms"].__set__
 
 
 def elem_from_dict(terms: dict[GroupWord, int]) -> GroupRingElem:

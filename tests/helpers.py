@@ -4,11 +4,13 @@ All generators are deterministic given an explicit random.Random instance;
 sizes stay small so the exact arithmetic keeps every suite desk-scale.  The
 references (``basis_change_by_matrices``, ``block_edit_reference``,
 ``reference_ends``) compute simple operations entry by entry on
-``GroupRingElem``s, independently of the working copy in ``simpleops``.
+``GroupRingElem``s, independently of the working copy in ``simpleops``;
+``sequential_inverse`` inverts in Q(zeta_n) one conjugate at a time.
 """
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from torsionkit.grouprings import (
     GroupSpec,
@@ -31,6 +33,14 @@ from torsionkit.chaincomplex import (
     mat_compose,
     mat_identity,
     two_term_complex,
+)
+from torsionkit.cyclofield import (
+    CycloNum,
+    cyclo_fraction,
+    cyclo_mul,
+    cyclo_one,
+    galois_conjugate,
+    units,
 )
 from torsionkit.simpleops import DeckTransform, Expansion, HandleSlide, Retraction, apply_op
 
@@ -366,3 +376,16 @@ def reference_ends(start, ops):
         c = reference_step(c, op)
         ends.append(c)
     return ends
+
+
+def sequential_inverse(a: CycloNum) -> CycloNum:
+    """1/a = (prod of sigma_u(a), u != 1) * den / norm, the product taken
+    one conjugate at a time over the units in increasing order."""
+    n = a.n
+    ipart = CycloNum(n, a.nums, 1)
+    conj_prod = cyclo_one(n)
+    for u in units(n)[1:]:
+        conj_prod = cyclo_mul(conj_prod, galois_conjugate(ipart, u))
+    norm = cyclo_mul(ipart, conj_prod)
+    assert not any(norm.nums[1:]) and norm.den == 1, "norm must be a plain integer"
+    return cyclo_mul(conj_prod, cyclo_fraction(n, Fraction(a.den, norm.nums[0])))

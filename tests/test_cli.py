@@ -707,6 +707,17 @@ class TestCertificates:
         main(["gen-cert", str(lens_file), "--length", "12", "--seed", "1", "--out", str(cert)])
         assert main(["verify-cert", str(cert), "--rep", "n=7;g0=1", "--rep", "n=7;g0=2"]) == 0
 
+    @pytest.mark.parametrize("second", ["n=7;g0=1", "n=7;g0=8"])
+    def test_repeated_rep_exits_1(self, monkeypatch, capsys, second):
+        """A rep given twice, also in unreduced form, is refused before replay."""
+        monkeypatch.setattr(cli, "replay_end", None)  # never reached
+        cert = str(GOLDEN / "cert.json")
+        for argv in (["verify-cert", cert], ["--json", "verify-cert", cert]):
+            assert main([*argv, "--rep", "n=7;g0=1", "--rep", "n=7;g0=2", "--rep", second]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --rep n=7;g0=1 is given more than once\n"
+
     @staticmethod
     def _cert_of(spec, entry, tmp_path):
         """A 5-op certificate on the two-term complex [Z[G] --entry--> Z[G]]."""

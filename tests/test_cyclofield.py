@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsionkit.grouprings import (
+    GroupRingElem,
     GroupSpec,
     GroupWord,
     InvalidWordError,
@@ -40,12 +43,13 @@ from torsionkit.cyclofield import (
     galois_conjugate,
     representation,
     torsion_class,
+    unit_chains,
     unit_subgroup,
     units,
     zeta,
 )
 
-from helpers import random_elem
+from helpers import random_elem, sequential_inverse
 
 Z7 = GroupSpec.cyclic(7)
 FP77 = GroupSpec.free_product([7, 7])
@@ -649,3 +653,86 @@ def test_large_power_takes_logarithmically_many_products(monkeypatch):
     k = 10**6
     assert cyclo_pow(zeta(7), k) == zeta(7, k % 7)
     assert len(calls) <= 2 * k.bit_length()
+
+
+# --- the inverse by Itoh-Tsujii chains, and the hand-written constructors ---
+
+
+def inverse_samples(n, count, seed):
+    """Units of Q(zeta_n) with denominators: dense random values, a
+    rational, and +-zeta^k, the values lens torsion inverts."""
+    rng = random.Random(seed)
+    phi = euler_phi(n)
+    out = [cyclo_fraction(n, Fraction(-3, 4)), cyclo_neg(zeta(n, rng.randrange(n)))]
+    while len(out) < count:
+        nums = tuple(rng.randint(-2**10, 2**10) for _ in range(phi))
+        a = cyclo_mul(CycloNum(n, nums, 1), cyclo_fraction(n, Fraction(1, rng.randint(1, 30))))
+        if a:
+            out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 9, 12, 15, 31, 61, 127])
+def test_inverse_matches_sequential_product(n):
+    """8, 12 and 15 have non-cyclic unit groups, so several chains."""
+    for a in inverse_samples(n, 3 if n > 60 else 8, seed=n):
+        inv = cyclo_inv(a)
+        assert inv == sequential_inverse(a)
+        assert cyclo_mul(a, inv) == cyclo_one(n)
+
+
+@pytest.mark.parametrize("n", [8, 12, 15])
+def test_non_cyclic_unit_groups_take_several_chains(n):
+    assert len(unit_chains(n)) == 2
+
+
+def test_unit_chains_cover_each_unit_once():
+    """Every unit mod n is exactly one product of d_j^i_j, 0 <= i_j < o_j."""
+    for n in range(1, 201):
+        products = [1 % n]
+        for d, o in unit_chains(n):
+            assert o >= 2 and gcd(d, n) == 1
+            products = [h * pow(d, i, n) % n for h in products for i in range(o)]
+        assert sorted(products) == list(units(n)), n
+
+
+CONSTRUCTED = [
+    CycloNum(7, (1, -2, 0, 0, 3, 0), 5),
+    cyclo_zero(12),
+    GroupWord(((0, 2), (1, 1))),
+    GroupWord(),
+    GroupRingElem(((GroupWord(), 3), (GroupWord(((0, 1),)), -1))),
+    GroupRingElem(),
+]
+
+
+@pytest.mark.parametrize("value", CONSTRUCTED, ids=repr)
+def test_constructed_values_stay_frozen_values(value):
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and hash(copy) == hash(value) and repr(copy) == repr(value)
+    again = dataclasses.replace(value)
+    assert again == value and hash(again) == hash(value) and again is not value
+    assert type(value)(**{f.name: getattr(value, f.name) for f in dataclasses.fields(value)}) == value
+
+
+def test_cyclonum_constructor_keeps_its_checks():
+    with pytest.raises(ValueError, match="^coefficient vector has wrong length$"):
+        CycloNum(7, (1, 2), 1)
+    with pytest.raises(ValueError, match="^denominator must be positive$"):
+        CycloNum(7, (0,) * 6, 0)
+    with pytest.raises(ValueError, match="^denominator must be positive$"):
+        dataclasses.replace(CycloNum(7, (1,) * 6, 2), den=-1)
+    assert dataclasses.replace(CycloNum(7, (1,) * 6, 2), den=3) == CycloNum(7, (1,) * 6, 3)
+
+
+def test_default_constructors_build_the_identity_and_zero():
+    assert GroupWord() == GroupWord(()) and not GroupWord()
+    assert GroupRingElem() == ZERO_ELEM and not GroupRingElem()
+
+
+def test_zero_is_shared_per_modulus():
+    assert cyclo_zero(7) is cyclo_zero(7) is evaluate_rep(representation(Z7, 7, [1]), ZERO_ELEM)
+    assert cyclo_zero(12) != cyclo_zero(7)
