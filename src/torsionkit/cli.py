@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .grouprings import GroupSpec, spec_from_obj
 from .cyclofield import (
@@ -71,12 +71,12 @@ DEFAULT_REP_COUNT = 6
 # the default twist modulus of a certificate.  A twist sweep is one
 # elimination and p conjugated classes over Q(zeta_p).  On a 2-vCPU machine
 # (medians of 3 runs, each about 0.16 s of start-up) `lens-classify p 1 2
-# --all-d` takes 0.18 s at p = 61 and 0.25 s at p = 127, and `lens-sweep
-# --primes p`, every pair, 0.85 s and 6.7 s; one sweep in the library grows
-# about as p^2.7 (0.06 s at p = 127, 0.33 s at 251, 2.1 s at 509).  So sweeps
-# no longer set the cap: it bounds lens-sweep's p^2/2 pairs and the one field
-# inversion of an elimination under --rep n, about 0.36 s for a dense value
-# with 40-bit coefficients at n = 127 (30 ms at n = 61).
+# --all-d` takes 0.17 s at p = 61 and 0.20 s at p = 127, and `lens-sweep
+# --primes p`, every pair, 0.48 s and 2.7 s; one sweep in the library grows
+# about as p^1.6 (0.015 s at p = 127, 0.046 s at 251, 0.13 s at 509).  So
+# sweeps no longer set the cap: it bounds lens-sweep's p^2/2 pairs and the one
+# field inversion of an elimination under --rep n, about 0.36 s for a dense
+# value with 40-bit coefficients at n = 127 (30 ms at n = 61).
 MAX_MODULUS = 127
 # Most simple operations in a certificate: the --length of gen-cert and the
 # ops of a certificate verify-cert reads.  On L(7,2) and a 2-vCPU machine,
@@ -650,7 +650,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     if args.json:
-        sys.stdout.write(dumps_canonical(asdict(report)))
+        # every value of a report is plain JSON already, so no deep copy
+        sys.stdout.write(dumps_canonical({
+            "command": report.command,
+            "inputs": report.inputs,
+            "results": report.results,
+            "status": report.status,
+        }))
     else:
         for line in args.render(report):
             print(line)

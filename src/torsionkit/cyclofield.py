@@ -25,18 +25,24 @@ Also here: representations of group rings into Q(zeta_n), the finite unit
 subgroups +-rho(G), and torsion classes (units modulo that subgroup).
 +-rho(G) is {+-zeta^(jg)}, stored by its step g (the least g with zeta^g in
 it), so it is visibly stable under every zeta -> zeta^d.  Units act by
-rotation: a coset representative comes from walking the orbit one
-multiplication by zeta (a shift of the coefficients with the one
-coefficient above x^phi folded back by Phi_n, O(phi), inline because the
-walk takes n such steps per class) at a time, so it needs no full product.
+rotation.  For n = p^a, with m = n/p, a value's cyclic difference sequence
+delta_i = w_i - w_(i-m) of any lift w is the same for every lift, zeta^k
+rotates it and its stride-m prefix sum is the power-basis vector; so the
+coset representative, the least point of the orbit, is the least rotation
+of delta or -delta by a multiple of g, found by comparing slices of the
+doubled sequence (``canonical_rep``).  For n = 1 or n with two distinct
+prime factors the orbit is walked one multiplication by zeta at a time (a
+shift of the coefficients with the one coefficient above x^phi folded back
+by Phi_n, O(phi)).  Neither path needs a full product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
-from operator import neg
+from operator import neg, sub
 
 from .grouprings import GroupRingElem, GroupSpec, cyclic_terms, validate_word
 
@@ -354,11 +360,15 @@ def cyclo_pow(a: CycloNum, k: int) -> CycloNum:
 def cyclo_str(a: CycloNum) -> str:
     """Render as a polynomial in z, e.g. ``2 - 3/7*z^2 (mod Phi_7)``."""
     parts = []
+    den = a.den
     for j, c in enumerate(a.nums):
         if not c:
             continue
-        g = gcd(c, a.den)
-        mag = f"{abs(c) // g}" if g == a.den else f"{abs(c) // g}/{a.den // g}"
+        if den == 1:
+            mag = f"{abs(c)}"
+        else:
+            g = gcd(c, den)
+            mag = f"{abs(c) // g}" if g == den else f"{abs(c) // g}/{den // g}"
         if j == 0:
             body = mag
         else:
@@ -459,25 +469,94 @@ def unit_subgroup(rep: Representation) -> UnitSubgroup:
     return UnitSubgroup(n, gcd(n, *rep.generator_exponents))
 
 
+@lru_cache(maxsize=64)
+def _prime_power_stride(n: int) -> int:
+    """n/p when n = p^a for a prime p and a >= 1, else 0 (n = 1, or n with
+    two distinct prime factors).  Phi_n is then sum over j < p of x^(j*n/p)."""
+    if n < 2:
+        return 0
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    rest = n
+    while rest % p == 0:
+        rest //= p
+    return n // p if rest == 1 else 0
+
+
 def canonical_rep(u: CycloNum, units: UnitSubgroup) -> CycloNum:
     """Deterministic coset representative: the lexicographic minimum of the
-    orbit {w*u} under the coefficient-vector order.
+    orbit {+-zeta^(j*g) * u}, g = ``units.step``, under the
+    coefficient-vector order.
 
     Each unit +-zeta^k acts on the power basis by a unimodular integer
     matrix, which keeps the content of ``nums`` and hence ``den``; so the
     order of the integer ``nums`` is the order of the rational coefficients.
-    The orbit is walked, not multiplied out: times zeta is one
-    companion-matrix step of Phi_n on ``nums``, O(phi), and every
-    ``units.step``-th point and its negative lie in the orbit.
+
+    For n = p^a the minimum is a least rotation (``_least_rotation``).  Let
+    m = n/p, so Phi_n = sum over j < p of x^(j*m), and the kernel of
+    Z[x]/(x^n - 1) -> Z[zeta] is the vectors constant on each residue class
+    mod m.  Lift a point to any w in Z[x]/(x^n - 1); its cyclic difference
+    sequence delta_i = w_i - w_(i-m) does not depend on the lift.  Its
+    power-basis vector x, padded with zeros to length n, is such a lift with
+    x_(i-m) = x_(i-m+n) = 0 for i < m, so x is the stride-m prefix sum of
+    delta: x_i = delta_i for i < m, else x_(i-m) + delta_i.  Times zeta^k
+    rotates every lift, so it rotates delta by k, and negation negates
+    delta.  A prefix sum keeps the lexicographic order: two deltas that
+    first differ at index i come from x's that agree before i and differ at
+    i by the same amount, and i < phi, since x determines delta.  So the
+    representative is the prefix sum of the least rotation of delta or
+    -delta by a multiple of g, a least circular shift (Booth, 1980) over the
+    starts 0, g, 2g, ...
+
+    For n = 1 or n with two distinct prime factors this identity fails, and
+    the orbit is walked (``_orbit_walk``).
     """
     if not u:
         raise ZeroDivisionError("zero has no torsion class")
     n = u.n
     if n != units.modulus:
         raise ModulusMismatchError(f"moduli differ: {n} vs {units.modulus}")
-    g = units.step
+    m = _prime_power_stride(n)
+    if m:
+        nums = _least_rotation(u.nums, n, m, units.step)
+    else:
+        nums = _orbit_walk(u.nums, n, units.step)
+    return _make(n, nums, u.den)
+
+
+def _least_rotation(nums: tuple[int, ...], n: int, m: int, g: int) -> list[int]:
+    """The orbit minimum at n = p^a, m = n/p: the least rotation of delta or
+    -delta by a multiple of g, summed back with stride m (``canonical_rep``).
+    Only starts holding the least head are compared in full, as slices of
+    the doubled sequence."""
+    delta = nums[:m] + tuple(map(sub, nums[m:] + (0,) * m, nums))
+    heads = delta[::g]
+    lo, hi = min(heads), max(heads)
+    # delta's least head is lo; -delta's is -hi, at the starts where delta holds hi
+    signs = []
+    if lo <= -hi:
+        signs.append((delta, lo))
+    if -hi <= lo:
+        signs.append((tuple(map(neg, delta)), hi))
+    best = None
+    for seq, head in signs:
+        ring = seq + seq
+        for k, h in enumerate(heads):
+            if h == head:
+                rot = ring[k * g:k * g + n]
+                if best is None or rot < best:
+                    best = rot
+    x = list(best[:n - m])
+    for c in range(m):
+        x[c::m] = accumulate(x[c::m])
+    return x
+
+
+def _orbit_walk(nums: tuple[int, ...], n: int, g: int) -> tuple[int, ...]:
+    """The orbit minimum for any n, walked: times zeta is one
+    companion-matrix step of Phi_n on ``nums``, O(phi), and every g-th point
+    and its negative lie in the orbit."""
     mod = cyclotomic_polynomial(n)
-    cur = u.nums
+    cur = nums
     kept = [cur]
     for k in range(1, n - g + 1):
         # cur -> zeta*cur: shift up one power, then fold x^phi back by Phi_n
@@ -488,7 +567,7 @@ def canonical_rep(u: CycloNum, units: UnitSubgroup) -> CycloNum:
         if k % g == 0:
             kept.append(cur)
     # the least of the negated points is minus the greatest kept one
-    return _make(n, min(min(kept), tuple(map(neg, max(kept)))), u.den)
+    return min(min(kept), tuple(map(neg, max(kept))))
 
 
 @dataclass(frozen=True, slots=True)

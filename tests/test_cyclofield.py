@@ -48,6 +48,7 @@ from torsionkit.cyclofield import (
     units,
     zeta,
 )
+from torsionkit.lensspaces import lens_params, lens_torsion
 
 from helpers import random_elem, sequential_inverse
 
@@ -296,14 +297,40 @@ def rep_id(rep):
     return f"{factors}->z{rep.modulus}^{','.join(map(str, rep.generator_exponents))}"
 
 
+def run_values(n):
+    """Values whose difference sequences have long runs of equal entries, so
+    that many starts of the least rotation tie: 1 + zeta + ... + zeta^k,
+    every second or third power of zeta, their negatives, and a lens torsion
+    value times a root of unity."""
+    if n < 3:
+        return []
+    runs = [[1] * (k + 1) for k in sorted({1, 2, n // 2, n - 3})]
+    runs += [([1] + [0] * (period - 1)) * (n // period) for period in (2, 3)]
+    out = []
+    for coeffs in runs:
+        run = CycloNum(n, cyclofield._reduce_mod_phi(n, coeffs), 1)
+        if run:
+            out += [run, -run]
+    q = next(q for q in range(2, n) if gcd(q, n) == 1)
+    lens = lens_torsion(lens_params(n, q), 1).representative
+    out += [lens, zeta(n, n // 3) * lens, -zeta(n, 1) * cyclo_inv(lens)]
+    return out
+
+
 def differential_reps():
     """Cyclic reps at each modulus, with exponents whose gcd with n exceeds 1
-    among them, plus Z/3 -> zeta_12^4 and free products."""
+    among them, plus Z/3 -> zeta_12^4 and free products.  The prime powers
+    (3, 5, 7, 8, 9, 13, 25, 27, 31, 49, 61, 127) take the least rotation,
+    with steps g > 1 at 9, 25 and 27; 1, 6, 12 and 15 take the walk."""
     reps = []
-    for n in (1, 2, 4, 6, 8, 9, 12, 15, 31, 61):
+    for n in (1, 2, 4, 6, 8, 9, 12, 15, 31, 61, 3, 5, 7, 13, 25, 27, 49, 127):
         exps = range(n) if n <= 15 else (0, 1, 2, n - 1)
         reps += [representation(GroupSpec.cyclic(n), n, [e]) for e in exps]
     reps += [
+        representation(GroupSpec.cyclic(5), 25, [5]),
+        representation(GroupSpec.cyclic(3), 27, [9]),
+        representation(GroupSpec.cyclic(9), 27, [3]),
+        representation(GroupSpec.cyclic(7), 49, [7]),
         representation(GroupSpec.cyclic(3), 12, [4]),
         representation(GroupSpec.cyclic(2), 12, [6]),
         representation(FP77, 7, [1, 1]),
@@ -331,8 +358,11 @@ class TestUnitsActByRotation:
     def test_canonical_rep_matches_products(self, rep):
         n = rep.modulus
         units = unit_subgroup(rep)
-        for u in sample_values(n, 3 if n > 15 else 6, n):
-            assert canonical_rep(u, units) == reference_canonical_rep(u, units)
+        for u in sample_values(n, 3 if n > 15 else 6, n) + run_values(n):
+            rep_u = canonical_rep(u, units)
+            assert rep_u == reference_canonical_rep(u, units)
+            # the walk, the general path, agrees with the least rotation
+            assert rep_u.nums == cyclofield._orbit_walk(u.nums, n, units.step)
 
     def test_twists_share_one_group(self):
         groups = {unit_subgroup(representation(GroupSpec.cyclic(13), 13, [d])) for d in range(1, 13)}
