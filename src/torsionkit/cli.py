@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -69,11 +70,12 @@ CROSSCHECK_VIOLATION = 3
 DEFAULT_REP_COUNT = 6
 # Largest modulus the CLI computes in: a lens or free-product p, a --rep n, or
 # the default twist modulus of a certificate.  A twist sweep is one
-# elimination and p conjugated classes over Q(zeta_p).  On a 2-vCPU machine
-# (medians of 3 runs, each about 0.16 s of start-up) `lens-classify p 1 2
-# --all-d` takes 0.17 s at p = 61 and 0.20 s at p = 127, and `lens-sweep
-# --primes p`, every pair, 0.48 s and 2.7 s; one sweep in the library grows
-# about as p^1.6 (0.015 s at p = 127, 0.046 s at 251, 0.13 s at 509).  So
+# elimination and p conjugated classes over Q(zeta_p), each a permuted lift
+# and one least rotation.  On a 2-vCPU machine (medians of 3 runs, each about
+# 0.075 s of start-up) `lens-classify 127 1 2 --all-d` takes 0.09 s (11 ms of
+# it in the command itself), and `lens-sweep --primes p`, every pair, 0.32 s
+# at p = 61 and 1.9 s at 127; one sweep in the library grows about as p^1.6
+# (0.015 s at p = 127, 0.046 s at 251, 0.13 s at 509).  So
 # sweeps no longer set the cap: it bounds lens-sweep's p^2/2 pairs and the one
 # field inversion of an elimination under --rep n, about 0.36 s for a dense
 # value with 40-bit coefficients at n = 127 (30 ms at n = 61).
@@ -649,18 +651,36 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    if args.json:
-        # every value of a report is plain JSON already, so no deep copy
-        sys.stdout.write(dumps_canonical({
-            "command": report.command,
-            "inputs": report.inputs,
-            "results": report.results,
-            "status": report.status,
-        }))
-    else:
-        for line in args.render(report):
-            print(line)
+    try:
+        if args.json:
+            # every value of a report is plain JSON already, so no deep copy
+            sys.stdout.write(dumps_canonical({
+                "command": report.command,
+                "inputs": report.inputs,
+                "results": report.results,
+                "status": report.status,
+            }))
+        else:
+            for line in args.render(report):
+                print(line)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        _discard_stdout()
+        print("error: stdout was closed before the whole report was written", file=sys.stderr)
+        return PARSE_ERROR
     return report.status
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the
+    interpreter's flush of what is still buffered cannot fail at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

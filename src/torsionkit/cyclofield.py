@@ -30,10 +30,15 @@ delta_i = w_i - w_(i-m) of any lift w is the same for every lift, zeta^k
 rotates it and its stride-m prefix sum is the power-basis vector; so the
 coset representative, the least point of the orbit, is the least rotation
 of delta or -delta by a multiple of g, found by comparing slices of the
-doubled sequence (``canonical_rep``).  For n = 1 or n with two distinct
-prime factors the orbit is walked one multiplication by zeta at a time (a
-shift of the coefficients with the one coefficient above x^phi folded back
-by Phi_n, O(phi)).  Neither path needs a full product.
+doubled sequence (``canonical_rep``).  A twist of a class at n = p^a
+(``TorsionClass.conjugate``) permutes the representative's zero-padded
+lift by j -> j*d mod n, which is sigma_d on the lift, and takes the least
+rotation of that lift directly: no reduction mod Phi_n and no second
+normalisation.  For n = 1 or n with two distinct prime factors the orbit
+is walked one multiplication by zeta at a time (a shift of the
+coefficients with the one coefficient above x^phi folded back by Phi_n,
+O(phi)).  Neither path needs a full product.  ``cyclo_str`` writes each
+term from the modulus's table of power names.
 """
 from __future__ import annotations
 
@@ -273,11 +278,16 @@ def galois_conjugate(a: CycloNum, k: int) -> CycloNum:
     moves to slot j*k mod n."""
     if gcd(k, a.n) != 1:
         raise ValueError(f"{k} is not coprime to {a.n}")
-    n = a.n
-    acc = [0] * n
-    for j, c in enumerate(a.nums):
-        acc[j * k % n] = c  # j -> j*k mod n is injective for a unit k
-    return _make(n, _reduce_mod_phi(n, acc), a.den)
+    return _make(a.n, _reduce_mod_phi(a.n, _conjugate_lift(a.nums, a.n, k)), a.den)
+
+
+def _conjugate_lift(nums, n: int, k: int) -> list[int]:
+    """sigma_k on the zero-padded lift of ``nums`` to Z[x]/(x^n - 1): slot j
+    moves to slot j*k mod n, which is injective for a unit k."""
+    lift = [0] * n
+    for j, c in enumerate(nums):
+        lift[j * k % n] = c
+    return lift
 
 
 @lru_cache(maxsize=64)
@@ -357,29 +367,40 @@ def cyclo_pow(a: CycloNum, k: int) -> CycloNum:
     return out
 
 
+@lru_cache(maxsize=64)
+def _power_names(n: int) -> tuple[str, ...]:
+    """The suffix each power-basis coefficient of Q(zeta_n) takes in
+    ``cyclo_str``: "", "*z", "*z^2", ..., one per power below phi."""
+    phi = euler_phi(n)
+    return ("", "*z", *(f"*z^{j}" for j in range(2, phi)))[:phi]
+
+
+_SIGNS = (" + ", " - ")
+
+
+def _magnitude(c: int, den: int) -> str:
+    """|c|/den in lowest terms, without the denominator when it divides."""
+    g = gcd(c, den)
+    return f"{abs(c) // g}" if g == den else f"{abs(c) // g}/{den // g}"
+
+
 def cyclo_str(a: CycloNum) -> str:
-    """Render as a polynomial in z, e.g. ``2 - 3/7*z^2 (mod Phi_7)``."""
-    parts = []
+    """Render as a polynomial in z, e.g. ``2 - 3/7*z^2 (mod Phi_7)``.
+
+    Every nonzero term is written as " + c*z^j" or " - c*z^j" from the
+    modulus's power names; then a magnitude of exactly 1 before a power of
+    z is dropped (a space, then "1*z", occurs nowhere else), and the first
+    term loses its leading " + " or keeps its sign as "-"."""
+    names = _power_names(a.n)
     den = a.den
-    for j, c in enumerate(a.nums):
-        if not c:
-            continue
-        if den == 1:
-            mag = f"{abs(c)}"
-        else:
-            g = gcd(c, den)
-            mag = f"{abs(c) // g}" if g == den else f"{abs(c) // g}/{den // g}"
-        if j == 0:
-            body = mag
-        else:
-            var = "z" if j == 1 else f"z^{j}"
-            body = var if mag == "1" else f"{mag}*{var}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
-    poly = "".join(parts) if parts else "0"
-    return f"{poly} (mod Phi_{a.n})"
+    if den == 1:
+        terms = [f"{_SIGNS[c < 0]}{abs(c)}{s}" for c, s in zip(a.nums, names) if c]
+    else:
+        terms = [f"{_SIGNS[c < 0]}{_magnitude(c, den)}{s}" for c, s in zip(a.nums, names) if c]
+    if not terms:
+        return f"0 (mod Phi_{a.n})"
+    poly = "".join(terms).replace(" 1*z", " z")
+    return f"{poly[3:] if poly[1] == '+' else '-' + poly[3:]} (mod Phi_{a.n})"
 
 
 # --- representations rho: Z[G] -> Q(zeta_n) ---
@@ -517,18 +538,19 @@ def canonical_rep(u: CycloNum, units: UnitSubgroup) -> CycloNum:
         raise ModulusMismatchError(f"moduli differ: {n} vs {units.modulus}")
     m = _prime_power_stride(n)
     if m:
-        nums = _least_rotation(u.nums, n, m, units.step)
+        nums = _least_rotation(u.nums + (0,) * m, n, m, units.step)
     else:
         nums = _orbit_walk(u.nums, n, units.step)
     return _make(n, nums, u.den)
 
 
-def _least_rotation(nums: tuple[int, ...], n: int, m: int, g: int) -> list[int]:
-    """The orbit minimum at n = p^a, m = n/p: the least rotation of delta or
-    -delta by a multiple of g, summed back with stride m (``canonical_rep``).
-    Only starts holding the least head are compared in full, as slices of
-    the doubled sequence."""
-    delta = nums[:m] + tuple(map(sub, nums[m:] + (0,) * m, nums))
+def _least_rotation(w, n: int, m: int, g: int) -> list[int]:
+    """The orbit minimum at n = p^a, m = n/p, from any lift w of the value
+    to Z[x]/(x^n - 1), n long: the least rotation of delta or -delta by a
+    multiple of g, summed back with stride m (``canonical_rep``).  Only
+    starts holding the least head are compared in full, as slices of the
+    doubled sequence."""
+    delta = tuple(map(sub, w, w[n - m:] + w[:n - m]))  # delta_i = w_i - w_(i-m)
     heads = delta[::g]
     lo, hi = min(heads), max(heads)
     # delta's least head is lo; -delta's is -hi, at the starts where delta holds hi
@@ -592,11 +614,25 @@ class TorsionClass:
         for a unit d mod n (ValueError otherwise).  sigma_d maps
         {+-zeta^(j*step)} onto itself, so this is sigma_d of the class: the
         torsion of C under sigma_d . rho, when this is its torsion under rho
-        (Milnor, Whitehead torsion, 1966)."""
+        (Milnor, Whitehead torsion, 1966).
+
+        For n = p^a the representative's zero-padded lift is permuted by
+        j -> j*d mod n, which is sigma_d on Z[x]/(x^n - 1) and commutes with
+        the map to Z[zeta_n]; that lift goes straight to the least rotation,
+        with no reduction mod Phi_n.  sigma_d and the units keep the content
+        of the numerators, so the denominator stays.  Other n reduce the
+        conjugate and walk its orbit (``canonical_rep``)."""
         n = self.units.modulus
         if d % n == 1 % n:
             return self
-        return torsion_class(galois_conjugate(self.representative, d), self.units)
+        rep = self.representative
+        m = _prime_power_stride(n)
+        if not m:
+            return torsion_class(galois_conjugate(rep, d), self.units)
+        if gcd(d, n) != 1:
+            raise ValueError(f"{d} is not coprime to {n}")
+        nums = _least_rotation(_conjugate_lift(rep.nums, n, d), n, m, self.units.step)
+        return TorsionClass(CycloNum(n, tuple(nums), rep.den), self.units)
 
     def is_trivial(self) -> bool:
         return self.representative in self.units.elements

@@ -5,12 +5,14 @@ sizes stay small so the exact arithmetic keeps every suite desk-scale.  The
 references (``basis_change_by_matrices``, ``block_edit_reference``,
 ``reference_ends``) compute simple operations entry by entry on
 ``GroupRingElem``s, independently of the working copy in ``simpleops``;
-``sequential_inverse`` inverts in Q(zeta_n) one conjugate at a time.
+``sequential_inverse`` inverts in Q(zeta_n) one conjugate at a time, and
+``reference_cyclo_str`` renders a value term by term.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from torsionkit.grouprings import (
     GroupSpec,
@@ -389,3 +391,27 @@ def sequential_inverse(a: CycloNum) -> CycloNum:
     norm = cyclo_mul(ipart, conj_prod)
     assert not any(norm.nums[1:]) and norm.den == 1, "norm must be a plain integer"
     return cyclo_mul(conj_prod, cyclo_fraction(n, Fraction(a.den, norm.nums[0])))
+
+
+def reference_cyclo_str(a: CycloNum) -> str:
+    """A value as a polynomial in z, one branch per case of each term: the
+    magnitude |c|/den in lowest terms, a bare magnitude at z^0, a bare power
+    of z for magnitude 1, and the first term's sign in front."""
+    parts = []
+    den = a.den
+    for j, c in enumerate(a.nums):
+        if not c:
+            continue
+        g = gcd(c, den)
+        mag = f"{abs(c) // g}" if g == den else f"{abs(c) // g}/{den // g}"
+        if j == 0:
+            body = mag
+        else:
+            var = "z" if j == 1 else f"z^{j}"
+            body = var if mag == "1" else f"{mag}*{var}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
+    poly = "".join(parts) if parts else "0"
+    return f"{poly} (mod Phi_{a.n})"

@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -780,6 +782,14 @@ GOLDEN_CASES = {
     "lens-classify-all-d-49": (["lens-classify", "49", "2", "3", "--all-d"], 0),
     "lens-classify-all-d-15": (["lens-classify", "15", "1", "2", "--all-d"], 0),
     "lens-classify-all-d-61": (["lens-classify", "61", "1", "2", "--all-d"], 0),
+    # conjugated classes: the free-product sweep at a larger prime, and
+    # fingerprints over Q(zeta_49) with step 7, where the rep n=49;g0=7 is
+    # conjugated by 2 and 3
+    "demo-freeproduct-61": (["demo-freeproduct", "61", "1", "2"], 0),
+    "verify-cert-49": (
+        ["verify-cert", "cert.json", "--rep", "n=49;g0=7", "--rep", "n=49;g0=14", "--rep", "n=49;g0=21"],
+        0,
+    ),
 }
 
 
@@ -838,3 +848,45 @@ class TestGoldenOutput:
         assert main(flags + argv) == status
         expected = (GOLDEN / f"{name}.{mode}").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+
+class TestClosedStdout:
+    """A reader that goes away ends the command with exit 1 and one error
+    line, never a traceback, whether the write fails on a print or at the
+    final flush."""
+
+    ERROR = "error: stdout was closed before the whole report was written\n"
+
+    @pytest.mark.parametrize("p", ["7", "61"])  # under and over one pipe buffer of text
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_closed_pipe(self, flags, p):
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the command writes anything
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "torsionkit", *flags, "lens-classify", p, "1", "2", "--all-d"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr.decode() == self.ERROR
+        assert proc.returncode == 1
+
+    def test_in_process(self, monkeypatch, capsys):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["lens-classify", "7", "1", "2"]) == 1
+        assert capsys.readouterr().err == self.ERROR

@@ -50,7 +50,7 @@ from torsionkit.cyclofield import (
 )
 from torsionkit.lensspaces import lens_params, lens_torsion
 
-from helpers import random_elem, sequential_inverse
+from helpers import random_elem, reference_cyclo_str, sequential_inverse
 
 Z7 = GroupSpec.cyclic(7)
 FP77 = GroupSpec.free_product([7, 7])
@@ -766,3 +766,123 @@ def test_default_constructors_build_the_identity_and_zero():
 def test_zero_is_shared_per_modulus():
     assert cyclo_zero(7) is cyclo_zero(7) is evaluate_rep(representation(Z7, 7, [1]), ZERO_ELEM)
     assert cyclo_zero(12) != cyclo_zero(7)
+
+
+# --- twist classes from the permuted lift, against the reduce-then-walk path ---
+
+CONJUGATE_PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 25, 27, 49, 61, 127]
+CONJUGATE_OTHER = [1, 12, 15]  # these keep torsion_class(galois_conjugate(...))
+
+
+def unit_groups(n):
+    """Every unit group +-<zeta_n^g>, one per distinct step, g = n included."""
+    return sorted({UnitSubgroup(n, k) for k in range(n + 1)}, key=lambda u: u.step)
+
+
+def conjugate_classes(n):
+    """Classes over every unit group of values with denominators, runs of
+    equal differences and lens torsion."""
+    values = sample_values(n, 3 if n > 30 else 6, 3 * n) + run_values(n)
+    return [torsion_class(u, units) for units in unit_groups(n) for u in values]
+
+
+class TestConjugateFromLift:
+    @pytest.mark.parametrize("n", CONJUGATE_PRIME_POWERS + CONJUGATE_OTHER)
+    def test_matches_conjugate_then_class(self, n):
+        for cls in conjugate_classes(n):
+            for d in units(n):
+                expected = torsion_class(galois_conjugate(cls.representative, d), cls.units)
+                got = cls.conjugate(d)
+                assert got == expected
+                assert got.representative.den == cls.representative.den
+                assert cls.conjugate(d + n) == got and cls.conjugate(d - n) == got
+
+    def test_steps_above_one_are_covered(self):
+        assert {u.step for n in CONJUGATE_PRIME_POWERS for u in unit_groups(n)} >= {2, 3, 5, 7, 9, 25}
+        assert any(cls.representative.den > 1 for cls in conjugate_classes(25))
+
+    @pytest.mark.parametrize("n", CONJUGATE_PRIME_POWERS + CONJUGATE_OTHER)
+    def test_canonical_rep_only_off_prime_powers(self, n, monkeypatch):
+        """A prime power conjugates without reducing mod Phi_n or walking an
+        orbit; n = 1 and composite n go through canonical_rep per twist."""
+        classes = conjugate_classes(n)[:4]
+        calls = []
+        walk = cyclofield.canonical_rep
+
+        def counted(u, units):
+            calls.append(1)
+            return walk(u, units)
+
+        monkeypatch.setattr(cyclofield, "canonical_rep", counted)
+        twists = [d for d in units(n) if d % n != 1 % n]
+        for cls in classes:
+            for d in twists:
+                cls.conjugate(d)
+        assert len(calls) == (0 if cyclofield._prime_power_stride(n) else len(classes) * len(twists))
+
+    @pytest.mark.parametrize("n", [9, 25, 12, 15])
+    def test_non_unit_rejected_with_one_text(self, n):
+        cls = conjugate_classes(n)[0]
+        for d in (0, n // 3 if n % 3 == 0 else 5, n):
+            with pytest.raises(ValueError) as exc:
+                cls.conjugate(d)
+            assert str(exc.value) == f"{d} is not coprime to {n}"
+
+    @pytest.mark.parametrize("n", [7, 49])
+    def test_least_rotation_takes_any_lift(self, n):
+        """Adding a multiple of Phi_n's kernel vector, a constant on each
+        residue class mod m, changes the lift but not the representative."""
+        m = cyclofield._prime_power_stride(n)
+        rng = random.Random(n)
+        for cls in conjugate_classes(n):
+            nums = cls.representative.nums
+            lift = nums + (0,) * m
+            shift = [rng.randint(-5, 5) for _ in range(m)]
+            other = [c + shift[i % m] for i, c in enumerate(lift)]
+            step = cls.units.step
+            assert cyclofield._least_rotation(other, n, m, step) == list(nums)
+            assert cyclofield._least_rotation(lift, n, m, step) == list(nums)
+
+
+# --- cyclo_str from per-modulus power names, against the term-by-term renderer ---
+
+
+def render_values(n, seed):
+    """Seeded values over small and composite moduli: zero, +-1 at z^0, z
+    and z^2, negative leading terms, and denominators sharing part of their
+    factors with some coefficients."""
+    phi = euler_phi(n)
+    rng = random.Random(seed)
+    out = [cyclo_zero(n), cyclo_one(n), -cyclo_one(n), cyclo_int(n, 10), cyclo_int(n, -11)]
+    for j in range(min(phi, 3)):
+        for c in (1, -1, 12, -12):
+            for den in (1, 2, 12):
+                nums = [0] * phi
+                nums[j] = c
+                out.append(cyclofield._make(n, nums, den))
+                if phi > j + 1:
+                    nums[-1] = 7
+                    out.append(cyclofield._make(n, nums, den))
+    for _ in range(40):
+        nums = [rng.choice([0, 0, 1, -1, 1, -1, 2, -3, 4, 6, -9, 12, 11]) for _ in range(phi)]
+        out.append(cyclofield._make(n, nums, rng.choice([1, 1, 2, 3, 4, 6, 12, 35, 60])))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9, 12, 15, 61])
+def test_cyclo_str_matches_reference(n):
+    values = render_values(n, n)
+    assert {a.den > 1 for a in values} == {False, True}
+    for a in values:
+        assert cyclo_str(a) == reference_cyclo_str(a)
+
+
+def test_cyclo_str_cases():
+    assert cyclo_str(cyclofield._make(7, [1, -1, 1, 0, -1, 0], 1)) == "1 - z + z^2 - z^4 (mod Phi_7)"
+    assert cyclo_str(cyclofield._make(7, [-1, 0, 0, 0, 0, 1], 1)) == "-1 + z^5 (mod Phi_7)"
+    assert cyclo_str(cyclofield._make(7, [0, -1, 0, 0, 0, 11], 1)) == "-z + 11*z^5 (mod Phi_7)"
+    assert cyclo_str(cyclofield._make(7, [4, 2, -1, 0, 0, 0], 4)) == "1 + 1/2*z - 1/4*z^2 (mod Phi_7)"
+    assert cyclo_str(cyclofield._make(5, [0, 0, -6, 0], 6)) == "-z^2 (mod Phi_5)"
+    assert cyclo_str(cyclo_int(1, -1)) == "-1 (mod Phi_1)"
+    assert cyclo_str(cyclo_fraction(2, Fraction(-3, 2))) == "-3/2 (mod Phi_2)"
+    assert cyclo_str(cyclo_zero(2)) == "0 (mod Phi_2)"
