@@ -315,11 +315,13 @@ class FieldComplex(_GradedComplex):
 
 
 def base_change(c: BasedComplex, rep: Representation) -> FieldComplex:
-    """Apply the representation entrywise: C tensored over Z[G] with Q(zeta_n)."""
+    """Apply the representation entrywise: C tensored over Z[G] with Q(zeta_n).
+    Zero entries, about half of a scrambled complex's, share one zero."""
     if rep.spec != c.spec:
         raise SpecMismatchError("representation is for a different group")
+    z = cyclo_zero(rep.modulus)
     mats = tuple(
-        tuple(tuple(evaluate_rep(rep, x) for x in row) for row in m)
+        tuple(tuple(evaluate_rep(rep, x) if x else z for x in row) for row in m)
         for m in c.differentials
     )
     return FieldComplex(

@@ -584,8 +584,20 @@ def render_gen_cert(report: Report) -> list[str]:
     return [f"wrote certificate with {report.results['ops']} ops to {report.inputs['out']}"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse writes help through a method that swallows OSError, so
+    ``--help`` on a closed stdout would exit 0; this one writes and flushes
+    it, and a closed pipe raises BrokenPipeError out of parse_args.
+    Subcommand parsers share the class."""
+
+    def print_help(self, file=None) -> None:
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torsionkit",
         description="Exact torsion invariants of based complexes over group rings.",
     )
@@ -638,7 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except BrokenPipeError:  # from --help
+        return _stdout_closed()
     try:
         report = args.func(args)
     except (
@@ -665,10 +680,14 @@ def main(argv=None) -> int:
                 print(line)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
     except BrokenPipeError:
-        _discard_stdout()
-        print("error: stdout was closed before the whole report was written", file=sys.stderr)
-        return PARSE_ERROR
+        return _stdout_closed()
     return report.status
+
+
+def _stdout_closed() -> int:
+    _discard_stdout()
+    print("error: stdout was closed before the whole report was written", file=sys.stderr)
+    return PARSE_ERROR
 
 
 def _discard_stdout() -> None:

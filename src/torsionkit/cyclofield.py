@@ -436,7 +436,8 @@ def representation(spec: GroupSpec, modulus: int, exponents) -> Representation:
 def evaluate_rep(rep: Representation, x: GroupRingElem) -> CycloNum:
     """rho(x): each term's coefficient goes to the slot of its exponent in
     the lift, then one reduction mod Phi_n.  Over Z/m reading a word's
-    exponent is its validity check; free-product words are validated."""
+    exponent is its validity check; free-product words are validated.  The
+    value has denominator 1, so it is built in reduced form directly."""
     n = rep.modulus
     if not x:
         return cyclo_zero(n)
@@ -451,7 +452,7 @@ def evaluate_rep(rep: Representation, x: GroupRingElem) -> CycloNum:
         for w, c in x.terms:
             validate_word(spec, w)
             acc[sum(exp * exps[f] for f, exp in w.letters) % n] += c
-    return _make(n, _reduce_mod_phi(n, acc), 1)
+    return CycloNum(n, _reduce_mod_phi(n, acc), 1)
 
 
 @dataclass(frozen=True, slots=True)

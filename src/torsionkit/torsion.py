@@ -9,8 +9,10 @@ yields the pivot columns S_{i-1} and the minor of d_{i-1} on those rows
 and columns.  Signed by the row order, that minor is the determinant of
 the basis (d_{i-1} e_j for j in S_{i-1}, then e_j for j in S_i) of C_i, and
 it enters with exponent (-1)^(i-1).  The value does not depend on which
-pivots are chosen; nothing is divided until the single field inversion at
-the end.
+pivots are chosen.  Each minor is a product of pivot powers p^e (see
+_eliminate), so the value is one product of the factors with e > 0 over one
+product of those with e < 0: nothing is divided until the end, which
+inverts once, and only when some factor lands in the denominator.
 
 reidemeister_torsion composes base change, field torsion and reduction to
 the unit coset; torsion_of_map measures a quasi-isomorphism through its
@@ -31,6 +33,7 @@ every unit twist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .cyclofield import (
     CycloNum,
@@ -71,22 +74,24 @@ def _column_scan(cols: int, strategy: str) -> list[int]:
     raise ValueError(f"unknown pivot strategy {strategy!r}")
 
 
-def _eliminate(mat, rows: list[int], scan: list[int], n: int):
+def _eliminate(mat, rows: list[int], scan: list[int]):
     """One fraction-free row elimination of ``mat`` restricted to ``rows``.
 
     Columns are visited in ``scan`` order; the first remaining row with a
     nonzero entry becomes that column's pivot row, and every other remaining
     row with a nonzero entry there is replaced by p*row - f*(pivot row),
-    which never divides.  Returns ``(cols, pivot_rows, num, den)``: the pivot
+    which never divides.  Returns ``(cols, pivot_rows, factors)``: the pivot
     columns, which form a basis of the column space of the restricted
-    matrix, the row each was found in, and the minor of ``mat`` on those
-    rows and columns (both in pivot order) as the product of the pivots
-    ``num`` over the product of the row multipliers ``den``.
+    matrix, the row each was found in, and a pair (p, 1 - k) for each pivot
+    p that updated k != 1 rows.  An update multiplies its row, and so the
+    determinant of what remains, by p; so when every row becomes a pivot
+    row, as in an acyclic complex, the minor of ``mat`` on those rows and
+    columns (both in pivot order) is the product of p^e over ``factors``.
     """
-    num = den = cyclo_one(n)
     work = {r: list(mat[r]) for r in rows}
     cols: list[int] = []
     pivot_rows: list[int] = []
+    factors: list[tuple[CycloNum, int]] = []
     for t, j in enumerate(scan):
         pr = next((r for r in work if work[r][j]), None)
         if pr is None:
@@ -95,17 +100,19 @@ def _eliminate(mat, rows: list[int], scan: list[int], n: int):
         pivot_rows.append(pr)
         wp = work.pop(pr)
         p = wp[j]
-        num = cyclo_mul(num, p)
+        k = 0
         for wr in work.values():
             f = wr[j]
             if f:
                 for c in scan[t + 1:]:
                     if wr[c] or wp[c]:  # else p*0 - f*0 leaves the zero
                         wr[c] = cyclo_mul_sub(p, wr[c], f, wp[c])
-                den = cyclo_mul(den, p)
+                k += 1
+        if k != 1:
+            factors.append((p, 1 - k))
         if not work:
             break
-    return cols, pivot_rows, num, den
+    return cols, pivot_rows, factors
 
 
 def _is_odd(order: list[int]) -> bool:
@@ -123,33 +130,37 @@ def field_torsion(fc: FieldComplex, pivot_strategy: str = "first") -> CycloNum:
     NotAcyclicError (with the lowest offending degree and its rank defect)
     when dim C_i = rank d_i + rank d_{i-1} fails somewhere.
     """
-    n = fc.modulus
-    num_acc = den_acc = cyclo_one(n)
+    num: list[CycloNum] = []  # the factors of the value, repeated by exponent
+    den: list[CycloNum] = []  # and those of its inverse
+    odd = False
     failure = None
     basis: list[int] = []  # pivot columns of d_i, found in the previous step
     for i in range(fc.max_degree, fc.min_degree - 1, -1):
         taken = set(basis)
         rest = [r for r in range(fc.rank(i)) if r not in taken]
         scan = _column_scan(fc.rank(i - 1), pivot_strategy)
-        cols, pivot_rows, num, den = _eliminate(fc.diff(i - 1), rest, scan, n)
+        cols, pivot_rows, factors = _eliminate(fc.diff(i - 1), rest, scan)
         defect = len(rest) - len(cols)
         if defect:
             failure = NotAcyclicError(i, defect)
         elif failure is None:
             # the basis (d e_j for j in cols, e_j for j in basis) of C_i has
-            # determinant +-num/den: expand along its unit columns
-            if _is_odd(pivot_rows + basis):
-                num = -num
-            if i % 2:  # exponent (-1)^(i-1) is +1 in odd degrees
-                num_acc = cyclo_mul(num_acc, num)
-                den_acc = cyclo_mul(den_acc, den)
-            else:
-                num_acc = cyclo_mul(num_acc, den)
-                den_acc = cyclo_mul(den_acc, num)
+            # determinant +-(the minor): expand along its unit columns
+            odd ^= _is_odd(pivot_rows + basis)
+            sign = 1 if i % 2 else -1  # exponent (-1)^(i-1)
+            for p, e in factors:
+                e *= sign
+                if e > 0:
+                    num += [p] * e
+                else:
+                    den += [p] * -e
         basis = cols
     if failure is not None:
         raise failure
-    return cyclo_mul(num_acc, cyclo_inv(den_acc))
+    if den:
+        num.append(cyclo_inv(reduce(cyclo_mul, den)))
+    value = reduce(cyclo_mul, num) if num else cyclo_one(fc.modulus)
+    return -value if odd else value
 
 
 def reidemeister_torsion(c: BasedComplex, rep: Representation) -> TorsionClass:

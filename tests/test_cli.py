@@ -857,17 +857,20 @@ class TestClosedStdout:
 
     ERROR = "error: stdout was closed before the whole report was written\n"
 
-    @pytest.mark.parametrize("p", ["7", "61"])  # under and over one pipe buffer of text
-    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
-    def test_closed_pipe(self, flags, p):
+    @staticmethod
+    def run_closed(argv, unbuffered=None):
         env = dict(os.environ)
         src = str(Path(cli.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered is not None:
+            env.pop("PYTHONUNBUFFERED", None)
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
         read_end, write_end = os.pipe()
         os.close(read_end)  # closed before the command writes anything
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "torsionkit", *flags, "lens-classify", p, "1", "2", "--all-d"],
+            return subprocess.run(
+                [sys.executable, "-m", "torsionkit", *argv],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 env=env,
@@ -875,6 +878,21 @@ class TestClosedStdout:
             )
         finally:
             os.close(write_end)
+
+    @pytest.mark.parametrize("p", ["7", "61"])  # under and over one pipe buffer of text
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_closed_pipe(self, flags, p):
+        proc = self.run_closed([*flags, "lens-classify", p, "1", "2", "--all-d"])
+        assert proc.stderr.decode() == self.ERROR
+        assert proc.returncode == 1
+
+    @pytest.mark.parametrize("command", [[], ["torsion"]], ids=["top-level", "subcommand"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_help_on_closed_pipe(self, command, unbuffered):
+        """Buffered, the write of the help text fails only when it is
+        flushed; unbuffered, it fails at once, where argparse's own writer
+        would swallow the error.  Both end in the error line."""
+        proc = self.run_closed([*command, "--help"], unbuffered)
         assert proc.stderr.decode() == self.ERROR
         assert proc.returncode == 1
 
@@ -890,3 +908,6 @@ class TestClosedStdout:
         monkeypatch.setattr(sys, "stdout", Closed())
         assert main(["lens-classify", "7", "1", "2"]) == 1
         assert capsys.readouterr().err == self.ERROR
+        for argv in (["--help"], ["gen-cert", "--help"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == self.ERROR

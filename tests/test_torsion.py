@@ -1,4 +1,7 @@
 import random
+from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +13,7 @@ from torsionkit.grouprings import (
     ring_sub,
 )
 from torsionkit.cyclofield import (
+    cyclo_fraction,
     cyclo_inv,
     cyclo_mul,
     cyclo_one,
@@ -21,6 +25,7 @@ from torsionkit.cyclofield import (
     zeta,
 )
 from torsionkit.chaincomplex import (
+    FieldComplex,
     ShapeMismatchError,
     base_change,
     based_complex,
@@ -34,7 +39,9 @@ from torsionkit.chaincomplex import (
     tensor_z_complexes,
     two_term_complex,
     validate,
+    validate_field,
 )
+from torsionkit import torsion as torsion_module
 from torsionkit.torsion import (
     NotAcyclicError,
     field_torsion,
@@ -537,3 +544,207 @@ class TestMinorFormMatchesReference:
             cone = mapping_cone(scale_chain_map(iso, rng.choice(pool)))
             for d in (0, 1, rng.randrange(2, n)):
                 assert_matches_reference(cone, representation(spec, n, [d]), strategy)
+
+
+FIELD_MODULI = [1, 2, 7, 12, 13, 15]
+
+
+def fraction_entry(n, rng, zero_share=0.3):
+    """Zero, or a sum of one or two terms q*zeta^k whose q mostly has a
+    denominator above 1."""
+    if rng.random() < zero_share:
+        return cyclo_zero(n)
+    x = cyclo_zero(n)
+    for _ in range(rng.randint(1, 2)):
+        q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 5]))
+        x = x + cyclo_fraction(n, q) * zeta(n, rng.randrange(n))
+    return x
+
+
+def cofactor_det(rows, n):
+    """Laplace expansion along the first row: no elimination, no division."""
+    if not rows:
+        return cyclo_one(n)
+    total = cyclo_zero(n)
+    for j, a in enumerate(rows[0]):
+        if a:
+            term = a * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]], n)
+            total = total - term if j % 2 else total + term
+    return total
+
+
+def pivot_product(factors, n):
+    return reduce(cyclo_mul, (cyclo_pow(p, e) for p, e in factors), cyclo_one(n))
+
+
+def has_denominator(rows) -> bool:
+    return any(x.den > 1 for row in rows for x in row)
+
+
+class TestPivotPowers:
+    """When every row it is given becomes a pivot row, _eliminate returns
+    the minor on its pivot rows and columns as the product of p^(1 - k)
+    over its pivots p, k the rows each one updated."""
+
+    @pytest.mark.parametrize("n", FIELD_MODULI)
+    def test_product_is_the_cofactor_minor(self, n):
+        rng = random.Random(900 + n)
+        shapes = [(1, 1), (2, 2), (3, 3), (4, 4), (2, 4), (3, 5), (4, 2), (5, 3)]
+        seen_denominator, full = False, 0
+        for rows, cols in shapes * 3:
+            mat = [[fraction_entry(n, rng) for _ in range(cols)] for _ in range(rows)]
+            if rows >= 3 and rng.random() < 0.5:  # a dependent row
+                s, t = cyclo_fraction(n, Fraction(rng.choice([-2, 1, 3]), 2)), fraction_entry(n, rng, 0)
+                mat[-1] = [s * a + t * b for a, b in zip(mat[0], mat[1])]
+            seen_denominator |= has_denominator(mat)
+            for scan in (list(range(cols)), list(range(cols - 1, -1, -1))):
+                for subset in (list(range(rows)), sorted(rng.sample(range(rows), max(1, rows - 1)))):
+                    pcols, prows, factors = torsion_module._eliminate(mat, subset, scan)
+                    minor = cofactor_det([[mat[r][c] for c in pcols] for r in prows], n)
+                    assert minor, "pivots must pick a nonsingular minor"
+                    assert all(e and p for p, e in factors)
+                    if len(prows) == len(subset):
+                        assert pivot_product(factors, n) == minor
+                        full += 1
+                    else:  # no larger minor is nonsingular
+                        size = len(prows) + 1
+                        for rs in combinations(subset, size):
+                            for cs in combinations(range(cols), size):
+                                assert not cofactor_det([[mat[r][c] for c in cs] for r in rs], n)
+        assert seen_denominator and full >= 40
+
+    def test_a_pivot_updating_one_row_cancels(self):
+        """On [[a, b], [c, d]], a updates one row and is left out; the
+        second pivot a*d - c*b updates none and is the determinant."""
+        n = 7
+        a, b = cyclo_fraction(n, Fraction(3, 2)), zeta(n, 2)
+        c, d = one_minus_zeta(1), cyclo_fraction(n, Fraction(-1, 5)) * zeta(n, 4)
+        cols, rows, factors = torsion_module._eliminate([[a, b], [c, d]], [0, 1], [0, 1])
+        assert (cols, rows) == ([0, 1], [0, 1])
+        assert factors == [(a * d - c * b, 1)]
+
+
+def scrambled_field_complex(n, rng, entries, steps=8):
+    """A direct sum of two-term field pieces F -> F from degree k+1 to k,
+    one per (k, u) of ``entries``, from degree 0 up, followed by ``steps``
+    basis changes over Q(zeta_n): e_a -> e_a + c*e_b and e_a -> s*e_a with
+    fractions c and s, so entries and pivots carry denominators."""
+    top = max(k for k, _ in entries) + 1
+    ranks = [0] * (top + 1)
+    placed = []
+    for k, u in entries:
+        placed.append((k, ranks[k + 1], ranks[k], u))
+        ranks[k + 1] += 1
+        ranks[k] += 1
+    zero = cyclo_zero(n)
+    mats = [[[zero] * ranks[k] for _ in range(ranks[k + 1])] for k in range(top)]
+    for k, a, b, u in placed:
+        mats[k][a][b] = u
+    for _ in range(steps):
+        k = rng.choice([d for d in range(top + 1) if ranks[d]])
+        a, b = rng.randrange(ranks[k]), rng.randrange(ranks[k])
+        if a != b:  # e_a -> e_a + c*e_b
+            c = cyclo_fraction(n, Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3]))) * zeta(n, rng.randrange(n))
+            out_scale, in_scale, src = c, -c, b
+        else:  # e_a -> s*e_a
+            s = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([2, 3, 7]))
+            out_scale, in_scale, src = cyclo_fraction(n, s - 1), cyclo_fraction(n, 1 / s - 1), a
+        if k >= 1:  # rows of d_(k-1): row a gains out_scale * row src
+            m = mats[k - 1]
+            m[a] = [x + out_scale * y for x, y in zip(m[a], m[src])]
+        if k < top:  # columns of d_k: column src gains in_scale * column a
+            for row in mats[k]:
+                row[src] = row[src] + in_scale * row[a]
+    fc = FieldComplex(
+        n, 0, top, tuple(ranks),
+        tuple(tuple(tuple(row) for row in m) for m in mats),
+        tuple(tuple(f"e{k}_{j}" for j in range(r)) for k, r in enumerate(ranks)),
+    )
+    validate_field(fc)
+    return fc
+
+
+@pytest.mark.parametrize("strategy", ["first", "last"])
+@pytest.mark.parametrize("n", FIELD_MODULI)
+def test_fraction_entries_match_reference(n, strategy):
+    """The minor form against the two-elimination reference on complexes
+    over Q(zeta_n) whose entries have denominators, acyclic or not."""
+    rng = random.Random(1000 + n)
+    seen_denominator = False
+    for trial in range(6):
+        entries = [(rng.randrange(3), fraction_entry(n, rng, 0)) for _ in range(rng.randint(2, 5))]
+        if trial == 5:
+            entries.append((1, cyclo_zero(n)))  # homology in degrees 1 and 2
+        fc = scrambled_field_complex(n, rng, entries)
+        seen_denominator |= any(has_denominator(m) for m in fc.differentials)
+        got = torsion_outcome(field_torsion, fc, strategy)
+        assert got == torsion_outcome(reference_field_torsion, fc, strategy)
+        assert isinstance(got, tuple) == (trial == 5 or not all(u for _, u in entries))
+    assert seen_denominator
+
+
+class TestFieldTorsionProducts:
+    """field_torsion makes one product of the numerator factors and one of
+    the denominator factors, starting from neither one, and inverts only a
+    non-empty denominator."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = {"mul": [], "inv": []}
+
+        def mul(a, b):
+            calls["mul"].append((a, b))
+            return cyclo_mul(a, b)
+
+        def inv(a):
+            calls["inv"].append(a)
+            return cyclo_inv(a)
+
+        monkeypatch.setattr(torsion_module, "cyclo_mul", mul)
+        monkeypatch.setattr(torsion_module, "cyclo_inv", inv)
+        return calls
+
+    @staticmethod
+    def assert_no_product_by_one(calls, n):
+        one = cyclo_one(n)
+        assert all(one not in pair for pair in calls["mul"])
+
+    def test_lens_72_inverts_nothing(self, calls):
+        fc = base_change(lens_complex(lens_params(7, 2)), REP)
+        assert field_torsion(fc) == cyclo_mul(one_minus_zeta(4), one_minus_zeta(1))
+        assert calls["inv"] == []
+        assert len(calls["mul"]) == 1
+        self.assert_no_product_by_one(calls, 7)
+
+    def test_a_denominator_factor_inverts_once(self, calls):
+        """Degrees 1 and 2: the single pivot enters with exponent -1."""
+        u = cyclo_fraction(7, Fraction(3, 2)) - zeta(7, 3)
+        fc = FieldComplex(7, 1, 2, (1, 1), (((u,),),), (("a",), ("b",)))
+        assert field_torsion(fc) == cyclo_inv(u)
+        assert calls["inv"] == [u]
+        assert calls["mul"] == []
+
+    def test_one_product_per_side(self, calls):
+        """Pieces u_0..u_3 from degree k+1 to k: u_0 and u_2 are numerator
+        factors, u_1 and u_3 denominator factors, so three products and
+        one inversion in all."""
+        n = 13
+        us = [cyclo_fraction(n, Fraction(k + 2, 3)) - zeta(n, k + 1) for k in range(4)]
+        fc = scrambled_field_complex(n, random.Random(5), list(enumerate(us)), steps=0)
+        value = field_torsion(fc)
+        assert len(calls["mul"]) == 3 and len(calls["inv"]) == 1
+        self.assert_no_product_by_one(calls, n)
+        assert value == reference_field_torsion(fc)
+
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_scrambled_complexes_invert_at_most_once(self, calls, n):
+        rng = random.Random(20 + n)
+        for _ in range(6):
+            entries = [(rng.randrange(3), fraction_entry(n, rng, 0)) for _ in range(4)]
+            entries = [(k, u) for k, u in entries if u]  # two terms may cancel
+            fc = scrambled_field_complex(n, rng, entries)
+            calls["mul"].clear()
+            calls["inv"].clear()
+            field_torsion(fc)
+            assert len(calls["inv"]) <= 1
+            self.assert_no_product_by_one(calls, n)
