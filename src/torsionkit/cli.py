@@ -13,6 +13,13 @@ JSON document, and text output is labeled lines rendered from it.  Exit codes:
 3 internal cross-check violation (never expected).  A modulus above
 ``MAX_MODULUS``, a certificate longer than ``MAX_CERT_OPS`` and a complex
 whose ranks sum past ``MAX_TOTAL_RANK`` are parse errors.
+
+The parser is built once per process, at import (``_PARSER``), and every
+``main`` call parses with it: a one-command process pays for it once either
+way, and in-process callers stop paying about 1 ms per call.  So argparse's
+defaults are shared between calls, and no command keeps, mutates or hands
+out a default object; help is formatted when it is printed, so it follows
+``COLUMNS`` and ``sys.stdout`` as they are then.
 """
 from __future__ import annotations
 
@@ -72,8 +79,8 @@ DEFAULT_REP_COUNT = 6
 # the default twist modulus of a certificate.  A twist sweep is one
 # elimination and p conjugated classes over Q(zeta_p), each a permuted lift
 # and one least rotation.  On a 2-vCPU machine (medians of 3 runs, each about
-# 0.075 s of start-up) `lens-classify 127 1 2 --all-d` takes 0.09 s (11 ms of
-# it in the command itself), and `lens-sweep --primes p`, every pair, 0.32 s
+# 0.075 s of start-up) `lens-classify 127 1 2 --all-d` takes 0.1 s (11-13 ms
+# of it in the command itself), and `lens-sweep --primes p`, every pair, 0.32 s
 # at p = 61 and 1.9 s at 127; one sweep in the library grows about as p^1.6
 # (0.015 s at p = 127, 0.046 s at 251, 0.13 s at 509).  So
 # sweeps no longer set the cap: it bounds lens-sweep's p^2/2 pairs and the one
@@ -341,7 +348,7 @@ def cmd_lens_sweep(args) -> Report:
         rows.append({"p": p, "separated": separated, "crosscheck_failures": failures})
     return Report(
         "lens-sweep",
-        {"primes": args.primes},
+        {"primes": list(args.primes)},  # not the parser's shared default
         {"primes": rows},
         status=CROSSCHECK_VIOLATION if any(r["crosscheck_failures"] for r in rows) else 0,
     )
@@ -648,10 +655,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except BrokenPipeError:  # from --help
         return _stdout_closed()
     try:

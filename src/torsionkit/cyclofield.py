@@ -43,7 +43,6 @@ term from the modulus's table of power names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
@@ -219,6 +218,8 @@ def cyclo_one(n: int) -> CycloNum:
 
 
 def cyclo_fraction(n: int, q: Fraction) -> CycloNum:
+    from fractions import Fraction  # its one use: keeps fractions out of start-up
+
     q = Fraction(q)
     nums = [0] * euler_phi(n)
     nums[0] = q.numerator
@@ -344,11 +345,13 @@ def cyclo_inv(a: CycloNum) -> CycloNum:
         raise ZeroDivisionError("cyclotomic inverse of zero")
     n = a.n
     norm = CycloNum(n, a.nums, 1)  # x_j; the norm after the last chain
-    conj_prod = cyclo_one(n)
+    conj_prod = None  # R_1 * ... * R_j
     for d, o in unit_chains(n):
         r = _chain_product(norm, d, o)
-        conj_prod = cyclo_mul(conj_prod, r)
+        conj_prod = r if conj_prod is None else cyclo_mul(conj_prod, r)
         norm = cyclo_mul(norm, r)
+    if conj_prod is None:  # n = 1, 2: no chains, Q(zeta_n) = Q
+        conj_prod = cyclo_one(n)
     if any(norm.nums[1:]) or norm.den != 1:
         raise ArithmeticError("norm must be a plain integer")
     return _make(n, [a.den * c for c in conj_prod.nums], norm.nums[0])

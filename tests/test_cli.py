@@ -802,21 +802,32 @@ def _subcommands() -> list[str]:
 HELP_COMMANDS = [None, *_subcommands()]
 
 
+def _help_golden(command) -> str:
+    name = f"help-{command}" if command else "help"
+    if command is None and sys.version_info >= (3, 13):
+        # 3.13's argparse keeps the subcommands' " ..." on the line of
+        # their choices; every other byte is the same
+        name = "help-py313"
+    return (GOLDEN / f"{name}.text").read_text(encoding="utf-8")
+
+
+@pytest.fixture()
+def workdir(tmp_path, monkeypatch, capsys):
+    """A working directory holding the files the golden cases read."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["lens-emit", "7", "2", "--out", "l72.json"]) == 0
+    assert main(["gen-cert", "l72.json", "--length", "40", "--seed", "1", "--out", "cert.json"]) == 0
+    assert capsys.readouterr().out == (
+        "wrote L(7,2) complex to l72.json\n"
+        "wrote certificate with 40 ops to cert.json\n"
+    )
+    write_tampered_cert(tmp_path / "tampered.json")
+    return tmp_path
+
+
 class TestGoldenOutput:
     """Byte-exact stdout and written files, pinned to recorded output in
     ``tests/golden``; refactors must not change a single byte."""
-
-    @pytest.fixture()
-    def workdir(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["lens-emit", "7", "2", "--out", "l72.json"]) == 0
-        assert main(["gen-cert", "l72.json", "--length", "40", "--seed", "1", "--out", "cert.json"]) == 0
-        assert capsys.readouterr().out == (
-            "wrote L(7,2) complex to l72.json\n"
-            "wrote certificate with 40 ops to cert.json\n"
-        )
-        write_tampered_cert(tmp_path / "tampered.json")
-        return tmp_path
 
     def test_written_files(self, workdir):
         for name in ("l72.json", "cert.json"):
@@ -833,12 +844,7 @@ class TestGoldenOutput:
         with pytest.raises(SystemExit) as exc:
             main(([command] if command else []) + ["--help"])
         assert exc.value.code == 0
-        name = f"help-{command}" if command else "help"
-        if command is None and sys.version_info >= (3, 13):
-            # 3.13's argparse keeps the subcommands' " ..." on the line of
-            # their choices; every other byte is the same
-            name = "help-py313"
-        assert capsys.readouterr().out == (GOLDEN / f"{name}.text").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == _help_golden(command)
 
     @pytest.mark.parametrize("name", list(GOLDEN_CASES))
     @pytest.mark.parametrize("mode", ["text", "json"])
@@ -848,6 +854,90 @@ class TestGoldenOutput:
         assert main(flags + argv) == status
         expected = (GOLDEN / f"{name}.{mode}").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+
+class TestSharedParser:
+    """main parses with the one parser built at import, so a call must leave
+    nothing behind for the next: not a value, not an error, not a width."""
+
+    def test_golden_cases_twice_interleaved(self, workdir, capsys):
+        runs = [(name, mode) for name in GOLDEN_CASES for mode in ("text", "json")]
+        for name, mode in runs + runs[::-1]:
+            argv, status = GOLDEN_CASES[name]
+            assert main((["--json"] if mode == "json" else []) + argv) == status, (name, mode)
+            expected = (GOLDEN / f"{name}.{mode}").read_text(encoding="utf-8")
+            assert capsys.readouterr().out == expected, (name, mode)
+
+    @pytest.mark.parametrize(
+        "bad", [["lens-classify", "7", "1"], ["lens-classify", "7", "1", "x"], ["--nope"], []]
+    )
+    def test_argparse_error_then_a_good_call(self, workdir, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("torsionkit")
+        assert main(GOLDEN_CASES["lens-classify"][0]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (GOLDEN / "lens-classify.text").read_text(encoding="utf-8")
+
+    def test_rep_does_not_carry_over(self, workdir, capsys):
+        assert main(["verify-cert", "cert.json", "--rep", "n=7;g0=2"]) == 0
+        assert capsys.readouterr().out.count("n=7;g0=") == 1
+        for mode in ("text", "json"):
+            assert main((["--json"] if mode == "json" else []) + ["verify-cert", "cert.json"]) == 0
+            expected = (GOLDEN / f"verify-cert.{mode}").read_text(encoding="utf-8")
+            assert capsys.readouterr().out == expected
+
+    def test_no_default_leaks_out_of_a_report(self, monkeypatch, capsys):
+        """A caller that edits a report cannot edit the parser's default."""
+        docs = []
+
+        def keep(doc):
+            docs.append(doc)
+            return dumps_canonical(doc)
+
+        monkeypatch.setattr(cli, "dumps_canonical", keep)
+        assert main(["--json", "lens-sweep"]) == 0
+        first = capsys.readouterr().out
+        assert json.loads(first)["inputs"]["primes"] == [5, 7, 11, 13, 17]
+        docs[0]["inputs"]["primes"].append(19)
+        monkeypatch.undo()
+        assert main(["--json", "lens-sweep"]) == 0
+        assert capsys.readouterr().out == first
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            main(["lens-sweep", "--help"])
+        assert capsys.readouterr().out == _help_golden("lens-sweep")
+
+    @pytest.mark.parametrize("command", HELP_COMMANDS)
+    def test_help_width_is_read_when_printed(self, monkeypatch, capsys, command):
+        """Help wraps at the COLUMNS of the call that prints it: a narrow
+        call between wide and golden ones wraps differently."""
+        argv = ([command] if command else []) + ["--help"]
+
+        def help_at(columns):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        help_at("200")
+        assert help_at("40") != _help_golden(command)
+        assert help_at("80") == _help_golden(command)
+
+    def test_import_does_not_load_fractions(self):
+        """Importing the CLI does not load fractions, nor the decimal and
+        numbers it pulls in: the field imports it in its one use.  That pays
+        for part of the parser, which is now built at import."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import torsionkit.cli; "
+            "sys.exit('fractions' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], timeout=60)
+        assert proc.returncode == 0
 
 
 class TestClosedStdout:
@@ -908,6 +998,7 @@ class TestClosedStdout:
         monkeypatch.setattr(sys, "stdout", Closed())
         assert main(["lens-classify", "7", "1", "2"]) == 1
         assert capsys.readouterr().err == self.ERROR
-        for argv in (["--help"], ["gen-cert", "--help"]):
+        # each twice: a help write that failed leaves the shared parser as it was
+        for argv in (["--help"], ["--help"], ["gen-cert", "--help"], ["gen-cert", "--help"]):
             assert main(argv) == 1
             assert capsys.readouterr().err == self.ERROR

@@ -711,6 +711,31 @@ def test_inverse_matches_sequential_product(n):
         assert cyclo_mul(a, inv) == cyclo_one(n)
 
 
+@pytest.mark.parametrize(
+    "n, products",
+    [(1, 0), (2, 0), (3, 1), (4, 1), (7, 4), (12, 3), (13, 6), (15, 5), (61, 10)],
+)
+def test_inverse_makes_no_product_by_one(monkeypatch, n, products):
+    """The first chain's product starts the product of conjugates, so an
+    inverse makes only the chains' own products and one per chain for the
+    norm; n = 1 and 2 have no chains and make none."""
+    calls = []
+    mul = cyclofield.cyclo_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    for a in inverse_samples(n, 3, seed=n):
+        monkeypatch.setattr(cyclofield, "cyclo_mul", counted)
+        calls.clear()
+        inv = cyclo_inv(a)
+        assert len(calls) == products
+        monkeypatch.undo()
+        assert inv == sequential_inverse(a)
+        assert cyclo_mul(inv, a) == cyclo_one(n)
+
+
 @pytest.mark.parametrize("n", [8, 12, 15])
 def test_non_cyclic_unit_groups_take_several_chains(n):
     assert len(unit_chains(n)) == 2
