@@ -790,6 +790,10 @@ GOLDEN_CASES = {
         ["verify-cert", "cert.json", "--rep", "n=49;g0=7", "--rep", "n=49;g0=14", "--rep", "n=49;g0=21"],
         0,
     ),
+    # a certificate over Z/5 * Z/5, whose entries hold words of several
+    # letters, so the order of free-product terms is pinned
+    "gen-cert-free-product": (["gen-cert", "fp52.json", "--length", "20", "--seed", "1", "--out", "fpcert.json"], 0),
+    "verify-cert-free-product": (["verify-cert", "fpcert.json"], 0),
 }
 
 
@@ -817,9 +821,12 @@ def workdir(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["lens-emit", "7", "2", "--out", "l72.json"]) == 0
     assert main(["gen-cert", "l72.json", "--length", "40", "--seed", "1", "--out", "cert.json"]) == 0
+    (tmp_path / "fp52.json").write_bytes((GOLDEN / "fp52.json").read_bytes())
+    assert main(["gen-cert", "fp52.json", "--length", "20", "--seed", "1", "--out", "fpcert.json"]) == 0
     assert capsys.readouterr().out == (
         "wrote L(7,2) complex to l72.json\n"
         "wrote certificate with 40 ops to cert.json\n"
+        "wrote certificate with 20 ops to fpcert.json\n"
     )
     write_tampered_cert(tmp_path / "tampered.json")
     return tmp_path
@@ -830,12 +837,14 @@ class TestGoldenOutput:
     ``tests/golden``; refactors must not change a single byte."""
 
     def test_written_files(self, workdir):
-        for name in ("l72.json", "cert.json"):
+        for name in ("l72.json", "cert.json", "fpcert.json"):
             assert (workdir / name).read_bytes() == (GOLDEN / name).read_bytes()
-        golden_complex = (GOLDEN / "l72.json").read_text(encoding="utf-8")
-        golden_cert = (GOLDEN / "cert.json").read_text(encoding="utf-8")
-        assert dumps_canonical(complex_to_obj(complex_from_obj(json.loads(golden_complex)))) == golden_complex
-        assert dumps_canonical(cert_to_obj(cert_from_obj(json.loads(golden_cert)))) == golden_cert
+        for name in ("l72.json", "fp52.json"):
+            golden_complex = (GOLDEN / name).read_text(encoding="utf-8")
+            assert dumps_canonical(complex_to_obj(complex_from_obj(json.loads(golden_complex)))) == golden_complex
+        for name in ("cert.json", "fpcert.json"):
+            golden_cert = (GOLDEN / name).read_text(encoding="utf-8")
+            assert dumps_canonical(cert_to_obj(cert_from_obj(json.loads(golden_cert)))) == golden_cert
 
     @pytest.mark.parametrize("command", HELP_COMMANDS)
     def test_help(self, monkeypatch, capsys, command):
