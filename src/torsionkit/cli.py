@@ -141,6 +141,16 @@ def _check_total_rank(what: str, total: int | None) -> None:
         raise CliError(f"{what}: total rank {total} exceeds the rank cap {MAX_TOTAL_RANK}")
 
 
+def _int_arg(text: str) -> int:
+    """An integer argument: ASCII digits with an optional leading sign.
+    int() alone would also take '1_7', non-ASCII digits such as '\u0667'
+    and surrounding spaces."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def parse_rep_spec(text: str, spec: GroupSpec) -> Representation:
     """Grammar: ``n=<modulus>;g0=<e0>,g1=<e1>,...`` with one exponent per
     free factor of the group; each key appears once."""
@@ -155,15 +165,14 @@ def parse_rep_spec(text: str, spec: GroupSpec) -> Representation:
             if not sep:
                 raise CliError(f"rep spec item {item!r} is not key=value")
             try:
-                value = int(val)
-            except ValueError as exc:
+                value = _int_arg(val.strip())
+            except argparse.ArgumentTypeError as exc:
                 raise CliError(f"rep spec value {val!r} is not an integer") from exc
             slot = key
             if key.startswith("g"):
-                try:
-                    slot = int(key[1:])
-                except ValueError as exc:
-                    raise CliError(f"bad generator key {key!r}") from exc
+                if not (key[1:].isascii() and key[1:].isdigit()):
+                    raise CliError(f"bad generator key {key!r}")
+                slot = int(key[1:])
                 if not 0 <= slot < spec.num_factors:
                     raise CliError(f"rep spec key {key!r} names no factor of the group")
             elif key != "n":
@@ -617,28 +626,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_torsion, render=render_torsion)
 
     p = sub.add_parser("lens-emit", help="write the lens complex L(p,q)")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
+    p.add_argument("p", type=_int_arg)
+    p.add_argument("q", type=_int_arg)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_lens_emit, render=render_lens_emit)
 
     p = sub.add_parser("lens-classify", help="classification verdicts for a pair")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("q2", type=int)
+    p.add_argument("p", type=_int_arg)
+    p.add_argument("q", type=_int_arg)
+    p.add_argument("q2", type=_int_arg)
     p.add_argument("--all-d", action="store_true", help="include the full twist sweep")
     p.set_defaults(func=cmd_lens_classify, render=render_lens_classify)
 
     p = sub.add_parser("lens-sweep", help="verdicts for every pair of lens spaces")
     p.add_argument(
-        "--primes", type=int, nargs="+", default=[5, 7, 11, 13, 17], help="default: %(default)s"
+        "--primes", type=_int_arg, nargs="+", default=[5, 7, 11, 13, 17], help="default: %(default)s"
     )
     p.set_defaults(func=cmd_lens_sweep, render=render_lens_sweep)
 
     p = sub.add_parser("demo-freeproduct", help="free-product torsion comparison")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("q2", type=int)
+    p.add_argument("p", type=_int_arg)
+    p.add_argument("q", type=_int_arg)
+    p.add_argument("q2", type=_int_arg)
     p.set_defaults(func=cmd_demo_freeproduct, render=render_demo_freeproduct)
 
     p = sub.add_parser("verify-cert", help="replay a certificate and compare fingerprints")
@@ -648,8 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-cert", help="emit a random valid certificate")
     p.add_argument("complex_file")
-    p.add_argument("--length", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--length", type=_int_arg, default=20)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_cert, render=render_gen_cert)
     return parser

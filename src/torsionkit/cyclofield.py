@@ -48,7 +48,7 @@ from itertools import accumulate
 from math import gcd
 from operator import neg, sub
 
-from .grouprings import GroupRingElem, GroupSpec, cyclic_terms, validate_word
+from .grouprings import GroupRingElem, GroupSpec, GroupWord, map_form, validate_word
 
 
 class ModulusMismatchError(ValueError):
@@ -439,8 +439,9 @@ def representation(spec: GroupSpec, modulus: int, exponents) -> Representation:
 def evaluate_rep(rep: Representation, x: GroupRingElem) -> CycloNum:
     """rho(x): each term's coefficient goes to the slot of its exponent in
     the lift, then one reduction mod Phi_n.  Over Z/m reading a word's
-    exponent is its validity check; free-product words are validated.  The
-    value has denominator 1, so it is built in reduced form directly."""
+    exponent (``map_form``) is its validity check; free-product words are
+    validated.  The value has denominator 1, so it is built in reduced form
+    directly."""
     n = rep.modulus
     if not x:
         return cyclo_zero(n)
@@ -449,12 +450,12 @@ def evaluate_rep(rep: Representation, x: GroupRingElem) -> CycloNum:
     acc = [0] * n
     if spec.kind == "cyclic":
         g = exps[0]
-        for e, c in cyclic_terms(spec.factor_orders[0], x.terms):
+        for e, c in map_form(spec, x).items():
             acc[e * g % n] += c
     else:
-        for w, c in x.terms:
-            validate_word(spec, w)
-            acc[sum(exp * exps[f] for f, exp in w.letters) % n] += c
+        for l, c in x.coeffs.items():
+            validate_word(spec, GroupWord(l))
+            acc[sum(exp * exps[f] for f, exp in l) % n] += c
     return CycloNum(n, _reduce_mod_phi(n, acc), 1)
 
 

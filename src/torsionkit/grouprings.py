@@ -8,31 +8,33 @@ equality is structural.
 Validity.  A word is checked against its group where it comes in: the file
 readers ``elem_from_obj`` and ``word_from_obj``, ``generator_word``, and the
 public word functions ``word_multiply`` and ``word_inverse``, which validate
-their operands on every call.  Over Z/n the readers check a document term
-``[c, []]`` or ``[c, [[0, e]]]`` in place, as plain JSON ints (no bools)
-with factor 0 and 0 < e < n, and read it straight into an exponent; every
-other term takes the word path (``_word_from_obj``, then
-``validate_word``), so a refused term gets the same error text either way.
+their operands on every call.  Over Z/n the readers check a document word
+``[]`` or ``[[0, e]]`` in place, as plain JSON ints (no bools) with factor 0
+and 0 < e < n, and read it at once; every other word takes the word path
+(``_word_from_obj``, then ``validate_word``), so a refused word gets the
+same error text either way.
 ``ring_mul`` and ``ring_mul_add`` check each operand word once per product,
 not once per pair of terms, and raise ``InvalidWordError`` for a word that
 is not reduced.  Over Z/n, for every n, that check is reading the exponent
-e (0 <= e < n) off the word (``cyclic_terms``, which
-``cyclofield.evaluate_rep`` shares), and elements multiply as sums indexed
-by the exponent, a cyclic convolution.  Over a free product two words
+e (0 <= e < n) off the word, and elements multiply as sums indexed by the
+exponent, a cyclic convolution.  Over a free product two words
 concatenate when the seam letters lie in different factors and merge on a
 stack when they share one.
 
-Coefficient maps.  ``simpleops`` folds simple operations on entries in one
-form: a map from group element to coefficient with no zero coefficient,
-keyed by the exponent over Z/n and by the letter tuple over a free
-product.  ``map_form`` is the reader (each word checked, as in a product)
-and ``elem_from_map`` the writer, whose words g^k over Z/n come from a
-bounded cache (``_power_word``, which ``ring_mul_add`` shares) rather than
-being built for every term.  Each group kind has one multiply-add kernel,
+Coefficient maps.  An element is one map, ``GroupRingElem.coeffs``, from the
+letter tuple of each word to its coefficient, none zero, over every group;
+nothing writes it once the element holds it, and ``_word_order`` lists it in
+the order of the element's text and document.  Arithmetic runs on working
+maps that the caller owns, keyed by the exponent over Z/n (an int hashes
+faster than a letter tuple) and by the letter tuple over a free product.
+``map_form`` is the one reader: it checks each word and gives the exponent
+map over Z/n and a copy of the element's map over a free product.
+``elem_from_map`` is the writer; over a free product the element keeps the
+working map.  Each group kind has one multiply-add kernel,
 ``exponent_mul_add`` and ``letter_mul_add``, which adds into a non-empty
-accumulator in place; ``map_mul_add`` picks it.  The free-product
-``ring_mul_add`` reads its operands, runs ``letter_mul_add`` and writes
-the result.
+accumulator in place; ``map_mul_add`` picks it.  ``ring_mul_add`` reads its
+operands, runs the kernel and writes the result; ``simpleops`` folds simple
+operations on working maps the same way, writing each entry once.
 """
 from __future__ import annotations
 
@@ -96,9 +98,6 @@ class GroupWord:
 
     def __bool__(self) -> bool:
         return bool(self.letters)
-
-    def sort_key(self):
-        return (len(self.letters), self.letters)
 
 
 # Frozen: the field is set once, through its slot descriptor, which is
@@ -167,44 +166,61 @@ def generator_word(spec: GroupSpec, factor: int = 0, exp: int = 1) -> GroupWord:
     return w
 
 
+# The map of every element built without one; never written, like any
+# element's map.
+_NO_COEFFS: dict = {}
+
+
 @dataclass(frozen=True, slots=True)
 class GroupRingElem:
-    """Element of Z[G]: terms sorted by word, no zero coefficients."""
+    """Element of Z[G]: the map from each word's letter tuple to its
+    coefficient, none zero.  Nothing writes the map once an element holds it.
+    The text of an element lists its terms in word order (``_word_order``)."""
 
-    terms: tuple[tuple[GroupWord, int], ...] = ()
+    coeffs: dict[tuple, int]
 
-    def __init__(self, terms: tuple[tuple[GroupWord, int], ...] = ()) -> None:
-        _set_terms(self, terms)
+    def __init__(self, coeffs: dict[tuple, int] = _NO_COEFFS) -> None:
+        _set_coeffs(self, coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.coeffs)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.coeffs.items()))
+
+    def __repr__(self) -> str:
+        terms = tuple([(GroupWord(l), c) for l, c in _word_order(self)])
+        return f"GroupRingElem(terms={terms!r})"
 
     def __neg__(self) -> "GroupRingElem":
-        return GroupRingElem(tuple([(w, -c) for w, c in self.terms]))
+        return GroupRingElem({l: -c for l, c in self.coeffs.items()})
 
 
-_set_terms = GroupRingElem.__dict__["terms"].__set__
+_set_coeffs = GroupRingElem.__dict__["coeffs"].__set__
+
+
+def _word_order(a: GroupRingElem) -> list[tuple[tuple, int]]:
+    """a's (letters, coefficient) pairs, shorter words first and words of
+    one length by their letters: the order of a's text and document."""
+    return sorted(a.coeffs.items(), key=lambda t: (len(t[0]), t[0]))
 
 
 def elem_from_dict(terms: dict[GroupWord, int]) -> GroupRingElem:
-    items = tuple(
-        sorted(((w, c) for w, c in terms.items() if c), key=lambda t: t[0].sort_key())
-    )
-    return GroupRingElem(items)
+    return GroupRingElem({w.letters: c for w, c in terms.items() if c})
 
 
 ZERO_ELEM = GroupRingElem()
 
 
+def monomial(w: GroupWord, c: int = 1) -> GroupRingElem:
+    return GroupRingElem({w.letters: c}) if c else ZERO_ELEM
+
+
 def from_int(m: int) -> GroupRingElem:
-    return elem_from_dict({IDENTITY_WORD: int(m)})
+    return monomial(IDENTITY_WORD, int(m))
 
 
 ONE_ELEM = from_int(1)
-
-
-def monomial(w: GroupWord, c: int = 1) -> GroupRingElem:
-    return elem_from_dict({w: c})
 
 
 def generator_elem(spec: GroupSpec, factor: int = 0, exp: int = 1) -> GroupRingElem:
@@ -216,83 +232,61 @@ def ring_add(a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
         return b
     if not b:
         return a
-    acc: dict[GroupWord, int] = dict(a.terms)
-    for w, c in b.terms:
-        acc[w] = acc.get(w, 0) + c
-    return elem_from_dict(acc)
+    acc = dict(a.coeffs)
+    get = acc.get
+    for l, c in b.coeffs.items():
+        c += get(l, 0)
+        if c:
+            acc[l] = c
+        else:  # b's coefficient is not zero, so l was in acc
+            del acc[l]
+    return GroupRingElem(acc) if acc else ZERO_ELEM
 
 
 def ring_sub(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
     return ring_add(a, -b)
 
 
-def cyclic_terms(n: int, terms) -> list[tuple[int, int]]:
-    """(exponent, coefficient) per (word, coefficient) pair of ``terms`` over
-    Z/n.  A word that is not g^e with 0 <= e < n raises."""
-    out = []
-    for w, c in terms:
-        letters = w.letters
-        if not letters:
-            e = 0
-        elif len(letters) == 1 and letters[0][0] == 0 and 0 < letters[0][1] < n:
-            e = letters[0][1]
+# Working maps: group element -> coefficient, no zero coefficient, keyed by
+# the exponent over Z/n and by the letter tuple over a free product.
+
+
+def map_form(spec: GroupSpec, a: GroupRingElem) -> dict:
+    """a's coefficients as a new working map that the caller owns, each word
+    checked: over Z/n a word that is not g^e with 0 <= e < n raises, over a
+    free product each word goes through ``validate_word``."""
+    if spec.kind != "cyclic":
+        for l in a.coeffs:
+            validate_word(spec, GroupWord(l))
+        return dict(a.coeffs)
+    n = spec.factor_orders[0]
+    out = {}
+    for l, c in a.coeffs.items():
+        if not l:
+            out[0] = c
+        elif len(l) == 1 and l[0][0] == 0 and 0 < l[0][1] < n:
+            out[l[0][1]] = c
         else:
-            raise InvalidWordError(f"not a reduced word of Z/{n}: {letters}")
-        out.append((e, c))
+            raise InvalidWordError(f"not a reduced word of Z/{n}: {l}")
     return out
 
 
-def _convolve_into(n: int, sums: dict, a, b) -> dict:
-    """Add a*b into ``sums`` by exponent over Z/n; a and b are
-    (exponent, coefficient) pairs, and g^i * g^j = g^((i + j) % n)."""
-    for i, ca in a:
-        for j, cb in b:
-            k = (i + j) % n
-            sums[k] = sums.get(k, 0) + ca * cb
-    return sums
-
-
-def _cyclic_mul_add(n: int, acc: GroupRingElem, a: GroupRingElem, b: GroupRingElem):
-    """acc + a*b over Z/n, summed by exponent."""
-    sums = _convolve_into(
-        n, dict(cyclic_terms(n, acc.terms)), cyclic_terms(n, a.terms), cyclic_terms(n, b.terms)
-    )
-    return GroupRingElem(tuple([(_power_word(k), c) for k, c in sorted(sums.items()) if c]))
-
-
-# Coefficient maps: group element -> coefficient, no zero coefficient; the
-# key is the exponent over Z/n and the letter tuple over a free product.
-
-
-def map_form(spec: GroupSpec, terms) -> dict:
-    """The (word, coefficient) pairs ``terms`` as a new coefficient map that
-    the caller owns, each word checked: over Z/n by ``cyclic_terms``, over a
-    free product by ``validate_word``."""
-    if spec.kind == "cyclic":
-        return dict(cyclic_terms(spec.factor_orders[0], terms))
-    for w, _ in terms:
-        validate_word(spec, w)
-    return {w.letters: c for w, c in terms}
-
-
 @lru_cache(maxsize=1024)
-def _power_word(k: int) -> GroupWord:
-    """g^k of factor 0, shared by the elements ``elem_from_map`` writes."""
-    return GroupWord(((0, k),)) if k else IDENTITY_WORD
-
-
-def _letter_order(term) -> tuple:
-    return len(term[0]), term[0]
+def _power_key(k: int) -> tuple:
+    """The letter tuple of g^k of factor 0, one object per k for the
+    elements that ``elem_from_map`` and ``elem_from_obj`` write."""
+    return ((0, k),) if k else ()
 
 
 def elem_from_map(spec: GroupSpec, x: dict) -> GroupRingElem:
-    """The element whose coefficient at each key of x is its value, terms
-    sorted by word."""
+    """The element whose coefficient at each key of the working map x is its
+    value.  Over a free product the element keeps x, so the caller must not
+    write x again."""
     if not x:
         return ZERO_ELEM
     if spec.kind == "cyclic":
-        return GroupRingElem(tuple([(_power_word(k), c) for k, c in sorted(x.items())]))
-    return GroupRingElem(tuple([(GroupWord(l), c) for l, c in sorted(x.items(), key=_letter_order)]))
+        x = {_power_key(k): c for k, c in x.items()}
+    return GroupRingElem(x)
 
 
 def exponent_mul_add(n: int, acc: dict, a: dict, b: dict) -> dict[int, int]:
@@ -360,10 +354,7 @@ def ring_mul_add(
     """acc + a*b, the left factor's words multiplying on the left."""
     if not a or not b:
         return acc
-    if spec.kind == "cyclic":
-        return _cyclic_mul_add(spec.factor_orders[0], acc, a, b)
-    maps = map_form(spec, acc.terms), map_form(spec, a.terms), map_form(spec, b.terms)
-    return elem_from_map(spec, letter_mul_add(spec.factor_orders, *maps))
+    return elem_from_map(spec, map_mul_add(spec, map_form(spec, acc), map_form(spec, a), map_form(spec, b)))
 
 
 def ring_mul(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
@@ -373,7 +364,7 @@ def ring_mul(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingEl
 
 def augmentation(a: GroupRingElem) -> int:
     """Sum of coefficients: the ring map Z[G] -> Z killing all generators."""
-    return sum(c for _, c in a.terms)
+    return sum(a.coeffs.values())
 
 
 def norm_elem(spec: GroupSpec, factor: int = 0) -> GroupRingElem:
@@ -384,8 +375,8 @@ def norm_elem(spec: GroupSpec, factor: int = 0) -> GroupRingElem:
 
 def int_value(a: GroupRingElem) -> int:
     """The integer an element over the trivial group represents."""
-    for w, c in a.terms:
-        if w.letters:
+    for l in a.coeffs:
+        if l:
             raise InvalidWordError("element has non-identity terms")
     return augmentation(a)
 
@@ -394,7 +385,7 @@ def int_value(a: GroupRingElem) -> int:
 
 
 def elem_to_obj(a: GroupRingElem) -> list:
-    return [[c, [[f, e] for f, e in w.letters]] for w, c in a.terms]
+    return [[c, [[f, e] for f, e in l]] for l, c in _word_order(a)]
 
 
 def json_int(value) -> int:
@@ -434,43 +425,34 @@ def _plain_exponent(n: int, letters) -> int | None:
     return None
 
 
-def word_from_obj(spec: GroupSpec, letters) -> GroupWord:
-    """The word a document's letter list spells, checked against spec: over
-    Z/n a plain ``[]`` or ``[[0, e]]`` is read at once, any other list goes
-    through ``_word_from_obj`` and ``validate_word``."""
+def _letters_from_obj(spec: GroupSpec, letters) -> tuple:
+    """The letter tuple of the word a document's letter list spells, checked
+    against spec: over Z/n a plain ``[]`` or ``[[0, e]]`` is read at once,
+    any other list goes through ``_word_from_obj`` and ``validate_word``."""
     if spec.kind == "cyclic":
         e = _plain_exponent(spec.factor_orders[0], letters)
         if e is not None:
-            return GroupWord(((0, e),)) if e else IDENTITY_WORD
+            return _power_key(e)
     w = _word_from_obj(letters)
     validate_word(spec, w)
-    return w
+    return w.letters
+
+
+def word_from_obj(spec: GroupSpec, letters) -> GroupWord:
+    """The word a document's letter list spells, checked against spec."""
+    return GroupWord(_letters_from_obj(spec, letters))
 
 
 def elem_from_obj(spec: GroupSpec, obj) -> GroupRingElem:
-    """The element a document's term list spells, each word checked.
-
-    Over Z/n a term ``[c, []]`` or ``[c, [[0, e]]]`` with plain ints c, e and
-    0 < e < n is read straight into a map from exponent to coefficient; every
-    other term goes through ``word_from_obj``, which refuses it with the word
-    path's text or gives its exponent, and ``json_int``."""
-    pairs = _json_pairs(obj, "term")
-    if spec.kind != "cyclic":
-        acc: dict[GroupWord, int] = {}
-        for c, letters in pairs:
-            w = word_from_obj(spec, letters)
-            acc[w] = acc.get(w, 0) + json_int(c)
-        return elem_from_dict(acc)
-    n = spec.factor_orders[0]
-    sums: dict[int, int] = {}
-    for c, letters in pairs:
-        e = _plain_exponent(n, letters) if type(c) is int else None
-        if e is None:
-            w = word_from_obj(spec, letters)
-            e = w.letters[0][1] if w.letters else 0
-            c = json_int(c)
-        sums[e] = sums.get(e, 0) + c
-    return elem_from_map(spec, {e: c for e, c in sums.items() if c})
+    """The element a document's term list spells, each word checked by
+    ``_letters_from_obj`` and then each coefficient by ``json_int``; terms
+    of one word add up."""
+    sums: dict[tuple, int] = {}
+    for c, letters in _json_pairs(obj, "term"):
+        l = _letters_from_obj(spec, letters)
+        sums[l] = sums.get(l, 0) + (c if type(c) is int else json_int(c))
+    coeffs = {l: c for l, c in sums.items() if c}
+    return GroupRingElem(coeffs) if coeffs else ZERO_ELEM
 
 
 def spec_to_obj(spec: GroupSpec) -> dict:

@@ -24,9 +24,8 @@ from math import gcd
 from .grouprings import (
     GroupSpec,
     ONE_ELEM,
-    elem_from_dict,
     generator_elem,
-    generator_word,
+    norm_elem,
     ring_sub,
 )
 from .cyclofield import (
@@ -80,9 +79,7 @@ def _lens_cells(spec: GroupSpec, factor: int, r: int) -> BasedComplex:
     (1 - g^r), the norm element 1 + g + ... + g^(p-1), and (1 - g).
     """
     top = ring_sub(spec, ONE_ELEM, generator_elem(spec, factor, r))
-    norm = elem_from_dict(
-        {generator_word(spec, factor, k): 1 for k in range(spec.order_of(factor))}
-    )
+    norm = norm_elem(spec, factor)
     bottom = ring_sub(spec, ONE_ELEM, generator_elem(spec, factor, 1))
     return based_complex(
         spec,

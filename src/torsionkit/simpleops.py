@@ -25,12 +25,13 @@ shapes).  ``apply_op``, ``replay_end`` and ``random_op_sequence`` all thaw
 once, apply their ops to the one copy in place and freeze once, so each
 op's checks and ``InvalidOpError`` texts exist once.
 
-Entries.  A slide or deck computes on coefficient maps
-(``grouprings.map_form``: group element -> coefficient, keyed by the
+Entries.  A slide or deck computes on working maps (``grouprings.map_form``
+reads an element's map into one: group element -> coefficient, keyed by the
 exponent over Z/n and by the letter tuple over a free product) with the
 multiply-add kernel of the group (``grouprings.map_mul_add``).  A slide's
 factors are its coefficient's map and that map negated; over a free
-product a deck's are the maps of its word and of the word's inverse.
+product a deck's are the one-term maps of its word and of the word's
+inverse.
 
 Exponents.  Over Z/n a deck c_i -> g^e*c_i is a trivial unit of Z[G], so
 it touches no entry: it adds e to the exponent s_i (mod n) that the copy
@@ -50,16 +51,17 @@ benchmark's 24 seed-4 free-product certificates about 17% slower (23-24 ->
 the freeze multiplies every term by the units, where an eager deck
 multiplies an entry while it is small.
 
-Ownership.  An entry is read from its ``GroupRingElem`` the first time an
-op touches it, and maps are written back (``elem_from_map``) only when
-the copy is frozen.  So an entry is either an unread ``GroupRingElem``,
-which is immutable and may be shared (the zeros and pivot ones that a
-block edit inserts are), or a map that its slot owns and that the kernels
-add into in place; writing out an exponent puts a new map in the slot.
-An unread zero is read as the shared empty map ``_NO_TERMS``, which no
-slot holds: the kernels never write an empty accumulator but return a new
-map.  ``start``, ``end`` and the ops are never mutated, since reading
-makes new maps.
+Ownership.  An entry is read (``map_form``) the first time an op touches
+it, and written back (``elem_from_map``) only when the copy is frozen.  So
+an entry is either an unread ``GroupRingElem``, which is immutable and may
+be shared (the zeros and pivot ones that a block edit inserts are), or a
+working map that its slot owns and that the kernels add into in place;
+writing out an exponent puts a new map in the slot.  Reading makes a new
+map, so ``start``, ``end`` and the ops are never mutated; over a free
+product the frozen element keeps its slot's map, which is safe because the
+copy is dropped once frozen.  An unread zero is read as the shared empty
+map ``_NO_TERMS``, which no slot holds: the kernels never write an empty
+accumulator but return a new map.
 
 Size.  No entry may hold more than ``MAX_ENTRY_TERMS`` terms.  Over a large
 group products rarely collide, so each slide by a two-term coefficient can
@@ -216,7 +218,7 @@ def _read(spec: GroupSpec, x) -> dict:
     from its element (``_NO_TERMS`` for a zero)."""
     if type(x) is dict:
         return x
-    return map_form(spec, x.terms) if x else _NO_TERMS
+    return map_form(spec, x) if x else _NO_TERMS
 
 
 def _thaw(c: BasedComplex) -> _Work:
@@ -358,8 +360,8 @@ def _apply_expansion(w: _Work, op: Expansion) -> None:
 
 def _is_signed_word(x) -> bool:
     """Whether entry x, read or unread, is +-g: one term, coefficient +-1."""
-    terms = x.items() if type(x) is dict else x.terms
-    return len(terms) == 1 and next(iter(terms))[1] in (1, -1)
+    m = x if type(x) is dict else x.coeffs
+    return len(m) == 1 and next(iter(m.values())) in (1, -1)
 
 
 def _is_retractable(c, d: int, k: int) -> bool:
@@ -453,7 +455,7 @@ def _apply_handle_slide(w: _Work, op: HandleSlide) -> None:
         raise InvalidOpError("handle slide needs distinct indices")
     if not (0 <= a < r and 0 <= b < r):
         raise InvalidOpError(f"slide indices ({a}, {b}) out of range at degree {d}")
-    left = map_form(w.spec, op.coefficient.terms)
+    left = map_form(w.spec, op.coefficient)
     if w.shifts is not None:  # on the stored vectors, c_a + x*c_b is c_a + x*g^(s_b - s_a)*c_b
         s = w.shifts[d - w.min_degree]
         if s[a] != s[b]:
@@ -466,14 +468,14 @@ def _apply_deck(w: _Work, op: DeckTransform) -> None:
     if not (0 <= idx < w.rank(d)):
         raise InvalidOpError(f"deck index {idx} out of range at degree {d}")
     spec, g = w.spec, op.word
-    validate_word(spec, g)  # before map_form, so a bad word has one text over every group
+    validate_word(spec, g)  # over every group, so a bad word has one text
     if spec.kind == "cyclic":  # a word is g^e or the identity
         if w.shifts is None:  # every basis vector starts at exponent 0
             w.shifts = [[0] * r for r in w.ranks]
         s = w.shifts[d - w.min_degree]
         s[idx] = (s[idx] + (g.letters[0][1] if g else 0)) % spec.factor_orders[0]
         return
-    _change_basis(w, d, idx, idx, map_form(spec, ((g, 1),)), map_form(spec, ((word_inverse(spec, g), 1),)))
+    _change_basis(w, d, idx, idx, {g.letters: 1}, {word_inverse(spec, g).letters: 1})
 
 
 def _apply(w: _Work, op: SimpleOp) -> None:

@@ -5,16 +5,21 @@ sizes stay small so the exact arithmetic keeps every suite desk-scale.  The
 references (``basis_change_by_matrices``, ``block_edit_reference``,
 ``reference_ends``) compute simple operations entry by entry on
 ``GroupRingElem``s, independently of the working copy in ``simpleops``;
+``TermsElem`` is an element as a sorted tuple of (word, coefficient)
+terms, with its own sum, product, document form and evaluation, the
+reference the coefficient-map element is compared against;
 ``sequential_inverse`` inverts in Q(zeta_n) one conjugate at a time, and
 ``reference_cyclo_str`` renders a value term by term.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from torsionkit.grouprings import (
+    GroupRingElem,
     GroupSpec,
     GroupWord,
     ONE_ELEM,
@@ -24,9 +29,14 @@ from torsionkit.grouprings import (
     from_int,
     generator_elem,
     generator_word,
+    json_int,
     monomial,
     ring_sub,
+    _json_pairs,
+    _word_from_obj,
+    validate_word,
     word_inverse,
+    word_multiply,
 )
 from torsionkit.chaincomplex import (
     BasedComplex,
@@ -38,11 +48,16 @@ from torsionkit.chaincomplex import (
 )
 from torsionkit.cyclofield import (
     CycloNum,
+    Representation,
+    cyclo_add,
     cyclo_fraction,
+    cyclo_int,
     cyclo_mul,
     cyclo_one,
+    cyclo_zero,
     galois_conjugate,
     units,
+    zeta,
 )
 from torsionkit.simpleops import DeckTransform, Expansion, HandleSlide, Retraction, apply_op
 
@@ -415,3 +430,78 @@ def reference_cyclo_str(a: CycloNum) -> str:
             parts.append(f" + {body}" if c > 0 else f" - {body}")
     poly = "".join(parts) if parts else "0"
     return f"{poly} (mod Phi_{a.n})"
+
+
+# --- the tuple-of-terms element: the reference for GroupRingElem ---
+
+
+@dataclass(frozen=True)
+class TermsElem:
+    """An element of Z[G] as (word, coefficient) terms with no zero
+    coefficient, sorted by word: shorter words first, words of one length by
+    their letters.  Equal elements have equal terms, and the terms come in
+    the order of the element's document."""
+
+    terms: tuple[tuple[GroupWord, int], ...] = ()
+
+
+def _term_order(term) -> tuple:
+    return len(term[0].letters), term[0].letters
+
+
+def terms_from_dict(terms: dict[GroupWord, int]) -> TermsElem:
+    return TermsElem(tuple(sorted(((w, c) for w, c in terms.items() if c), key=_term_order)))
+
+
+def terms_of(x: GroupRingElem) -> TermsElem:
+    """x as a ``TermsElem``."""
+    return terms_from_dict({GroupWord(l): c for l, c in x.coeffs.items()})
+
+
+def terms_add(a: TermsElem, b: TermsElem) -> TermsElem:
+    acc = dict(a.terms)
+    for w, c in b.terms:
+        acc[w] = acc.get(w, 0) + c
+    return terms_from_dict(acc)
+
+
+def terms_neg(a: TermsElem) -> TermsElem:
+    return TermsElem(tuple((w, -c) for w, c in a.terms))
+
+
+def terms_mul_add(spec: GroupSpec, acc: TermsElem, a: TermsElem, b: TermsElem) -> TermsElem:
+    """acc + a*b: one validated ``word_multiply`` per pair of terms, a's
+    words on the left."""
+    sums = dict(acc.terms)
+    for wa, ca in a.terms:
+        for wb, cb in b.terms:
+            w = word_multiply(spec, wa, wb)
+            sums[w] = sums.get(w, 0) + ca * cb
+    return terms_from_dict(sums)
+
+
+def terms_to_obj(a: TermsElem) -> list:
+    return [[c, [[f, e] for f, e in w.letters]] for w, c in a.terms]
+
+
+def terms_from_obj(spec: GroupSpec, obj) -> TermsElem:
+    """The element a document's term list spells, by the word path alone:
+    each term's letters become a ``GroupWord``, checked by
+    ``validate_word``, and the coefficients are summed per word."""
+    sums: dict[GroupWord, int] = {}
+    for c, letters in _json_pairs(obj, "term"):
+        w = _word_from_obj(letters)
+        validate_word(spec, w)
+        sums[w] = sums.get(w, 0) + json_int(c)
+    return terms_from_dict(sums)
+
+
+def terms_evaluate(rep: Representation, a: TermsElem) -> CycloNum:
+    """rho(a) as the sum of c * zeta^k over the terms, each word checked."""
+    n = rep.modulus
+    acc = cyclo_zero(n)
+    for w, c in a.terms:
+        validate_word(rep.spec, w)
+        k = sum(exp * rep.generator_exponents[f] for f, exp in w.letters)
+        acc = cyclo_add(acc, cyclo_mul(cyclo_int(n, c), zeta(n, k % n)))
+    return acc

@@ -76,6 +76,21 @@ class TestRepSpecParsing:
             with pytest.raises(CliError):
                 parse_rep_spec(text, GroupSpec.cyclic(7))
 
+    @pytest.mark.parametrize(
+        "text, val", [("n=\u0667;g0=1", "\u0667"), ("n=7;g0=0_1", "0_1"), ("n=7;g0=1\u0660", "1\u0660"), ("n=7;g0=--1", "--1")]
+    )
+    def test_value_not_of_ascii_digits_exits_1(self, lens_file, capsys, text, val):
+        """int() would read '\u0667' as 7 and '0_1' as 1; the spec refuses both."""
+        with pytest.raises(CliError, match="is not an integer"):
+            parse_rep_spec(text, GroupSpec.cyclic(7))
+        assert main(["torsion", str(lens_file), "--rep", text]) == 1
+        assert capsys.readouterr().err == f"error: rep spec value {val!r} is not an integer\n"
+
+    def test_generator_key_not_of_ascii_digits(self):
+        for key in ("g\u0660", "g-0", "g0_0"):
+            with pytest.raises(CliError, match="bad generator key"):
+                parse_rep_spec(f"n=7;{key}=1", GroupSpec.cyclic(7))
+
     @pytest.mark.parametrize("modulus", ["0", "-7"])
     def test_modulus_below_one_exits_1(self, lens_file, capsys, modulus):
         with pytest.raises(CliError, match="modulus must be >= 1"):
@@ -863,6 +878,36 @@ class TestGoldenOutput:
         assert main(flags + argv) == status
         expected = (GOLDEN / f"{name}.{mode}").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+
+INT_ARGUMENTS = [
+    (["lens-classify", "{}", "1", "2"], "p"),
+    (["lens-classify", "7", "{}", "2"], "q"),
+    (["lens-classify", "7", "1", "{}"], "q2"),
+    (["lens-sweep", "--primes", "5", "{}"], "--primes"),
+    (["gen-cert", "l72.json", "--length", "{}", "--out", "c.json"], "--length"),
+    (["gen-cert", "l72.json", "--seed", "{}", "--out", "c.json"], "--seed"),
+]
+
+
+@pytest.mark.parametrize("argv, name", INT_ARGUMENTS, ids=[name for _, name in INT_ARGUMENTS])
+@pytest.mark.parametrize("bad", ["1_7", "\u0661\u0667", " 17", "+-17", "0x11"])
+def test_integer_arguments_take_only_ascii_digits(workdir, capsys, argv, name, bad):
+    """int() reads '1_7' and '\u0661\u0667' as 17; an argument refuses them as it
+    refuses 'x', before any command runs."""
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{}", bad) for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: argument {name}: invalid int value: {bad!r}")
+
+
+def test_integer_arguments_keep_a_leading_sign(capsys):
+    assert main(["lens-classify", "+7", "1", "2"]) == 0
+    plus = capsys.readouterr().out
+    assert main(["lens-classify", "7", "1", "2"]) == 0
+    assert capsys.readouterr().out == plus
+    assert main(["lens-classify", "-7", "1", "2"]) == 1
+    assert capsys.readouterr().err == "error: p must be >= 2, got -7\n"
 
 
 class TestSharedParser:

@@ -50,7 +50,7 @@ from torsionkit.cyclofield import (
 )
 from torsionkit.lensspaces import lens_params, lens_torsion
 
-from helpers import random_elem, reference_cyclo_str, sequential_inverse
+from helpers import random_elem, reference_cyclo_str, sequential_inverse, terms_of
 
 Z7 = GroupSpec.cyclic(7)
 FP77 = GroupSpec.free_product([7, 7])
@@ -533,7 +533,7 @@ def reference_evaluate_rep(rep, x):
     """rho(x) as the sum of one reduced row zeta^e per term."""
     n = rep.modulus
     acc = [0] * euler_phi(n)
-    for w, c in x.terms:
+    for w, c in terms_of(x).terms:
         validate_word(rep.spec, w)
         e = sum(exp * rep.generator_exponents[f] for f, exp in w.letters)
         for i, r in enumerate(reference_power_row(n, e)):
@@ -756,7 +756,7 @@ CONSTRUCTED = [
     cyclo_zero(12),
     GroupWord(((0, 2), (1, 1))),
     GroupWord(),
-    GroupRingElem(((GroupWord(), 3), (GroupWord(((0, 1),)), -1))),
+    GroupRingElem({(): 3, ((0, 1),): -1}),
     GroupRingElem(),
 ]
 

@@ -1,35 +1,25 @@
 """Differential test of the document reader ``grouprings.elem_from_obj``.
 
-Over Z/n the reader takes a term ``[c, []]`` or ``[c, [[0, e]]]`` straight
-into a map from exponent to coefficient and sends every other term through
-the word path.  ``word_path_elem_from_obj`` below is the word path alone,
-the reader for every group before the map: each term's letters become a
-``GroupWord``, checked by ``validate_word``, and the coefficients are summed
-per word.  On every document both must give the same element, term order
-included, or raise the same exception class with the same text.
+Over Z/n the reader takes a word ``[]`` or ``[[0, e]]`` straight into the
+element's map and sends every other word through the word path.
+``helpers.terms_from_obj`` is the word path alone: each term's letters
+become a ``GroupWord``, checked by ``validate_word``, and the coefficients
+are summed per word.  On every document both must give the same element,
+compared as sorted terms (``helpers.terms_of``), or raise the same
+exception class with the same text.
 """
 import pytest
 
 from torsionkit.grouprings import (
     GroupSpec,
     GroupWord,
-    _json_pairs,
     _word_from_obj,
-    elem_from_dict,
     elem_from_obj,
-    json_int,
     validate_word,
     word_from_obj,
 )
 
-
-def word_path_elem_from_obj(spec, obj):
-    acc = {}
-    for c, letters in _json_pairs(obj, "term"):
-        w = _word_from_obj(letters)
-        validate_word(spec, w)
-        acc[w] = acc.get(w, 0) + json_int(c)
-    return elem_from_dict(acc)
+from helpers import terms_from_obj, terms_of
 
 
 def _outcome(read, spec, obj):
@@ -99,8 +89,8 @@ def test_reader_agrees_with_the_word_path(n):
     spec = GroupSpec.cyclic(n)
     kinds = set()
     for doc in _corpus(n):
-        want = _outcome(word_path_elem_from_obj, spec, doc)
-        got = _outcome(elem_from_obj, spec, doc)
+        want = _outcome(terms_from_obj, spec, doc)
+        got = _outcome(lambda spec, obj: terms_of(elem_from_obj(spec, obj)), spec, doc)
         assert got == want, doc
         if want[0] == "value":
             assert [type(c) for _, c in got[1].terms] == [int] * len(got[1].terms)

@@ -52,6 +52,7 @@ from helpers import (
     random_group_complex,
     random_int_complex,
     random_trivial_class_complex,
+    terms_of,
 )
 
 SPECS = (GroupSpec.cyclic(5), GroupSpec.cyclic(7), GroupSpec.free_product([3, 5]))
@@ -152,8 +153,8 @@ def _reference_retractable_positions(c, degree):
     out = []
     m, prev, nxt = c.diff(degree), c.diff(degree - 1), c.diff(degree + 1)
     for k in range(min(c.rank(degree), c.rank(degree + 1))):
-        pivot = m[k][k]
-        if not (len(pivot.terms) == 1 and pivot.terms[0][1] in (1, -1)):
+        pivot = terms_of(m[k][k]).terms
+        if not (len(pivot) == 1 and pivot[0][1] in (1, -1)):
             continue
         if any(m[k][j] for j in range(c.rank(degree)) if j != k):
             continue

@@ -2,10 +2,10 @@
 
 ``reference_ring_mul`` is the product as it was computed before Z/n became a
 cyclic convolution and free products checked each word once: one validated
-``word_multiply`` per pair of terms, then ``elem_from_dict``.  ``ring_mul``
-and ``ring_mul_add`` must give exactly its results (elements compare term by
-term, so term order is included), and must still refuse a word that is not
-reduced.
+``word_multiply`` per pair of terms, on the tuple-of-terms elements of
+``helpers``.  ``ring_mul`` and ``ring_mul_add`` must give exactly its
+results (compared as sorted terms, so term order is included), and must
+still refuse a word that is not reduced.
 """
 import random
 
@@ -24,23 +24,17 @@ from torsionkit.grouprings import (
     ring_add,
     ring_mul,
     ring_mul_add,
-    word_multiply,
 )
 
-from helpers import random_elem
+from helpers import TermsElem, random_elem, terms_mul_add, terms_of
 
 CYCLIC = [GroupSpec.cyclic(n) for n in (1, 2, 7, 13)]
 FREE = [GroupSpec.free_product(orders) for orders in ([2, 3], [5, 5], [7, 7])]
 SPECS = CYCLIC + FREE
 
 
-def reference_ring_mul(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingElem:
-    acc = {}
-    for wa, ca in a.terms:
-        for wb, cb in b.terms:
-            w = word_multiply(spec, wa, wb)
-            acc[w] = acc.get(w, 0) + ca * cb
-    return elem_from_dict(acc)
+def reference_ring_mul(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> TermsElem:
+    return terms_mul_add(spec, TermsElem(), terms_of(a), terms_of(b))
 
 
 def _spec_id(spec: GroupSpec) -> str:
@@ -61,7 +55,7 @@ def test_ring_mul_matches_reference(spec):
     elems = _operands(spec, rng, 14)
     for a in elems:
         for b in elems:
-            assert ring_mul(spec, a, b) == reference_ring_mul(spec, a, b)
+            assert terms_of(ring_mul(spec, a, b)) == reference_ring_mul(spec, a, b)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
@@ -70,8 +64,10 @@ def test_ring_mul_add_matches_reference(spec):
     elems = _operands(spec, rng, 8)
     for a in elems:
         for b in elems:
-            product = reference_ring_mul(spec, a, b)
+            product = ring_mul(spec, a, b)
             for acc in elems[:6]:
+                want = terms_mul_add(spec, terms_of(acc), terms_of(a), terms_of(b))
+                assert terms_of(ring_mul_add(spec, acc, a, b)) == want
                 assert ring_mul_add(spec, acc, a, b) == ring_add(acc, product)
             # an accumulator that cancels the product: the sum is zero
             assert ring_mul_add(spec, -product, a, b) == ZERO_ELEM
@@ -103,7 +99,7 @@ def test_large_cyclic_group_matches_reference():
     elems = _operands(spec, rng, 6)
     for a in elems:
         for b in elems:
-            assert ring_mul(spec, a, b) == reference_ring_mul(spec, a, b)
+            assert terms_of(ring_mul(spec, a, b)) == reference_ring_mul(spec, a, b)
 
 
 Z7 = GroupSpec.cyclic(7)
@@ -123,7 +119,7 @@ INVALID = [
     "spec, letters", INVALID, ids=[f"{_spec_id(s)}-{l}" for s, l in INVALID]
 )
 def test_invalid_words_raise_in_either_operand(spec, letters):
-    bad = GroupRingElem(((GroupWord(letters), 1),))
+    bad = elem_from_dict({GroupWord(letters): 1})
     good = elem_from_dict({IDENTITY_WORD: 2, GroupWord(((0, 1),)): -1})
     with pytest.raises(InvalidWordError):
         ring_mul(spec, bad, good)

@@ -105,10 +105,19 @@ def test_replay_end_matches_the_references_at_every_prefix(spec):
             assert replay_end(OpCertificate(cert.start, cert.ops[:i], cert.start)) == ends[i]
 
 
+def _held_maps(complexes, ops) -> list:
+    """Each coefficient map that an entry of the complexes or a slide
+    coefficient holds, with a copy of what it holds now."""
+    elems = [x for c in complexes for m in c.differentials for row in m for x in row]
+    elems += [op.coefficient for op in ops if isinstance(op, HandleSlide)]
+    return [(x.coeffs, dict(x.coeffs)) for x in elems]
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=repr)
 def test_replay_mutates_nothing_it_is_given(spec):
     for cert in _certificates(spec):
         start, end, ops = copy.deepcopy((cert.start, cert.end, cert.ops))
+        held = _held_maps((cert.start, cert.end), cert.ops)
         first = replay_end(cert)
         assert (cert.start, cert.end, cert.ops) == (start, end, ops)
         assert all(
@@ -116,7 +125,10 @@ def test_replay_mutates_nothing_it_is_given(spec):
             for a, b in zip(cert.ops, ops)
             if isinstance(a, HandleSlide)
         )
+        assert all(m == before for m, before in held)
+        held += _held_maps((first,), ())
         assert replay_end(cert) == first == cert.end
+        assert all(m == before for m, before in held)
 
 
 def _inserted_block_ops(x, y):
@@ -375,7 +387,7 @@ def test_cap_is_above_the_growth_of_forty_random_ops():
         two_term_complex(spec, 1, _two_terms(spec, 0, 777)),
     )
     end = random_op_sequence(start, 40, seed=5).end
-    peak = max(len(x.terms) for m in end.differentials for row in m for x in row)
+    peak = max(len(x.coeffs) for m in end.differentials for row in m for x in row)
     assert 1000 < peak < MAX_ENTRY_TERMS // 4
 
 
