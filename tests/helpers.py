@@ -25,6 +25,8 @@ from torsionkit.grouprings import (
     ONE_ELEM,
     TRIVIAL_GROUP,
     ZERO_ELEM,
+    _json_pairs,
+    _word_from_obj,
     elem_from_dict,
     from_int,
     generator_elem,
@@ -32,8 +34,6 @@ from torsionkit.grouprings import (
     json_int,
     monomial,
     ring_sub,
-    _json_pairs,
-    _word_from_obj,
     validate_word,
     word_inverse,
     word_multiply,

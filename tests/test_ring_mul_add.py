@@ -28,7 +28,7 @@ from torsionkit.grouprings import (
 
 from helpers import TermsElem, random_elem, terms_mul_add, terms_of
 
-CYCLIC = [GroupSpec.cyclic(n) for n in (1, 2, 7, 13)]
+CYCLIC = [GroupSpec.cyclic(n) for n in (1, 2, 7, 13, 1000)]
 FREE = [GroupSpec.free_product(orders) for orders in ([2, 3], [5, 5], [7, 7])]
 SPECS = CYCLIC + FREE
 
