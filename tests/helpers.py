@@ -8,8 +8,10 @@ references (``basis_change_by_matrices``, ``block_edit_reference``,
 ``TermsElem`` is an element as a sorted tuple of (word, coefficient)
 terms, with its own sum, product, document form and evaluation, the
 reference the coefficient-map element is compared against;
-``sequential_inverse`` inverts in Q(zeta_n) one conjugate at a time, and
-``reference_cyclo_str`` renders a value term by term.
+``sequential_inverse`` inverts in Q(zeta_n) one conjugate at a time,
+``reference_cyclo_str`` renders a value term by term, and
+``right_looking_eliminate`` is the elimination ``torsion._eliminate``
+replaced, which updates every later column at each pivot step.
 """
 from __future__ import annotations
 
@@ -53,6 +55,7 @@ from torsionkit.cyclofield import (
     cyclo_fraction,
     cyclo_int,
     cyclo_mul,
+    cyclo_mul_sub,
     cyclo_one,
     cyclo_zero,
     galois_conjugate,
@@ -406,6 +409,47 @@ def sequential_inverse(a: CycloNum) -> CycloNum:
     norm = cyclo_mul(ipart, conj_prod)
     assert not any(norm.nums[1:]) and norm.den == 1, "norm must be a plain integer"
     return cyclo_mul(conj_prod, cyclo_fraction(n, Fraction(a.den, norm.nums[0])))
+
+
+def right_looking_eliminate(mat, rows: list[int], scan: list[int]):
+    """One fraction-free row elimination of ``mat`` restricted to ``rows``.
+
+    Columns are visited in ``scan`` order; the first remaining row with a
+    nonzero entry becomes that column's pivot row, and every other remaining
+    row with a nonzero entry there is replaced by p*row - f*(pivot row),
+    which never divides.  Returns ``(cols, pivot_rows, factors)``: the pivot
+    columns, which form a basis of the column space of the restricted
+    matrix, the row each was found in, and a pair (p, 1 - k) for each pivot
+    p that updated k != 1 rows.  An update multiplies its row, and so the
+    determinant of what remains, by p; so when every row becomes a pivot
+    row, as in an acyclic complex, the minor of ``mat`` on those rows and
+    columns (both in pivot order) is the product of p^e over ``factors``.
+    """
+    work = {r: list(mat[r]) for r in rows}
+    cols: list[int] = []
+    pivot_rows: list[int] = []
+    factors: list[tuple[CycloNum, int]] = []
+    for t, j in enumerate(scan):
+        pr = next((r for r in work if work[r][j]), None)
+        if pr is None:
+            continue
+        cols.append(j)
+        pivot_rows.append(pr)
+        wp = work.pop(pr)
+        p = wp[j]
+        k = 0
+        for wr in work.values():
+            f = wr[j]
+            if f:
+                for c in scan[t + 1:]:
+                    if wr[c] or wp[c]:  # else p*0 - f*0 leaves the zero
+                        wr[c] = cyclo_mul_sub(p, wr[c], f, wp[c])
+                k += 1
+        if k != 1:
+            factors.append((p, 1 - k))
+        if not work:
+            break
+    return cols, pivot_rows, factors
 
 
 def reference_cyclo_str(a: CycloNum) -> str:

@@ -16,9 +16,11 @@ from torsionkit.cyclofield import (
     cyclo_fraction,
     cyclo_inv,
     cyclo_mul,
+    cyclo_mul_sub,
     cyclo_one,
     cyclo_zero,
     cyclo_pow,
+    evaluate_rep,
     representation,
     torsion_class,
     unit_subgroup,
@@ -27,6 +29,7 @@ from torsionkit.cyclofield import (
 from torsionkit.chaincomplex import (
     FieldComplex,
     ShapeMismatchError,
+    SpecMismatchError,
     base_change,
     based_complex,
     direct_sum,
@@ -53,6 +56,7 @@ from torsionkit.torsion import (
 from torsionkit.simpleops import DeckTransform, apply_op, random_op_sequence
 from torsionkit.lensspaces import lens_complex, lens_params
 
+import helpers
 from helpers import (
     filtered_extension,
     iso_via_ops,
@@ -63,6 +67,7 @@ from helpers import (
     random_int_complex,
     random_trivial_class_complex,
     random_word,
+    right_looking_eliminate,
     scramble,
     twisted_lens_cells,
 )
@@ -471,9 +476,14 @@ def torsion_outcome(fn, fc, strategy):
 
 
 def assert_matches_reference(c, rep, strategy):
+    """field_torsion against the two-elimination reference, and
+    reidemeister_torsion, which evaluates entries as the scan reads them,
+    against the class of field_torsion over the whole base change."""
     fc = base_change(c, rep)
     got = torsion_outcome(field_torsion, fc, strategy)
     assert got == torsion_outcome(reference_field_torsion, fc, strategy)
+    cls = torsion_outcome(reidemeister_torsion, c, rep)
+    assert cls == (got if isinstance(got, tuple) else torsion_class(got, unit_subgroup(rep)))
     return got
 
 
@@ -532,18 +542,55 @@ class TestMinorFormMatchesReference:
 
     @pytest.mark.parametrize("n", [7, 13])
     def test_mapping_cones(self, n, strategy):
-        spec = GroupSpec.cyclic(n)
-        rng = random.Random(400 + n)
-        pool = [
-            ring_sub(spec, ONE_ELEM, generator_elem(spec, 0, 1)),
-            ring_sub(spec, from_int(2), generator_elem(spec, 0, 2)),
-        ]
-        for _ in range(6):
-            c = random_acyclic_complex(spec, rng, summands=2)
-            iso, _ = iso_via_ops(c, rng, steps=3)
-            cone = mapping_cone(scale_chain_map(iso, rng.choice(pool)))
-            for d in (0, 1, rng.randrange(2, n)):
-                assert_matches_reference(cone, representation(spec, n, [d]), strategy)
+        for cone, rep in mapping_cone_cases(n):
+            assert_matches_reference(cone, rep, strategy)
+
+
+class TestEntriesReadAsScanned:
+    """reidemeister_torsion builds no base change: it evaluates an entry
+    when the elimination's scan reaches its column."""
+
+    def test_cone_evaluates_fewer_entries_than_it_holds(self, monkeypatch):
+        def nonzero(c):
+            return sum(bool(x) for m in c.differentials for row in m for x in row)
+
+        cone, rep = max(
+            ((c, r) for c, r in mapping_cone_cases(7) if r.generator_exponents == (1,)),
+            key=lambda case: nonzero(case[0]),
+        )
+        calls = []
+
+        def counted(rep, x):
+            calls.append(x)
+            return evaluate_rep(rep, x)
+
+        monkeypatch.setattr(torsion_module, "evaluate_rep", counted)
+        got = reidemeister_torsion(cone, rep)
+        assert 0 < len(calls) < nonzero(cone)
+        assert all(calls)
+        assert got == torsion_class(field_torsion(base_change(cone, rep)), unit_subgroup(rep))
+
+    def test_rep_for_another_group_is_refused(self):
+        c = lens_complex(lens_params(7, 2))
+        rep = representation(GroupSpec.cyclic(13), 13, [1])
+        with pytest.raises(SpecMismatchError, match="^representation is for a different group$"):
+            reidemeister_torsion(c, rep)
+
+
+def mapping_cone_cases(n):
+    """Cones of scaled chain isomorphisms over Z/n, three reps each."""
+    spec = GroupSpec.cyclic(n)
+    rng = random.Random(400 + n)
+    pool = [
+        ring_sub(spec, ONE_ELEM, generator_elem(spec, 0, 1)),
+        ring_sub(spec, from_int(2), generator_elem(spec, 0, 2)),
+    ]
+    for _ in range(6):
+        c = random_acyclic_complex(spec, rng, summands=2)
+        iso, _ = iso_via_ops(c, rng, steps=3)
+        cone = mapping_cone(scale_chain_map(iso, rng.choice(pool)))
+        for d in (0, 1, rng.randrange(2, n)):
+            yield cone, representation(spec, n, [d])
 
 
 FIELD_MODULI = [1, 2, 7, 12, 13, 15]
@@ -581,6 +628,58 @@ def has_denominator(rows) -> bool:
     return any(x.den > 1 for row in rows for x in row)
 
 
+def pivot_power_cases(n):
+    """Matrices over Q(zeta_n) with denominators, some with a dependent
+    row, each under both scans and on all rows and on a row subset:
+    (mat, scan, rows) triples."""
+    rng = random.Random(900 + n)
+    shapes = [(1, 1), (2, 2), (3, 3), (4, 4), (2, 4), (3, 5), (4, 2), (5, 3)]
+    for rows, cols in shapes * 3:
+        mat = [[fraction_entry(n, rng) for _ in range(cols)] for _ in range(rows)]
+        if rows >= 3 and rng.random() < 0.5:  # a dependent row
+            s, t = cyclo_fraction(n, Fraction(rng.choice([-2, 1, 3]), 2)), fraction_entry(n, rng, 0)
+            mat[-1] = [s * a + t * b for a, b in zip(mat[0], mat[1])]
+        for scan in (list(range(cols)), list(range(cols - 1, -1, -1))):
+            for subset in (list(range(rows)), sorted(rng.sample(range(rows), max(1, rows - 1)))):
+                yield mat, scan, subset
+
+
+def as_given(x):
+    return x
+
+
+@pytest.fixture()
+def mul_sub_calls(monkeypatch):
+    """Counts cyclo_mul_sub calls of the elimination and of its
+    right-looking reference alike."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return cyclo_mul_sub(*args)
+
+    monkeypatch.setattr(torsion_module, "cyclo_mul_sub", counted)
+    monkeypatch.setattr(helpers, "cyclo_mul_sub", counted)
+    return calls
+
+
+left_looking_eliminate = torsion_module._eliminate
+
+
+def compare_with_right_looking(mul_sub_calls, mat, rows, scan, entry):
+    """Both eliminations of ``mat`` on ``rows``: equal results, and no more
+    cyclo_mul_sub calls for the left-looking one.  Returns its result and
+    the two call counts."""
+    before = mul_sub_calls[0]
+    got = left_looking_eliminate(mat, rows, scan, entry)
+    left = mul_sub_calls[0] - before
+    read = [[entry(x) for x in row] for row in mat]
+    assert got == right_looking_eliminate(read, rows, scan)
+    right = mul_sub_calls[0] - before - left
+    assert left <= right
+    return got, left, right
+
+
 class TestPivotPowers:
     """When every row it is given becomes a pivot row, _eliminate returns
     the minor on its pivot rows and columns as the product of p^(1 - k)
@@ -588,30 +687,51 @@ class TestPivotPowers:
 
     @pytest.mark.parametrize("n", FIELD_MODULI)
     def test_product_is_the_cofactor_minor(self, n):
-        rng = random.Random(900 + n)
-        shapes = [(1, 1), (2, 2), (3, 3), (4, 4), (2, 4), (3, 5), (4, 2), (5, 3)]
         seen_denominator, full = False, 0
-        for rows, cols in shapes * 3:
-            mat = [[fraction_entry(n, rng) for _ in range(cols)] for _ in range(rows)]
-            if rows >= 3 and rng.random() < 0.5:  # a dependent row
-                s, t = cyclo_fraction(n, Fraction(rng.choice([-2, 1, 3]), 2)), fraction_entry(n, rng, 0)
-                mat[-1] = [s * a + t * b for a, b in zip(mat[0], mat[1])]
+        for mat, scan, subset in pivot_power_cases(n):
             seen_denominator |= has_denominator(mat)
-            for scan in (list(range(cols)), list(range(cols - 1, -1, -1))):
-                for subset in (list(range(rows)), sorted(rng.sample(range(rows), max(1, rows - 1)))):
-                    pcols, prows, factors = torsion_module._eliminate(mat, subset, scan)
-                    minor = cofactor_det([[mat[r][c] for c in pcols] for r in prows], n)
-                    assert minor, "pivots must pick a nonsingular minor"
-                    assert all(e and p for p, e in factors)
-                    if len(prows) == len(subset):
-                        assert pivot_product(factors, n) == minor
-                        full += 1
-                    else:  # no larger minor is nonsingular
-                        size = len(prows) + 1
-                        for rs in combinations(subset, size):
-                            for cs in combinations(range(cols), size):
-                                assert not cofactor_det([[mat[r][c] for c in cs] for r in rs], n)
+            cols = len(mat[0])
+            pcols, prows, factors = torsion_module._eliminate(mat, subset, scan, as_given)
+            minor = cofactor_det([[mat[r][c] for c in pcols] for r in prows], n)
+            assert minor, "pivots must pick a nonsingular minor"
+            assert all(e and p for p, e in factors)
+            if len(prows) == len(subset):
+                assert pivot_product(factors, n) == minor
+                full += 1
+            else:  # no larger minor is nonsingular
+                size = len(prows) + 1
+                for rs in combinations(subset, size):
+                    for cs in combinations(range(cols), size):
+                        assert not cofactor_det([[mat[r][c] for c in cs] for r in rs], n)
         assert seen_denominator and full >= 40
+
+    @pytest.mark.parametrize("n", FIELD_MODULI)
+    def test_left_looking_matches_the_right_looking_reference(self, n, mul_sub_calls):
+        """The same pivot columns, pivot rows and factors as the
+        elimination that updates every later column at each step, from no
+        more products."""
+        for mat, scan, subset in pivot_power_cases(n):
+            compare_with_right_looking(mul_sub_calls, mat, subset, scan, as_given)
+
+    def test_cones_skip_the_columns_past_the_last_pivot(self, mul_sub_calls, monkeypatch):
+        """Every elimination of the mapping cones, under both scans,
+        matches the reference; over all of them the left-looking one makes
+        fewer products, as the cone's d_C and d_D columns come after the
+        last pivot."""
+        totals = [0, 0]
+
+        def both(mat, rows, scan, entry):
+            got, left, right = compare_with_right_looking(mul_sub_calls, mat, rows, scan, entry)
+            totals[0] += left
+            totals[1] += right
+            return got
+
+        monkeypatch.setattr(torsion_module, "_eliminate", both)
+        for strategy in ("first", "last"):
+            for n in (7, 13):
+                for cone, rep in mapping_cone_cases(n):
+                    torsion_outcome(field_torsion, base_change(cone, rep), strategy)
+        assert totals[0] < totals[1]
 
     def test_a_pivot_updating_one_row_cancels(self):
         """On [[a, b], [c, d]], a updates one row and is left out; the
@@ -619,7 +739,7 @@ class TestPivotPowers:
         n = 7
         a, b = cyclo_fraction(n, Fraction(3, 2)), zeta(n, 2)
         c, d = one_minus_zeta(1), cyclo_fraction(n, Fraction(-1, 5)) * zeta(n, 4)
-        cols, rows, factors = torsion_module._eliminate([[a, b], [c, d]], [0, 1], [0, 1])
+        cols, rows, factors = torsion_module._eliminate([[a, b], [c, d]], [0, 1], [0, 1], as_given)
         assert (cols, rows) == ([0, 1], [0, 1])
         assert factors == [(a * d - c * b, 1)]
 
