@@ -23,14 +23,16 @@ from .grouprings import (
     GroupRingElem,
     GroupSpec,
     TRIVIAL_GROUP,
+    elem_from_map,
     elem_from_obj,
     elem_to_obj,
     from_int,
     int_value,
     json_int,
+    map_form,
+    map_mul_add,
     ring_add,
     ring_mul,
-    ring_mul_add,
     spec_from_obj,
     spec_to_obj,
 )
@@ -90,27 +92,28 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
+    return tuple(tuple(-x if x else x for x in row) for row in a)  # a zero is kept, not built anew
 
 
 def mat_compose(spec: GroupSpec, second: Matrix, first: Matrix, cols: int) -> Matrix:
     """Matrix of (second . first), ``cols`` wide; see the module docstring
-    for the order of ring products inside each entry."""
-    rows2, mid2 = mat_shape(second)
+    for the order of ring products inside each entry.  Each entry is summed
+    in one working map, from factor entries each read once."""
+    mid2 = mat_shape(second)[1]
     mid1 = len(first)
     if second and first and mid1 != mid2:
         raise ShapeMismatchError(f"inner dimensions differ: {mid1} vs {mid2}")
+    reads = [[map_form(spec, x) if x else None for x in row] for row in first]
     out = []
-    for g in range(rows2):
+    for row2 in second:
+        pairs = [(xs, map_form(spec, y)) for xs, y in zip(reads, row2) if y]  # (row b of first, y_b)
         row = []
         for a in range(cols):
-            acc = ZERO_ELEM
-            for b in range(mid1):
-                x = first[b][a]
-                y = second[g][b]
-                if x and y:
-                    acc = ring_mul_add(spec, acc, x, y)
-            row.append(acc)
+            acc = {}
+            for xs, y in pairs:
+                if xs[a] is not None:
+                    acc = map_mul_add(spec, acc, xs[a], y)
+            row.append(elem_from_map(spec, acc))
         out.append(tuple(row))
     return tuple(out)
 

@@ -12,7 +12,8 @@ JSON document, and text output is labeled lines rendered from it.  Exit codes:
 0 success, 1 parse/validation error, 2 verification or acyclicity failure,
 3 internal cross-check violation (never expected).  A modulus above
 ``MAX_MODULUS``, a certificate longer than ``MAX_CERT_OPS`` and a complex
-whose ranks sum past ``MAX_TOTAL_RANK`` are parse errors.
+whose ranks sum past ``MAX_TOTAL_RANK`` are parse errors, and so is an op
+replay refuses, such as an expansion past the reach rule of ``simpleops``.
 
 The parser is built once per process, at import (``_PARSER``), and every
 ``main`` call parses with it: a one-command process pays for it once either
@@ -54,9 +55,9 @@ from .torsion import (
     reidemeister_torsion,
 )
 from .simpleops import (
-    DEFAULT_MAX_GROWTH,
-    Expansion,
     InvalidOpError,
+    MAX_TOTAL_RANK,
+    OpLimitError,
     cert_from_obj,
     cert_to_obj,
     random_op_sequence,
@@ -92,15 +93,6 @@ MAX_MODULUS = 127
 # gen-cert at the cap takes 0.45 s and verify-cert of its output 0.34 s
 # (medians of 3 runs, start-up included); the certificate file is 0.8 MB.
 MAX_CERT_OPS = 10_000
-# Largest total rank (the sum of the ranks over all degrees) of a complex file
-# given to torsion or gen-cert, and of every complex verify-cert builds from a
-# certificate: its start, its end, and the replay after each op.  It is
-# checked on the document, before any matrix is built: a
-# missing differential is a zero matrix of rank(i+1) x rank(i) entries, so a
-# 92-byte file with ranks (2000, 2000) made `torsion` run for 16.7 s before
-# printing NOT_ACYCLIC, and the cost grows quadratically.  With ranks
-# (128, 128) and no differentials, `torsion` takes 0.3 s (2-vCPU machine).
-MAX_TOTAL_RANK = 256
 
 
 @dataclass
@@ -437,47 +429,17 @@ def _default_reps(spec: GroupSpec, modulus: int):
 
 def _load_cert(path: str):
     """Read a certificate after checking on the document that it has at most
-    ``MAX_CERT_OPS`` ops and that no complex its replay builds passes
-    ``MAX_TOTAL_RANK``: an expansion adds 2 to the total rank of start and a
-    retraction removes 2, whatever else the replay finds wrong with them."""
+    ``MAX_CERT_OPS`` ops and that its start and end fit ``MAX_TOTAL_RANK``.
+    Replay holds each op to the reach rule and the rank cap."""
     doc = _read_json(path)
     if isinstance(doc, dict):
-        ops = doc.get("ops") if isinstance(doc.get("ops"), list) else []
-        _check_op_count("ops", len(ops))
-        total = _total_rank(doc.get("start"))
-        _check_total_rank(f"{path}: start", total)
+        _check_op_count("ops", len(doc["ops"]) if isinstance(doc.get("ops"), list) else 0)
+        _check_total_rank(f"{path}: start", _total_rank(doc.get("start")))
         _check_total_rank(f"{path}: end", _total_rank(doc.get("end")))
-        for index, op in enumerate(ops if total is not None else ()):
-            kind = op.get("kind") if isinstance(op, dict) else None
-            total += 2 * (kind == "expansion") - 2 * (kind == "retraction")
-            _check_total_rank(f"{path}: op {index}", total)
     try:
-        cert = cert_from_obj(doc)
+        return cert_from_obj(doc)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
-    _check_op_degrees(path, cert)
-    return cert
-
-
-def _check_op_degrees(path: str, cert) -> None:
-    """Refuse an expansion at a degree no replay can reach.  Replay fills
-    every degree between the window and an expansion's degree, so one
-    expansion at degree 10**6 took 4.9 s and 139 MB.  Only an expansion
-    widens the window: at degree D in [lo - 1, hi] it makes the window
-    [min(lo, D), max(hi, D + 1)], so the document is read with the widest
-    window the expansions so far can build, and each widens it by at most
-    one degree.  Other ops outside the window fail in replay at once, with
-    no rank to act on."""
-    lo, hi = cert.start.min_degree, cert.start.max_degree
-    for i, op in enumerate(cert.ops):
-        if not isinstance(op, Expansion):
-            continue
-        if not lo - 1 <= op.degree <= hi:
-            raise CliError(
-                f"{path}: op {i}: expansion degree {op.degree} lies outside"
-                f" {lo - 1}..{hi}, the degrees the ops before it can reach"
-            )
-        lo, hi = min(lo, op.degree), max(hi, op.degree + 1)
 
 
 def cmd_verify_cert(args) -> Report:
@@ -503,6 +465,8 @@ def cmd_verify_cert(args) -> Report:
     }
     try:
         end = replay_end(cert)
+    except OpLimitError as exc:
+        raise CliError(f"{args.cert_file}: op {exc.step}: {exc.reason}")
     except InvalidOpError as exc:
         raise CliError(f"invalid certificate: {exc}")
     if end != cert.end:
@@ -575,12 +539,8 @@ def cmd_gen_cert(args) -> Report:
         raise CliError(f"--length must be nonnegative, got {args.length}")
     _check_op_count("--length", args.length)
     c = _load_complex_checked(args.complex_file)
-    # random_op_sequence expands while the total rank is below start +
-    # max_growth, so it can reach start + max_growth + 1; verify-cert refuses
-    # a certificate whose replay passes MAX_TOTAL_RANK
-    growth = min(DEFAULT_MAX_GROWTH, MAX_TOTAL_RANK - 1 - c.total_rank())
     try:
-        cert = random_op_sequence(c, args.length, args.seed, growth)
+        cert = random_op_sequence(c, args.length, args.seed)
     except InvalidOpError as exc:
         raise CliError(f"cannot generate a certificate: {exc}")
     _write_text(args.out, dumps_canonical(cert_to_obj(cert)))

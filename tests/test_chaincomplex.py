@@ -9,6 +9,7 @@ from torsionkit.grouprings import (
     GroupSpec,
     ONE_ELEM,
     TRIVIAL_GROUP,
+    ZERO_ELEM,
     augmentation,
     from_int,
     generator_elem,
@@ -37,6 +38,7 @@ from torsionkit.chaincomplex import (
     integral_homology,
     mapping_cone,
     mat_identity,
+    mat_neg,
     shift,
     smith_normal_form,
     tensor_z_complexes,
@@ -179,6 +181,17 @@ class TestShift:
         s = shift(c, 1)
         assert s.min_degree == -1
         assert s.diff(-1)[0][0] == -ONE_ELEM
+
+    def test_negation_keeps_zero_entries(self):
+        """mat_neg, which odd shifts and mapping cones use, keeps each zero
+        entry as it is instead of building a new empty element."""
+        x = generator_elem(Z7, 0, 2)
+        m = mat_neg(((ZERO_ELEM, x), (ONE_ELEM, ZERO_ELEM)))
+        assert m == ((ZERO_ELEM, -x), (-ONE_ELEM, ZERO_ELEM))
+        assert m[0][0] is ZERO_ELEM and m[1][1] is ZERO_ELEM
+        c = lens_complex(lens_params(7, 2))
+        zeros = [x for m in shift(direct_sum(c, c), 1).differentials for row in m for x in row if not x]
+        assert zeros and all(x is ZERO_ELEM for x in zeros)
 
 
 class TestDirectSum:

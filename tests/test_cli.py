@@ -21,6 +21,7 @@ from torsionkit.chaincomplex import (
 )
 from torsionkit.simpleops import (
     Expansion,
+    Retraction,
     cert_from_obj,
     cert_to_obj,
     random_op_sequence,
@@ -423,8 +424,9 @@ class TestInputBounds:
 
     @pytest.mark.parametrize("edit", ["end", "expansions", "retractions"])
     def test_certificate_replay_rank_cap(self, tmp_path, capsys, edit):
-        """verify-cert refuses, from the document, a certificate whose end or
-        whose replay after some op passes MAX_TOTAL_RANK.  Unchecked, an end
+        """verify-cert refuses a certificate whose end (on the document) or
+        whose replay after some op (before that op edits the working copy)
+        passes MAX_TOTAL_RANK.  Unchecked, an end
         claiming ranks (6000, 6000) reached 292 MB of memory before replay
         failed, and 1200 expansions at degree 0 took 14.9 s.  A retraction
         takes 2 off the running total, so the last file reaches only
@@ -477,9 +479,9 @@ class TestInputBounds:
         assert capsys.readouterr().out.endswith("fingerprints: AGREE\n")
 
     def test_far_expansion_exits_1_at_once(self, tmp_path, capsys):
-        """One expansion far outside the degree window is refused on the
-        document: replaying it filled every degree in between, 4.9 s and
-        139 MB at degree 10**6."""
+        """One expansion far outside the degree window is refused before
+        replay widens the window: replaying it filled every degree in
+        between, 4.9 s and 139 MB at degree 10**6."""
         doc = json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))
         doc["ops"] = [{"kind": "expansion", "degree": 10**6, "position": 0}]
         path = tmp_path / "far.json"
@@ -539,6 +541,50 @@ class TestInputBounds:
             f"error: {path}: op 5: expansion degree {hi + 5} lies outside"
             f" {lo - 1}..{hi}, the degrees the ops before it can reach\n"
         )
+
+    def test_a_retraction_narrows_the_reach(self, tmp_path, capsys):
+        """The reach is that of the complex as it stands, not the widest
+        window the expansions so far built: after an expansion at the top of
+        L(7,2) and its retraction, the window is 0..3 again, so an expansion
+        at degree 4 is refused."""
+        start = lens_complex(lens_params(7, 2))
+        doc = cert_to_obj(OpCertificate(start, (Expansion(3, 0), Retraction(3, 0), Expansion(4, 0)), start))
+        path = tmp_path / "narrow.json"
+        path.write_text(dumps_canonical(doc), encoding="utf-8")
+        assert main(["verify-cert", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: op 2: expansion degree 4 lies outside -1..3,"
+            " the degrees the ops before it can reach\n"
+        )
+
+    @pytest.mark.parametrize("seed", [4, 5, 9, 11, 12, 16, 30])
+    def test_gen_cert_after_a_collapse_verifies(self, tmp_path, capsys, seed):
+        """A certificate that retracts its start to the zero complex, whose
+        window is {0}, and then expands at degree -1 verifies: gen-cert and
+        replay read one reach rule.  Reading the widest window the
+        expansions had built, 0..2 for this start, verify-cert refused each
+        of these seeds' certificates."""
+        out = tmp_path / f"cert{seed}.json"
+        argv = ["gen-cert", str(GOLDEN / "collapse12.json"), "--length", "3", "--seed", str(seed)]
+        assert main(argv + ["--out", str(out)]) == 0
+        ops = json.loads(out.read_text(encoding="utf-8"))["ops"]
+        assert {"kind": "expansion", "degree": -1, "position": 0} in ops
+        capsys.readouterr()
+        assert main(["verify-cert", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("fingerprints: AGREE\n")
+
+    def test_collapse_golden(self, tmp_path, monkeypatch, capsys):
+        """gen-cert and verify-cert on collapse12.json, byte for byte."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "collapse12.json").write_bytes((GOLDEN / "collapse12.json").read_bytes())
+        argv = ["gen-cert", "collapse12.json", "--length", "3", "--seed", "4", "--out", "collapse12-cert.json"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / "gen-cert-collapse12.text").read_text(encoding="utf-8")
+        assert (tmp_path / "collapse12-cert.json").read_bytes() == (GOLDEN / "collapse12-cert.json").read_bytes()
+        assert main(["verify-cert", "collapse12-cert.json"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "verify-cert-collapse12.text").read_text(encoding="utf-8")
 
 
     def test_gen_cert_length_400_verifies(self, lens_file, tmp_path, capsys):

@@ -37,11 +37,14 @@ from torsionkit.chaincomplex import (
 from torsionkit.simpleops import (
     Expansion,
     HandleSlide,
+    OpCertificate,
     Retraction,
     apply_op,
     cert_from_obj,
     cert_to_obj,
     random_op_sequence,
+    replay,
+    replay_end,
     retractable_positions,
 )
 
@@ -146,6 +149,22 @@ def test_every_op_builds_the_canonical_complex(c, length, seed):
     for step, op in _steps(random_op_sequence(c, length, seed)):
         r = apply_op(step, op)
         assert r == based_complex(r.spec, r.min_degree, r.ranks, r.differentials, r.labels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(complexes(), st.integers(0, 30), st.integers(0, 2**32 - 1))
+def test_certificates_compose(c, length, seed):
+    """Replay is apply_op folded over the ops, and a certificate cut at any
+    op is two certificates that each replay: whether an op applies depends
+    only on the complex it acts on, not on the ops before it."""
+    cert = random_op_sequence(c, length, seed)
+    mids = [c]
+    for op in cert.ops:
+        mids.append(apply_op(mids[-1], op))
+    assert replay_end(cert) == mids[-1] == cert.end
+    for i, mid in enumerate(mids):
+        assert replay(OpCertificate(c, cert.ops[:i], mid))
+        assert replay(OpCertificate(mid, cert.ops[i:], cert.end))
 
 
 def _reference_retractable_positions(c, degree):

@@ -5,7 +5,9 @@ cyclic convolution and free products checked each word once: one validated
 ``word_multiply`` per pair of terms, on the tuple-of-terms elements of
 ``helpers``.  ``ring_mul`` and ``ring_mul_add`` must give exactly its
 results (compared as sorted terms, so term order is included), and must
-still refuse a word that is not reduced.
+still refuse a word that is not reduced.  ``mat_compose``, which adds the
+products of each entry into one working map, must give the sum of the
+word-by-word products entry by entry.
 """
 import random
 
@@ -25,6 +27,7 @@ from torsionkit.grouprings import (
     ring_mul,
     ring_mul_add,
 )
+from torsionkit.chaincomplex import ShapeMismatchError, mat_compose
 
 from helpers import TermsElem, random_elem, terms_mul_add, terms_of
 
@@ -127,3 +130,69 @@ def test_invalid_words_raise_in_either_operand(spec, letters):
         ring_mul(spec, good, bad)
     with pytest.raises(InvalidWordError):
         ring_mul_add(spec, ONE_ELEM, good, bad)
+
+
+def reference_mat_compose(spec: GroupSpec, second, first, cols: int):
+    """(second . first) entry by entry: the sum over b of first[b][a] *
+    second[g][b], one ``terms_mul_add`` per product."""
+    out = []
+    for row2 in second:
+        row = []
+        for a in range(cols):
+            acc = TermsElem()
+            for b, y in enumerate(row2[: len(first)]):
+                acc = terms_mul_add(spec, acc, terms_of(first[b][a]), terms_of(y))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _random_matrix(spec: GroupSpec, rng: random.Random, rows: int, cols: int):
+    """Mostly sparse entries of a few sizes; a row may repeat another negated,
+    so that entries of a composite cancel."""
+    out = []
+    for _ in range(rows):
+        if out and rng.random() < 0.2:
+            out.append(tuple(-x for x in rng.choice(out)))
+            continue
+        out.append(tuple(
+            random_elem(spec, rng, terms=rng.choice([1, 2, 4]), span=4) if rng.random() < 0.6 else ZERO_ELEM
+            for _ in range(cols)
+        ))
+    return tuple(out)
+
+
+def _terms(m):
+    return tuple(tuple(terms_of(x) for x in row) for row in m)
+
+
+@pytest.mark.parametrize(
+    "spec", [GroupSpec.cyclic(7), GroupSpec.cyclic(1000), GroupSpec.free_product([2, 3])], ids=_spec_id
+)
+def test_mat_compose_matches_reference(spec):
+    rng = random.Random(7 + sum(spec.factor_orders))
+    for _ in range(30):
+        rows, mid, cols = rng.randint(0, 4), rng.randint(1, 4), rng.randint(0, 4)
+        first = _random_matrix(spec, rng, mid, cols)
+        second = _random_matrix(spec, rng, rows, mid)
+        got = mat_compose(spec, second, first, cols)
+        assert _terms(got) == reference_mat_compose(spec, second, first, cols)
+        # a composite's entries are ordinary elements: composing again reads them
+        if rows:
+            third = _random_matrix(spec, rng, rng.randint(1, 3), rows)
+            again = mat_compose(spec, third, got, cols)
+            assert _terms(again) == reference_mat_compose(spec, third, got, cols)
+
+
+def test_mat_compose_cancels_to_the_zero_element():
+    spec = GroupSpec.cyclic(7)
+    x = elem_from_dict({GroupWord(((0, 1),)): 2, IDENTITY_WORD: -1})
+    first = ((x,), (x,))
+    second = ((ONE_ELEM, -ONE_ELEM),)
+    assert mat_compose(spec, second, first, 1) == ((ZERO_ELEM,),)
+
+
+def test_mat_compose_inner_dimensions_must_agree():
+    spec = GroupSpec.cyclic(7)
+    with pytest.raises(ShapeMismatchError):
+        mat_compose(spec, ((ONE_ELEM, ONE_ELEM),), ((ONE_ELEM,),), 1)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -12,20 +13,23 @@ from torsionkit.grouprings import (
     word_inverse,
 )
 from torsionkit.cyclofield import representation
-from torsionkit.chaincomplex import dumps_canonical, validate
+from torsionkit.chaincomplex import based_complex, dumps_canonical, validate
 from torsionkit.torsion import fingerprint, fingerprints_equivalent, reidemeister_torsion
 from torsionkit.simpleops import (
     DeckTransform,
     Expansion,
     HandleSlide,
     InvalidOpError,
+    MAX_TOTAL_RANK,
     OpCertificate,
+    OpLimitError,
     Retraction,
     apply_op,
     cert_from_obj,
     cert_to_obj,
     random_op_sequence,
     replay,
+    replay_end,
     retractable_positions,
 )
 from torsionkit.lensspaces import lens_complex, lens_params
@@ -255,3 +259,55 @@ class TestCertificateFormat:
         obj["ops"].append({"kind": "mystery"})
         with pytest.raises(InvalidOpError):
             cert_from_obj(obj)
+
+
+class TestReach:
+    """The one rule for expansions: a degree in [lo - 1, hi] of the window
+    as it stands, and a total rank within MAX_TOTAL_RANK after it."""
+
+    def test_far_expansion_raises_before_the_window_grows(self):
+        c = lens_complex(lens_params(7, 2))
+        t0 = time.perf_counter()
+        with pytest.raises(OpLimitError) as exc:
+            replay_end(OpCertificate(c, (Expansion(10**6, 0),), c))
+        assert time.perf_counter() - t0 < 0.1
+        reason = "expansion degree 1000000 lies outside -1..3, the degrees the ops before it can reach"
+        assert (exc.value.step, exc.value.reason) == (0, reason)
+        assert str(exc.value) == f"step 0: {reason}"
+
+    def test_reach_is_the_window_as_it_stands(self):
+        c = lens_complex(lens_params(7, 2))
+        assert apply_op(c, Expansion(-1, 0)).min_degree == -1
+        assert apply_op(c, Expansion(3, 0)).max_degree == 4
+        for d in (-2, 4):
+            with pytest.raises(OpLimitError) as exc:
+                apply_op(c, Expansion(d, 0))
+            assert str(exc.value).startswith(f"expansion degree {d} lies outside -1..3")
+        # a retraction narrows the reach again
+        ops = (Expansion(3, 0), Retraction(3, 0), Expansion(4, 0))
+        with pytest.raises(OpLimitError) as exc:
+            replay_end(OpCertificate(c, ops, c))
+        assert exc.value.step == 2 and "lies outside -1..3" in exc.value.reason
+
+    def test_zero_complex_reaches_degrees_minus_one_and_zero(self):
+        c = based_complex(Z7, 5, (1, 1), [((monomial(generator_word(Z7)),),)])
+        ops = (Retraction(5, 0), Expansion(-1, 0), Retraction(-1, 0), Expansion(0, 0))
+        end = replay_end(OpCertificate(c, ops, c))
+        assert (end.min_degree, end.max_degree) == (0, 1)
+        with pytest.raises(OpLimitError):
+            replay_end(OpCertificate(c, (Retraction(5, 0), Expansion(5, 0)), c))
+
+    def test_apply_op_refuses_an_expansion_past_the_rank_cap(self):
+        at_cap = based_complex(Z7, 0, (MAX_TOTAL_RANK - 2,), [])
+        assert apply_op(at_cap, Expansion(0, 0)).total_rank() == MAX_TOTAL_RANK
+        over = based_complex(Z7, 0, (MAX_TOTAL_RANK - 1,), [])
+        with pytest.raises(OpLimitError) as exc:
+            apply_op(over, Expansion(0, 0))
+        assert str(exc.value) == f"total rank {MAX_TOTAL_RANK + 1} exceeds the rank cap {MAX_TOTAL_RANK}"
+
+    def test_random_sequences_stop_expanding_at_the_rank_cap(self):
+        c = based_complex(Z7, 0, (MAX_TOTAL_RANK - 3,), [])
+        for seed in range(5):
+            cert = random_op_sequence(c, 20, seed)
+            assert cert.end.total_rank() <= MAX_TOTAL_RANK
+            assert replay(cert)
