@@ -56,6 +56,7 @@ from .torsion import (
 )
 from .simpleops import (
     InvalidOpError,
+    MAX_CERT_OPS,
     MAX_TOTAL_RANK,
     OpLimitError,
     cert_from_obj,
@@ -88,11 +89,6 @@ DEFAULT_REP_COUNT = 6
 # field inversion of an elimination under --rep n, about 0.36 s for a dense
 # value with 40-bit coefficients at n = 127 (30 ms at n = 61).
 MAX_MODULUS = 127
-# Most simple operations in a certificate: the --length of gen-cert and the
-# ops of a certificate verify-cert reads.  On L(7,2) and a 2-vCPU machine,
-# gen-cert at the cap takes 0.45 s and verify-cert of its output 0.34 s
-# (medians of 3 runs, start-up included); the certificate file is 0.8 MB.
-MAX_CERT_OPS = 10_000
 
 
 @dataclass

@@ -7,13 +7,15 @@ denominator.
 Field arithmetic works in the lift Z[x]/(x^n - 1), where zeta^k is slot
 k mod n of an n-long coefficient list, and reduces mod Phi_n once per
 result, in ``_reduce_mod_phi``.  A product is one schoolbook convolution
-(``cyclo_mul``; ``cyclo_mul_sub`` adds two products into one buffer for the
-elimination step p*a - f*b); a group-ring element scatters each term's
-coefficient into the slot of its exponent (``evaluate_rep``); zeta ->
-zeta^k moves slot j to slot j*k mod n (``galois_conjugate``).  Phi_n
-divides x^n - 1, so the reduction first adds slot k onto slot k mod n and
-then clears what is left above x^phi by Phi_n: at most n - phi
-coefficients, one for prime n, so a product reduces in O(n) there.
+over the nonzero coefficients of its sparser factor (``cyclo_mul``); the
+elimination step p*a - f*b adds two products of integer numerators, each
+over nonzero terms only, into one buffer (``terms_mul_sub``); a group-ring
+element scatters each term's coefficient into the slot of its exponent
+(``evaluate_rep``); zeta -> zeta^k moves slot j to slot j*k mod n
+(``galois_conjugate``).  Phi_n divides x^n - 1, so the reduction first
+adds slot k onto slot k mod n and then clears what is left above x^phi by
+Phi_n: at most n - phi coefficients, one for prime n, so a product
+reduces in O(n) there.
 Inversion goes through the Galois conjugates, so no polynomial gcd is ever
 needed: 1/a = (prod of conjugates of a) / norm(a).  The product comes from
 Itoh-Tsujii doubling chains, one per pair (d, o) of a coset decomposition
@@ -65,12 +67,15 @@ def _poly_trim(p: list[int]) -> list[int]:
 
 
 def _poly_mul_add(out: list[int], a, b, s: int) -> None:
-    """out += s*a*b: the one schoolbook product of coefficient vectors."""
+    """out += s*a*b: the one schoolbook product of coefficient vectors, over
+    the nonzero coefficients of the factor with more zeros."""
+    if a.count(0) < b.count(0):
+        a, b = b, a
     for i, x in enumerate(a):
         if x:
             x *= s
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for k, y in enumerate(b, i):
+                out[k] += x * y
 
 
 def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -256,22 +261,26 @@ def cyclo_mul(a: CycloNum, b: CycloNum) -> CycloNum:
     return _make(a.n, _reduce_mod_phi(a.n, prod), a.den * b.den)
 
 
-def cyclo_mul_sub(p: CycloNum, a: CycloNum, f: CycloNum, b: CycloNum) -> CycloNum:
-    """p*a - f*b, the update of a fraction-free elimination step: both
-    products go into one buffer over the least common denominator, then one
-    reduction mod Phi_n."""
-    _check_same_modulus(p, a)
-    _check_same_modulus(f, b)
-    _check_same_modulus(p, f)
-    n = p.n
-    da, db = p.den * a.den, f.den * b.den
-    g = gcd(da, db)
-    acc = [0] * (2 * len(p.nums) - 1)
-    if p and a:
-        _poly_mul_add(acc, p.nums, a.nums, db // g)
-    if f and b:
-        _poly_mul_add(acc, f.nums, b.nums, -(da // g))
-    return _make(n, _reduce_mod_phi(n, acc), da // g * db)
+def terms_mul_sub(n: int, p, a, f, b) -> tuple[int, ...]:
+    """p*a - f*b mod Phi_n on integer numerators, the update of one
+    fraction-free elimination step: p, f and b as lists of their nonzero
+    (power, coefficient) terms, a as its power-basis vector.  Both products
+    go into one buffer, which is reduced once."""
+    acc = [0] * (2 * len(a) - 1)
+    for i, x in p:
+        for k, y in enumerate(a, i):
+            if y:
+                acc[k] += x * y
+    for i, x in f:
+        for j, y in b:
+            acc[i + j] -= x * y
+    return _reduce_mod_phi(n, acc)
+
+
+def cyclo_from_nums(n: int, nums, den: int = 1) -> CycloNum:
+    """nums/den in Q(zeta_n), in lowest terms: integer power-basis
+    numerators over a nonzero integer denominator."""
+    return _make(n, nums, den)
 
 
 def galois_conjugate(a: CycloNum, k: int) -> CycloNum:

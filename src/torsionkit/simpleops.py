@@ -74,6 +74,8 @@ Reach.  Only an expansion adds degrees or rank.  It applies at a degree in
 [lo - 1, hi] of the window as it stands (``_window``), while the total rank
 after it stays within ``MAX_TOTAL_RANK``, else ``OpLimitError``; it is
 checked before the copy is edited, and ``random_op_sequence`` draws by it.
+``replay_end`` refuses a certificate of more than ``MAX_CERT_OPS`` ops
+before it thaws start.
 """
 from __future__ import annotations
 
@@ -126,6 +128,13 @@ MAX_ENTRY_TERMS = 50_000
 # 1200 expansions at degree 0 replayed for 14.9 s, and ranks (2000, 2000)
 # with no differentials made `torsion` run for 16.7 s (2-vCPU machine).
 MAX_TOTAL_RANK = 256
+# Most simple operations a certificate may hold: ``replay_end`` refuses a
+# longer one before it thaws start, and the CLI checks the ops of a
+# certificate verify-cert reads and the --length of gen-cert on the
+# document.  On L(7,2) and a 2-vCPU machine, gen-cert at the cap takes
+# 0.45 s and verify-cert of its output 0.34 s (medians of 3 runs, start-up
+# included); the certificate file is 0.8 MB.
+MAX_CERT_OPS = 10_000
 
 
 class InvalidOpError(ValueError):
@@ -133,7 +142,8 @@ class InvalidOpError(ValueError):
 
 
 class OpLimitError(InvalidOpError):
-    """An expansion outside the reach of the complex or past ``MAX_TOTAL_RANK``."""
+    """An expansion outside the reach of the complex or past
+    ``MAX_TOTAL_RANK``, or a certificate of more than ``MAX_CERT_OPS`` ops."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -549,7 +559,10 @@ class OpCertificate:
 def replay_end(cert: OpCertificate) -> BasedComplex:
     """The complex that folding the ops over start builds: start is thawed
     once into a working copy, every op edits it in place, and it is frozen
-    once."""
+    once.  A certificate of more than ``MAX_CERT_OPS`` ops raises
+    OpLimitError before anything is thawed."""
+    if len(cert.ops) > MAX_CERT_OPS:
+        raise OpLimitError(f"ops = {len(cert.ops)} exceeds the certificate cap {MAX_CERT_OPS}")
     w = _thaw(cert.start)
     for step, op in enumerate(cert.ops):
         _apply_step(w, step, op)

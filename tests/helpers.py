@@ -11,7 +11,9 @@ reference the coefficient-map element is compared against;
 ``sequential_inverse`` inverts in Q(zeta_n) one conjugate at a time,
 ``reference_cyclo_str`` renders a value term by term, and
 ``right_looking_eliminate`` is the elimination ``torsion._eliminate``
-replaced, which updates every later column at each pivot step.
+replaced, which updates every later column at each pivot step, here with
+the same pivot rule and on values of Q(zeta_n) through ``cyclo_mul_sub``,
+the update the library made before it worked on integer terms.
 """
 from __future__ import annotations
 
@@ -49,13 +51,16 @@ from torsionkit.chaincomplex import (
     two_term_complex,
 )
 from torsionkit.cyclofield import (
+    _check_same_modulus,
+    _make,
+    _poly_mul_add,
+    _reduce_mod_phi,
     CycloNum,
     Representation,
     cyclo_add,
     cyclo_fraction,
     cyclo_int,
     cyclo_mul,
-    cyclo_mul_sub,
     cyclo_one,
     cyclo_zero,
     galois_conjugate,
@@ -411,16 +416,40 @@ def sequential_inverse(a: CycloNum) -> CycloNum:
     return cyclo_mul(conj_prod, cyclo_fraction(n, Fraction(a.den, norm.nums[0])))
 
 
-def right_looking_eliminate(mat, rows: list[int], scan: list[int]):
-    """One fraction-free row elimination of ``mat`` restricted to ``rows``.
+def cyclo_mul_sub(p: CycloNum, a: CycloNum, f: CycloNum, b: CycloNum) -> CycloNum:
+    """p*a - f*b, the update of a fraction-free elimination step on values
+    of Q(zeta_n): both products go into one buffer over the least common
+    denominator, then one reduction mod Phi_n."""
+    _check_same_modulus(p, a)
+    _check_same_modulus(f, b)
+    _check_same_modulus(p, f)
+    n = p.n
+    da, db = p.den * a.den, f.den * b.den
+    g = gcd(da, db)
+    acc = [0] * (2 * len(p.nums) - 1)
+    if p and a:
+        _poly_mul_add(acc, p.nums, a.nums, db // g)
+    if f and b:
+        _poly_mul_add(acc, f.nums, b.nums, -(da // g))
+    return _make(n, _reduce_mod_phi(n, acc), da // g * db)
 
-    Columns are visited in ``scan`` order; the first remaining row with a
-    nonzero entry becomes that column's pivot row, and every other remaining
-    row with a nonzero entry there is replaced by p*row - f*(pivot row),
-    which never divides.  Returns ``(cols, pivot_rows, factors)``: the pivot
-    columns, which form a basis of the column space of the restricted
-    matrix, the row each was found in, and a pair (p, 1 - k) for each pivot
-    p that updated k != 1 rows.  An update multiplies its row, and so the
+
+def nonzero_coefficients(x: CycloNum) -> int:
+    return sum(1 for c in x.nums if c)
+
+
+def right_looking_eliminate(mat, rows: list[int], scan: list[int]):
+    """One fraction-free row elimination of ``mat`` restricted to ``rows``,
+    on values of Q(zeta_n).
+
+    Columns are visited in ``scan`` order; of the remaining rows with a
+    nonzero entry, the one whose entry has the fewest nonzero power-basis
+    coefficients (the first on ties) becomes that column's pivot row, and
+    every other one is replaced by p*row - f*(pivot row), which never
+    divides.  Returns ``(cols, pivot_rows, factors)``: the pivot columns,
+    which form a basis of the column space of the restricted matrix, the
+    row each was found in, and a pair (p, 1 - k) for each pivot p that
+    updated k != 1 rows.  An update multiplies its row, and so the
     determinant of what remains, by p; so when every row becomes a pivot
     row, as in an acyclic complex, the minor of ``mat`` on those rows and
     columns (both in pivot order) is the product of p^e over ``factors``.
@@ -430,9 +459,10 @@ def right_looking_eliminate(mat, rows: list[int], scan: list[int]):
     pivot_rows: list[int] = []
     factors: list[tuple[CycloNum, int]] = []
     for t, j in enumerate(scan):
-        pr = next((r for r in work if work[r][j]), None)
-        if pr is None:
+        candidates = [r for r in work if work[r][j]]
+        if not candidates:
             continue
+        pr = min(candidates, key=lambda r: nonzero_coefficients(work[r][j]))
         cols.append(j)
         pivot_rows.append(pr)
         wp = work.pop(pr)

@@ -916,6 +916,15 @@ class TestGoldenOutput:
         assert exc.value.code == 0
         assert capsys.readouterr().out == _help_golden(command)
 
+    def test_torsion_of_the_growth_input(self, tmp_path, monkeypatch, capsys):
+        """A complex of total rank 88 over Z/13 whose elimination makes
+        many pivot steps (``growth13.json``, see ``tests/test_torsion.py``),
+        byte for byte as recorded."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "growth13.json").write_bytes((GOLDEN / "growth13.json").read_bytes())
+        assert main(["torsion", "growth13.json", "--rep", "n=13;g0=1"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "torsion-growth13.text").read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("name", list(GOLDEN_CASES))
     @pytest.mark.parametrize("mode", ["text", "json"])
     def test_stdout(self, workdir, capsys, name, mode):

@@ -582,12 +582,18 @@ class TestLift:
                 assert cyclo_mul(a, b) == reference_mul(a, b)
 
     def test_mul_sub_matches_two_products(self, n):
-        """p*a - f*b with zero operands and denominators above 1."""
-        values = lift_values(n, 4 if n > 60 else 6, n + 1)
+        """The elimination's update p*a - f*b on integer numerators, with
+        zero operands and large coefficients; p, f and b go in as their
+        nonzero terms."""
+        values = [CycloNum(n, x.nums, 1) for x in lift_values(n, 4 if n > 60 else 6, n + 1)]
         rng = random.Random(n)
+
+        def terms(x):
+            return [(i, c) for i, c in enumerate(x.nums) if c]
+
         for _ in range(12 if n > 60 else 60):
             p, a, f, b = (rng.choice(values) for _ in range(4))
-            got = cyclofield.cyclo_mul_sub(p, a, f, b)
+            got = CycloNum(n, cyclofield.terms_mul_sub(n, terms(p), a.nums, terms(f), terms(b)), 1)
             assert got == p * a - f * b
             assert got == cyclo_add(reference_mul(p, a), cyclo_neg(reference_mul(f, b)))
 

@@ -15,11 +15,13 @@ from torsionkit.grouprings import (
 from torsionkit.cyclofield import representation
 from torsionkit.chaincomplex import based_complex, dumps_canonical, validate
 from torsionkit.torsion import fingerprint, fingerprints_equivalent, reidemeister_torsion
+from torsionkit import simpleops
 from torsionkit.simpleops import (
     DeckTransform,
     Expansion,
     HandleSlide,
     InvalidOpError,
+    MAX_CERT_OPS,
     MAX_TOTAL_RANK,
     OpCertificate,
     OpLimitError,
@@ -311,3 +313,24 @@ class TestReach:
             cert = random_op_sequence(c, 20, seed)
             assert cert.end.total_rank() <= MAX_TOTAL_RANK
             assert replay(cert)
+
+
+class TestOpCap:
+    """replay_end holds a certificate to MAX_CERT_OPS before any work."""
+
+    class Thawed(Exception):
+        """Raised in place of thawing start, to see whether replay got there."""
+
+    def test_replay_refuses_a_certificate_past_the_op_cap_before_thawing(self, monkeypatch):
+        c = lens_complex(lens_params(7, 2))
+        deck = DeckTransform(0, 0, generator_word(Z7, 0, 1))
+
+        def thaw(_):
+            raise self.Thawed
+
+        monkeypatch.setattr(simpleops, "_thaw", thaw)
+        with pytest.raises(OpLimitError) as exc:
+            replay_end(OpCertificate(c, (deck,) * (MAX_CERT_OPS + 1), c))
+        assert str(exc.value) == f"ops = {MAX_CERT_OPS + 1} exceeds the certificate cap {MAX_CERT_OPS}"
+        with pytest.raises(self.Thawed):  # at the cap, replay goes on
+            replay_end(OpCertificate(c, (deck,) * MAX_CERT_OPS, c))

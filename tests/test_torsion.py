@@ -1,7 +1,9 @@
+import json
 import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,14 +16,15 @@ from torsionkit.grouprings import (
 )
 from torsionkit.cyclofield import (
     cyclo_fraction,
+    cyclo_int,
     cyclo_inv,
     cyclo_mul,
-    cyclo_mul_sub,
     cyclo_one,
     cyclo_zero,
     cyclo_pow,
     evaluate_rep,
     representation,
+    terms_mul_sub,
     torsion_class,
     unit_subgroup,
     zeta,
@@ -32,6 +35,7 @@ from torsionkit.chaincomplex import (
     SpecMismatchError,
     base_change,
     based_complex,
+    complex_from_obj,
     direct_sum,
     homotopy_perturbation,
     identity_chain_map,
@@ -58,6 +62,7 @@ from torsionkit.lensspaces import lens_complex, lens_params
 
 import helpers
 from helpers import (
+    cyclo_mul_sub,
     filtered_extension,
     iso_via_ops,
     random_acyclic_complex,
@@ -72,6 +77,7 @@ from helpers import (
     twisted_lens_cells,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 Z7 = GroupSpec.cyclic(7)
 REP = representation(Z7, 7, [1])
 REPS = [representation(Z7, 7, [d]) for d in range(1, 7)]
@@ -650,16 +656,20 @@ def as_given(x):
 
 @pytest.fixture()
 def mul_sub_calls(monkeypatch):
-    """Counts cyclo_mul_sub calls of the elimination and of its
-    right-looking reference alike."""
+    """Counts the update steps p*a - f*b of the elimination (each a
+    terms_mul_sub call) and of its right-looking reference (each a
+    cyclo_mul_sub call) alike."""
     calls = [0]
 
-    def counted(*args):
-        calls[0] += 1
-        return cyclo_mul_sub(*args)
+    def counted(update):
+        def step(*args):
+            calls[0] += 1
+            return update(*args)
 
-    monkeypatch.setattr(torsion_module, "cyclo_mul_sub", counted)
-    monkeypatch.setattr(helpers, "cyclo_mul_sub", counted)
+        return step
+
+    monkeypatch.setattr(torsion_module, "terms_mul_sub", counted(terms_mul_sub))
+    monkeypatch.setattr(helpers, "cyclo_mul_sub", counted(cyclo_mul_sub))
     return calls
 
 
@@ -668,8 +678,8 @@ left_looking_eliminate = torsion_module._eliminate
 
 def compare_with_right_looking(mul_sub_calls, mat, rows, scan, entry):
     """Both eliminations of ``mat`` on ``rows``: equal results, and no more
-    cyclo_mul_sub calls for the left-looking one.  Returns its result and
-    the two call counts."""
+    update steps for the left-looking one.  Returns its result and the two
+    step counts."""
     before = mul_sub_calls[0]
     got = left_looking_eliminate(mat, rows, scan, entry)
     left = mul_sub_calls[0] - before
@@ -708,8 +718,8 @@ class TestPivotPowers:
     @pytest.mark.parametrize("n", FIELD_MODULI)
     def test_left_looking_matches_the_right_looking_reference(self, n, mul_sub_calls):
         """The same pivot columns, pivot rows and factors as the
-        elimination that updates every later column at each step, from no
-        more products."""
+        elimination that updates every later column at each step, with the
+        same sparsest-pivot rule, from no more update steps."""
         for mat, scan, subset in pivot_power_cases(n):
             compare_with_right_looking(mul_sub_calls, mat, subset, scan, as_given)
 
@@ -742,6 +752,44 @@ class TestPivotPowers:
         cols, rows, factors = torsion_module._eliminate([[a, b], [c, d]], [0, 1], [0, 1], as_given)
         assert (cols, rows) == ([0, 1], [0, 1])
         assert factors == [(a * d - c * b, 1)]
+
+
+class TestSparsestPivot:
+    """In each column the pivot is the remaining row whose entry has the
+    fewest nonzero power-basis coefficients, the first of them on ties."""
+
+    def test_a_monomial_beats_a_dense_entry_above_it(self):
+        n = 7
+        dense = cyclo_one(n) + zeta(n) + zeta(n, 2)
+        mono = cyclo_fraction(n, Fraction(-2, 3)) * zeta(n, 4)
+        mat = [[dense, zeta(n)], [mono, cyclo_one(n)]]
+        cols, rows, _ = torsion_module._eliminate(mat, [0, 1], [0, 1], as_given)
+        assert (cols, rows) == ([0, 1], [1, 0])
+
+    def test_ties_go_to_the_first_row(self):
+        n = 13
+        mat = [[zeta(n, 5) + zeta(n, 2)], [zeta(n, 3)], [cyclo_int(n, 4)]]
+        assert torsion_module._eliminate(mat, [0, 1, 2], [0], as_given)[1] == [1]
+
+    def test_growth_input_keeps_its_pivots_small(self, monkeypatch):
+        """The growth input: a direct sum of [Z[G] --x--> Z[G]] pieces at
+        n = 13, 20, 12 and 12 of them from degrees 0, 1 and 2, scrambled by
+        3 slides and decks per unit of total rank (ranks (20, 32, 24, 12)),
+        all drawn from random.Random(7) by the benchmark's wide-torsion
+        generators.  With the first live row as the pivot its factors
+        reached 32,145 bits."""
+        c = complex_from_obj(json.loads((GOLDEN / "growth13.json").read_text(encoding="utf-8")))
+        assert c.ranks == (20, 32, 24, 12)
+        bits = []
+
+        def recorded(*args):
+            out = left_looking_eliminate(*args)
+            bits.extend(max(p.den, *map(abs, p.nums)).bit_length() for p, _ in out[2])
+            return out
+
+        monkeypatch.setattr(torsion_module, "_eliminate", recorded)
+        reidemeister_torsion(c, representation(c.spec, 13, [1]))
+        assert bits and max(bits) < 1000
 
 
 def scrambled_field_complex(n, rng, entries, steps=8):
