@@ -92,7 +92,7 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x if x else x for x in row) for row in a)  # a zero is kept, not built anew
+    return tuple([tuple([-x if x else x for x in row]) for row in a])  # a zero is kept, not built anew
 
 
 def mat_compose(spec: GroupSpec, second: Matrix, first: Matrix, cols: int) -> Matrix:

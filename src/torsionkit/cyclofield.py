@@ -10,8 +10,10 @@ result, in ``_reduce_mod_phi``.  A product is one schoolbook convolution
 over the nonzero coefficients of its sparser factor (``cyclo_mul``); the
 elimination step p*a - f*b adds two products of integer numerators, each
 over nonzero terms only, into one buffer (``terms_mul_sub``); a group-ring
-element scatters each term's coefficient into the slot of its exponent
-(``evaluate_rep``); zeta -> zeta^k moves slot j to slot j*k mod n
+element scatters each term's coefficient into the slot of its exponent,
+read off its letter keys, and is reduced once to its integer vector
+(``rep_vector``, which the elimination reads; ``evaluate_rep`` wraps that
+vector as a value); zeta -> zeta^k moves slot j to slot j*k mod n
 (``galois_conjugate``).  Phi_n divides x^n - 1, so the reduction first
 adds slot k onto slot k mod n and then clears what is left above x^phi by
 Phi_n: at most n - phi coefficients, one for prime n, so a product
@@ -50,7 +52,7 @@ from itertools import accumulate
 from math import gcd
 from operator import neg, sub
 
-from .grouprings import GroupRingElem, GroupSpec, GroupWord, map_form, validate_word
+from .grouprings import GroupRingElem, GroupSpec, GroupWord, InvalidWordError, validate_word
 
 
 class ModulusMismatchError(ValueError):
@@ -445,27 +447,40 @@ def representation(spec: GroupSpec, modulus: int, exponents) -> Representation:
     return Representation(spec, modulus, tuple(int(e) for e in exponents))
 
 
-def evaluate_rep(rep: Representation, x: GroupRingElem) -> CycloNum:
-    """rho(x): each term's coefficient goes to the slot of its exponent in
-    the lift, then one reduction mod Phi_n.  Over Z/m reading a word's
-    exponent (``map_form``) is its validity check; free-product words are
-    validated.  The value has denominator 1, so it is built in reduced form
-    directly."""
+def rep_vector(rep: Representation, x: GroupRingElem) -> tuple[int, ...]:
+    """The power-basis integer vector of rho(x), reduced: each term's
+    coefficient goes to the slot of its exponent in the lift, then one
+    reduction mod Phi_n.  The element's letter keys are read directly.
+    Over Z/m a word must be g^e with 0 <= e < m, and any other raises
+    ``InvalidWordError`` with ``map_form``'s text; free-product words go
+    through ``validate_word``."""
     n = rep.modulus
-    if not x:
-        return cyclo_zero(n)
     spec = rep.spec
     exps = rep.generator_exponents
     acc = [0] * n
     if spec.kind == "cyclic":
+        m = spec.factor_orders[0]
         g = exps[0]
-        for e, c in map_form(spec, x).items():
-            acc[e * g % n] += c
+        for l, c in x.coeffs.items():
+            if not l:
+                acc[0] += c
+            elif len(l) == 1 and l[0][0] == 0 and 0 < l[0][1] < m:
+                acc[l[0][1] * g % n] += c
+            else:
+                raise InvalidWordError(f"not a reduced word of Z/{m}: {l}")
     else:
         for l, c in x.coeffs.items():
             validate_word(spec, GroupWord(l))
             acc[sum(exp * exps[f] for f, exp in l) % n] += c
-    return CycloNum(n, _reduce_mod_phi(n, acc), 1)
+    return _reduce_mod_phi(n, acc)
+
+
+def evaluate_rep(rep: Representation, x: GroupRingElem) -> CycloNum:
+    """rho(x), from ``rep_vector``.  The value has denominator 1, so it is
+    built in reduced form directly; zero is the shared ``cyclo_zero``."""
+    if not x:
+        return cyclo_zero(rep.modulus)
+    return CycloNum(rep.modulus, rep_vector(rep, x), 1)
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,14 +28,17 @@ entries small: on a complex of ranks (20, 32, 24, 12) over Z/13
 32,145 bits, the sparsest gives 454.  The work is on integer numerators:
 a column is read over the lcm of its entries' denominators, an update
 multiplies nonzero coefficients only, into one buffer, and a value of
-Q(zeta_n) is built only for each factor (see _eliminate).
+Q(zeta_n) is built only for each factor (see _eliminate).  The elimination
+is given the modulus and reads each entry as a pair (power-basis integer
+numerators, denominator): field_torsion passes each value's own pair.
 
 reidemeister_torsion is field torsion over a based complex whose entries
-go through rho as the scan reads them, so base change is never built and
-an entry the scan never reaches is never evaluated; then reduction to the
-unit coset.  torsion_of_map measures a quasi-isomorphism through its
-mapping cone; fingerprints collect the classes over a family of
-representations.
+go through rho as the scan reads them, each straight into its integer
+vector over 1 (``cyclofield.rep_vector``), with no value of Q(zeta_n)
+built to be taken apart, so base change is never built and an entry the
+scan never reaches is never evaluated; then reduction to the unit coset.
+torsion_of_map measures a quasi-isomorphism through its mapping cone;
+fingerprints collect the classes over a family of representations.
 
 Torsion classes carry the Galois action.  For d a unit mod n, sigma_d:
 zeta -> zeta^d is a field automorphism and sigma_d . rho is again a
@@ -64,7 +67,7 @@ from .cyclofield import (
     cyclo_mul,
     cyclo_one,
     cyclo_zero,
-    evaluate_rep,
+    rep_vector,
     terms_mul_sub,
     torsion_class,
     unit_subgroup,
@@ -102,10 +105,12 @@ def _terms(nums) -> list[tuple[int, int]]:
     return [(i, c) for i, c in enumerate(nums) if c]
 
 
-def _eliminate(mat, rows: list[int], scan: list[int], entry):
+def _eliminate(mat, rows: list[int], scan: list[int], n: int, entry):
     """One fraction-free row elimination of ``mat`` restricted to ``rows``,
-    left-looking: column j is read, as ``entry(mat[r][j])`` in Q(zeta_n)
-    for every given row r, only when the scan reaches it.
+    left-looking: column j is read, as ``entry(mat[r][j])`` for every given
+    row r, only when the scan reaches it.  ``entry`` gives a value of
+    Q(zeta_n) as a pair (power-basis integer numerators, positive
+    denominator), so no value is built to be read.
 
     Columns are visited in ``scan`` order.  Each pivot step is recorded as
     (pivot row, pivot p, the rows it updated with each one's multiplier f);
@@ -150,9 +155,8 @@ def _eliminate(mat, rows: list[int], scan: list[int], entry):
     steps: list[tuple[int, list, tuple]] = []  # (q, p's terms, ((k, f's terms), ...))
     for j in scan:
         values = [entry(mat[r][j]) for r in rows]
-        n = values[0].n
-        s = lcm(*[x.den for x in values])
-        col = [x.nums if x.den == s else [c * (s // x.den) for c in x.nums] for x in values]
+        s = lcm(*[d for _, d in values])
+        col = [nums if d == s else [c * (s // d) for c in nums] for nums, d in values]
         for q, p, updated in steps:
             b = _terms(col[q])
             for k, f in updated:
@@ -186,8 +190,9 @@ def _is_odd(order: list[int]) -> bool:
 
 def _torsion(c, modulus: int, entry, pivot_strategy: str) -> CycloNum:
     """The field torsion of the graded complex ``c`` (a FieldComplex or a
-    BasedComplex) whose entries ``entry`` takes into Q(zeta_modulus); the
-    one elimination body of field_torsion and reidemeister_torsion."""
+    BasedComplex) whose entries ``entry`` takes into Q(zeta_modulus), as
+    (numerators, denominator) pairs; the one elimination body of
+    field_torsion and reidemeister_torsion."""
     num: list[CycloNum] = []  # the factors of the value, repeated by exponent
     den: list[CycloNum] = []  # and those of its inverse
     odd = False
@@ -197,7 +202,7 @@ def _torsion(c, modulus: int, entry, pivot_strategy: str) -> CycloNum:
         taken = set(basis)
         rest = [r for r in range(c.rank(i)) if r not in taken]
         scan = _column_scan(c.rank(i - 1), pivot_strategy)
-        cols, pivot_rows, factors = _eliminate(c.diff(i - 1), rest, scan, entry)
+        cols, pivot_rows, factors = _eliminate(c.diff(i - 1), rest, scan, modulus, entry)
         defect = len(rest) - len(cols)
         if defect:
             failure = NotAcyclicError(i, defect)
@@ -221,8 +226,8 @@ def _torsion(c, modulus: int, entry, pivot_strategy: str) -> CycloNum:
     return -value if odd else value
 
 
-def _as_given(x: CycloNum) -> CycloNum:
-    return x
+def _as_pair(x: CycloNum) -> tuple[tuple[int, ...], int]:
+    return x.nums, x.den
 
 
 def field_torsion(fc: FieldComplex, pivot_strategy: str = "first") -> CycloNum:
@@ -234,15 +239,16 @@ def field_torsion(fc: FieldComplex, pivot_strategy: str = "first") -> CycloNum:
     NotAcyclicError (with the lowest offending degree and its rank defect)
     when dim C_i = rank d_i + rank d_{i-1} fails somewhere.
     """
-    return _torsion(fc, fc.modulus, _as_given, pivot_strategy)
+    return _torsion(fc, fc.modulus, _as_pair, pivot_strategy)
 
 
 def reidemeister_torsion(c: BasedComplex, rep: Representation) -> TorsionClass:
     """Torsion class of C tensored along rho, in Q(zeta_n)^x / +-rho(G).
 
     The field torsion of ``base_change(c, rep)``, without building it: the
-    elimination evaluates an entry only when its column is scanned, and a
-    zero entry as the shared zero, so an entry it never reaches is never
+    elimination evaluates an entry only when its column is scanned, straight
+    to its integer vector (``rep_vector``) over denominator 1, and a zero
+    entry as one shared zero pair, so an entry it never reaches is never
     evaluated, and a malformed word in one goes unreported.
 
     ``c`` must be a complex (d.d = 0); on anything else the class, or the
@@ -255,9 +261,9 @@ def reidemeister_torsion(c: BasedComplex, rep: Representation) -> TorsionClass:
     """
     if rep.spec != c.spec:
         raise SpecMismatchError("representation is for a different group")
-    z = cyclo_zero(rep.modulus)
+    zero = (cyclo_zero(rep.modulus).nums, 1)
     value = _torsion(
-        c, rep.modulus, lambda x: evaluate_rep(rep, x) if x else z, "first"
+        c, rep.modulus, lambda x: (rep_vector(rep, x), 1) if x else zero, "first"
     )
     return torsion_class(value, unit_subgroup(rep))
 

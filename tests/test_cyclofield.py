@@ -17,6 +17,7 @@ from torsionkit.grouprings import (
     monomial,
     ONE_ELEM,
     generator_elem,
+    map_form,
     ring_mul,
     ring_sub,
     validate_word,
@@ -41,6 +42,7 @@ from torsionkit.cyclofield import (
     euler_phi,
     evaluate_rep,
     galois_conjugate,
+    rep_vector,
     representation,
     torsion_class,
     unit_chains,
@@ -647,13 +649,75 @@ def test_evaluate_rep_matches_rows_beyond_the_regular_rep(rep):
         (representation(FP77, 7, [1, 1]), ((0, 1), (0, 2))),
         (representation(FP77, 7, [1, 1]), ((2, 1),)),
         (representation(FP77, 7, [1, 1]), ((1, 7),)),
+        (representation(GroupSpec.cyclic(12), 4, [1]), ((0, 12),)),
     ],
     ids=lambda v: rep_id(v) if hasattr(v, "spec") else str(v),
 )
 def test_evaluate_rep_rejects_invalid_words(rep, letters):
+    """evaluate_rep and rep_vector refuse a word with the class and text of
+    the word readers: map_form's over Z/m, validate_word's over a free
+    product."""
     x = elem_from_dict({GroupWord(letters): 2, GroupWord(): 1})
-    with pytest.raises(InvalidWordError):
-        evaluate_rep(rep, x)
+    with pytest.raises(InvalidWordError) as want:
+        if rep.spec.kind == "cyclic":
+            map_form(rep.spec, x)
+        else:
+            validate_word(rep.spec, GroupWord(letters))
+    for reader in (evaluate_rep, rep_vector):
+        with pytest.raises(InvalidWordError) as got:
+            reader(rep, x)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+def rep_vector_families():
+    """(spec, modulus) pairs whose every representation rep_vector is
+    checked on: Z/n under n for n in 1, 2, 7, 12, 13, 15, Z/12 under the
+    smaller moduli 4 and 6, and Z/5 * Z/5 under 5."""
+    for n in (1, 2, 7, 12, 13, 15):
+        yield GroupSpec.cyclic(n), n
+    for m in (4, 6):
+        yield GroupSpec.cyclic(12), m
+    yield GroupSpec.free_product([5, 5]), 5
+
+
+def family_id(family):
+    spec, n = family
+    return f"{spec.kind}{list(spec.factor_orders)}-n{n}"
+
+
+def every_rep(spec, n):
+    """Every representation of spec into Q(zeta_n)."""
+    exps = [()]
+    for m in spec.factor_orders:
+        exps = [es + (e,) for es in exps for e in range(n) if m * e % n == 0]
+    return [representation(spec, n, es) for es in exps]
+
+
+class TestRepVector:
+    """rep_vector, the elimination's reader, against the sum of reduced
+    rows and against evaluate_rep; for refused words see
+    test_evaluate_rep_rejects_invalid_words."""
+
+    @pytest.mark.parametrize("family", list(rep_vector_families()), ids=family_id)
+    def test_matches_rows_and_evaluate_rep(self, family):
+        spec, n = family
+        rng = random.Random(f"rep_vector/{family_id(family)}")
+        reps = every_rep(spec, n)
+        assert len(reps) == (25 if spec.kind == "free_product" else n)
+        for rep in reps:
+            assert rep_vector(rep, ZERO_ELEM) == cyclo_zero(n).nums
+            for _ in range(12):
+                x = random_elem(spec, rng, terms=4, span=5)
+                got = rep_vector(rep, x)
+                assert type(got) is tuple
+                assert got == reference_evaluate_rep(rep, x).nums
+                assert got == evaluate_rep(rep, x).nums
+
+    def test_refusal_text_over_z7(self):
+        x = elem_from_dict({GroupWord(((0, 7),)): 1})
+        with pytest.raises(InvalidWordError, match=r"^not a reduced word of Z/7: \(\(0, 7\),\)$"):
+            rep_vector(representation(Z7, 7, [1]), x)
 
 
 def linear_pow(a, k):

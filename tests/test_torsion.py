@@ -16,6 +16,7 @@ from torsionkit.grouprings import (
 )
 from torsionkit.cyclofield import (
     cyclo_fraction,
+    cyclo_from_nums,
     cyclo_int,
     cyclo_inv,
     cyclo_mul,
@@ -23,6 +24,7 @@ from torsionkit.cyclofield import (
     cyclo_zero,
     cyclo_pow,
     evaluate_rep,
+    rep_vector,
     representation,
     terms_mul_sub,
     torsion_class,
@@ -568,13 +570,25 @@ class TestEntriesReadAsScanned:
 
         def counted(rep, x):
             calls.append(x)
-            return evaluate_rep(rep, x)
+            return rep_vector(rep, x)
 
-        monkeypatch.setattr(torsion_module, "evaluate_rep", counted)
+        monkeypatch.setattr(torsion_module, "rep_vector", counted)
         got = reidemeister_torsion(cone, rep)
         assert 0 < len(calls) < nonzero(cone)
         assert all(calls)
         assert got == torsion_class(field_torsion(base_change(cone, rep)), unit_subgroup(rep))
+
+    def test_entries_read_as_vectors_match_the_base_change(self):
+        """Entries read straight into integer vectors give the class of
+        field_torsion over the whole base change, on the mapping cones and
+        on the growth input, or the same NotAcyclicError."""
+        growth = complex_from_obj(json.loads((GOLDEN / "growth13.json").read_text(encoding="utf-8")))
+        cases = [*mapping_cone_cases(7), *mapping_cone_cases(13)]
+        cases += [(growth, representation(growth.spec, 13, [d])) for d in (0, 1, 2)]
+        for c, rep in cases:
+            got = torsion_outcome(reidemeister_torsion, c, rep)
+            want = torsion_outcome(field_torsion, base_change(c, rep), "first")
+            assert got == (want if isinstance(want, tuple) else torsion_class(want, unit_subgroup(rep)))
 
     def test_rep_for_another_group_is_refused(self):
         c = lens_complex(lens_params(7, 2))
@@ -650,8 +664,9 @@ def pivot_power_cases(n):
                 yield mat, scan, subset
 
 
-def as_given(x):
-    return x
+def as_pair(x):
+    """A value as the (numerators, denominator) pair _eliminate reads."""
+    return x.nums, x.den
 
 
 @pytest.fixture()
@@ -676,14 +691,14 @@ def mul_sub_calls(monkeypatch):
 left_looking_eliminate = torsion_module._eliminate
 
 
-def compare_with_right_looking(mul_sub_calls, mat, rows, scan, entry):
+def compare_with_right_looking(mul_sub_calls, mat, rows, scan, n, entry):
     """Both eliminations of ``mat`` on ``rows``: equal results, and no more
     update steps for the left-looking one.  Returns its result and the two
     step counts."""
     before = mul_sub_calls[0]
-    got = left_looking_eliminate(mat, rows, scan, entry)
+    got = left_looking_eliminate(mat, rows, scan, n, entry)
     left = mul_sub_calls[0] - before
-    read = [[entry(x) for x in row] for row in mat]
+    read = [[cyclo_from_nums(n, *entry(x)) for x in row] for row in mat]
     assert got == right_looking_eliminate(read, rows, scan)
     right = mul_sub_calls[0] - before - left
     assert left <= right
@@ -701,7 +716,7 @@ class TestPivotPowers:
         for mat, scan, subset in pivot_power_cases(n):
             seen_denominator |= has_denominator(mat)
             cols = len(mat[0])
-            pcols, prows, factors = torsion_module._eliminate(mat, subset, scan, as_given)
+            pcols, prows, factors = torsion_module._eliminate(mat, subset, scan, n, as_pair)
             minor = cofactor_det([[mat[r][c] for c in pcols] for r in prows], n)
             assert minor, "pivots must pick a nonsingular minor"
             assert all(e and p for p, e in factors)
@@ -721,7 +736,7 @@ class TestPivotPowers:
         elimination that updates every later column at each step, with the
         same sparsest-pivot rule, from no more update steps."""
         for mat, scan, subset in pivot_power_cases(n):
-            compare_with_right_looking(mul_sub_calls, mat, subset, scan, as_given)
+            compare_with_right_looking(mul_sub_calls, mat, subset, scan, n, as_pair)
 
     def test_cones_skip_the_columns_past_the_last_pivot(self, mul_sub_calls, monkeypatch):
         """Every elimination of the mapping cones, under both scans,
@@ -730,8 +745,8 @@ class TestPivotPowers:
         last pivot."""
         totals = [0, 0]
 
-        def both(mat, rows, scan, entry):
-            got, left, right = compare_with_right_looking(mul_sub_calls, mat, rows, scan, entry)
+        def both(mat, rows, scan, n, entry):
+            got, left, right = compare_with_right_looking(mul_sub_calls, mat, rows, scan, n, entry)
             totals[0] += left
             totals[1] += right
             return got
@@ -749,7 +764,7 @@ class TestPivotPowers:
         n = 7
         a, b = cyclo_fraction(n, Fraction(3, 2)), zeta(n, 2)
         c, d = one_minus_zeta(1), cyclo_fraction(n, Fraction(-1, 5)) * zeta(n, 4)
-        cols, rows, factors = torsion_module._eliminate([[a, b], [c, d]], [0, 1], [0, 1], as_given)
+        cols, rows, factors = torsion_module._eliminate([[a, b], [c, d]], [0, 1], [0, 1], n, as_pair)
         assert (cols, rows) == ([0, 1], [0, 1])
         assert factors == [(a * d - c * b, 1)]
 
@@ -763,13 +778,13 @@ class TestSparsestPivot:
         dense = cyclo_one(n) + zeta(n) + zeta(n, 2)
         mono = cyclo_fraction(n, Fraction(-2, 3)) * zeta(n, 4)
         mat = [[dense, zeta(n)], [mono, cyclo_one(n)]]
-        cols, rows, _ = torsion_module._eliminate(mat, [0, 1], [0, 1], as_given)
+        cols, rows, _ = torsion_module._eliminate(mat, [0, 1], [0, 1], n, as_pair)
         assert (cols, rows) == ([0, 1], [1, 0])
 
     def test_ties_go_to_the_first_row(self):
         n = 13
         mat = [[zeta(n, 5) + zeta(n, 2)], [zeta(n, 3)], [cyclo_int(n, 4)]]
-        assert torsion_module._eliminate(mat, [0, 1, 2], [0], as_given)[1] == [1]
+        assert torsion_module._eliminate(mat, [0, 1, 2], [0], n, as_pair)[1] == [1]
 
     def test_growth_input_keeps_its_pivots_small(self, monkeypatch):
         """The growth input: a direct sum of [Z[G] --x--> Z[G]] pieces at
