@@ -41,6 +41,7 @@ from .chaincomplex import (
     validate,
 )
 from .torsion import (
+    EntryLimitError,
     NotAcyclicError,
     TorsionFingerprint,
     field_torsion,

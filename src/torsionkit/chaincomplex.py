@@ -692,6 +692,87 @@ def complex_from_obj(obj) -> BasedComplex:
     return based_complex(spec, min_degree, ranks, diffs, labels)
 
 
+def _same_json(a, b) -> bool:
+    """Whether JSON values a and b are equal with the same types all through,
+    so that 7.0 or true is not 7 or 1, and objects have the same keys."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same_json(v, b[k]) for k, v in a.items())
+    return a == b
+
+
+_COMPLEX_KEYS = {"group", "min_degree", "ranks", "differentials", "labels"}
+
+
+def _terms_match(coeffs: dict, terms) -> bool:
+    """Whether a document's term list spells the element with this map: each
+    term ``[coefficient, word]`` of plain JSON ints, no word twice, and the
+    same coefficient on each word.  A word is read as its letter tuple, which
+    then must be a key of the map, so it is a reduced word of the group."""
+    if type(terms) is not list or len(terms) != len(coeffs):
+        return False
+    read = {}
+    for term in terms:
+        if type(term) is not list or len(term) != 2:
+            return False
+        c, letters = term
+        if type(c) is not int or type(letters) is not list:
+            return False
+        key = []
+        for letter in letters:
+            if type(letter) is not list or len(letter) != 2:
+                return False
+            f, e = letter
+            if type(f) is not int or type(e) is not int:
+                return False
+            key.append((f, e))
+        read[tuple(key)] = c
+    return read == coeffs  # so as many words as terms, none repeated
+
+
+def matches_obj(c: BasedComplex, obj) -> bool:
+    """Whether the complex document ``obj`` spells exactly ``c``, checked on
+    the document without building any element.
+
+    True only when the document has the five keys of ``complex_to_obj`` and
+    the group, degree window, ranks and labels of ``c`` with JSON types as
+    strict as ``complex_from_obj`` holds them to; a key for every
+    differential, each matrix of c's shape; and in every entry the same
+    coefficient on each word and no word twice, in any term order.  Then
+    ``complex_from_obj(obj)`` returns a complex equal to ``c`` without
+    raising.  False means nothing more: a document that spells ``c`` another
+    way, such as with a zero term, a split term or no labels, may get it.
+    ``c`` is held as ``based_complex`` builds it: on its support window,
+    every matrix rank(i+1) x rank(i)."""
+    if type(obj) is not dict or obj.keys() != _COMPLEX_KEYS:
+        return False
+    lo = c.min_degree
+    if not (
+        _same_json(obj["group"], spec_to_obj(c.spec))
+        and _same_json(obj["min_degree"], lo)
+        and _same_json(obj["ranks"], list(c.ranks))
+        and _same_json(obj["labels"], [list(ls) for ls in c.labels])
+    ):
+        return False
+    raw = obj["differentials"]
+    if type(raw) is not dict or len(raw) != len(c.differentials):
+        return False
+    for k, m in enumerate(c.differentials):
+        rows = raw.get(str(lo + k))
+        if type(rows) is not list or len(rows) != len(m):
+            return False
+        for row, terms in zip(m, rows):
+            if type(terms) is not list or len(terms) != len(row):
+                return False
+            for x, t in zip(row, terms):
+                if not _terms_match(x.coeffs, t):
+                    return False
+    return True
+
+
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 

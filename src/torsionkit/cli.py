@@ -13,7 +13,14 @@ JSON document, and text output is labeled lines rendered from it.  Exit codes:
 3 internal cross-check violation (never expected).  A modulus above
 ``MAX_MODULUS``, a certificate longer than ``MAX_CERT_OPS`` and a complex
 whose ranks sum past ``MAX_TOTAL_RANK`` are parse errors, and so is an op
-replay refuses, such as an expansion past the reach rule of ``simpleops``.
+replay refuses, such as an expansion past the reach rule of ``simpleops``,
+and an elimination whose working entries pass ``MAX_ENTRY_BITS``.
+
+``verify-cert`` reads a certificate's start and ops, replays, and checks
+the replayed end against the recorded one on the document
+(``matches_obj``); it reads the recorded end into a complex only when that
+check fails, to compare it and name the first difference.  Fingerprints
+are taken of the start and of the replayed end.
 
 The parser is built once per process, at import (``_PARSER``), and every
 ``main`` call parses with it: a one-command process pays for it once either
@@ -46,9 +53,11 @@ from .chaincomplex import (
     complex_to_obj,
     dumps_canonical,
     first_difference,
+    matches_obj,
     validate,
 )
 from .torsion import (
+    EntryLimitError,
     NotAcyclicError,
     fingerprint,
     fingerprints_equivalent,
@@ -58,9 +67,11 @@ from .simpleops import (
     InvalidOpError,
     MAX_CERT_OPS,
     MAX_TOTAL_RANK,
+    OpCertificate,
     OpLimitError,
-    cert_from_obj,
+    cert_part,
     cert_to_obj,
+    ops_from_obj,
     random_op_sequence,
     replay_end,
 )
@@ -424,25 +435,28 @@ def _default_reps(spec: GroupSpec, modulus: int):
 
 
 def _load_cert(path: str):
-    """Read a certificate after checking on the document that it has at most
-    ``MAX_CERT_OPS`` ops and that its start and end fit ``MAX_TOTAL_RANK``.
-    Replay holds each op to the reach rule and the rank cap."""
+    """A certificate document with its start and ops read, after checking on
+    the document that it has at most ``MAX_CERT_OPS`` ops and that its
+    start and end fit ``MAX_TOTAL_RANK``.  The end is left unread: replay
+    holds each op to the reach rule and the rank cap, and the replayed end
+    is then checked against the document's."""
     doc = _read_json(path)
     if isinstance(doc, dict):
         _check_op_count("ops", len(doc["ops"]) if isinstance(doc.get("ops"), list) else 0)
         _check_total_rank(f"{path}: start", _total_rank(doc.get("start")))
         _check_total_rank(f"{path}: end", _total_rank(doc.get("end")))
     try:
-        return cert_from_obj(doc)
+        start = complex_from_obj(cert_part(doc, "start"))
+        return doc, start, ops_from_obj(start.spec, cert_part(doc, "ops"))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
 
 
 def cmd_verify_cert(args) -> Report:
-    cert = _load_cert(args.cert_file)
+    doc, start, ops = _load_cert(args.cert_file)
     # simple operations preserve d.d = 0, so every replayed step is a complex
-    _check_complex(cert.start, args.cert_file)
-    spec = cert.start.spec
+    _check_complex(start, args.cert_file)
+    spec = start.spec
     if args.rep:
         reps = []
         for text in args.rep:
@@ -457,16 +471,25 @@ def cmd_verify_cert(args) -> Report:
     inputs = {
         "cert_file": args.cert_file,
         "reps": [_rep_label(r) for r in reps],
-        "ops": len(cert.ops),
+        "ops": len(ops),
     }
     try:
-        end = replay_end(cert)
+        end = replay_end(OpCertificate(start, ops, start))  # replay reads no end
     except OpLimitError as exc:
         raise CliError(f"{args.cert_file}: op {exc.step}: {exc.reason}")
     except InvalidOpError as exc:
         raise CliError(f"invalid certificate: {exc}")
-    if end != cert.end:
-        where, replayed, recorded = first_difference(end, cert.end)
+    # checked on the document first, read only when that check fails; the
+    # document is an object here, since its start and ops were read
+    difference = None
+    if not matches_obj(end, doc.get("end")):
+        try:
+            recorded = complex_from_obj(cert_part(doc, "end"))
+        except ValueError as exc:
+            raise CliError(f"{args.cert_file}: {exc}")
+        difference = first_difference(end, recorded)
+    if difference is not None:
+        where, replayed, recorded = difference
         return Report(
             "verify-cert",
             inputs,
@@ -477,8 +500,8 @@ def cmd_verify_cert(args) -> Report:
             },
             status=CHECK_FAILED,
         )
-    fp_start = fingerprint(cert.start, reps)
-    fp_end = fingerprint(cert.end, reps)
+    fp_start = fingerprint(start, reps)
+    fp_end = fingerprint(end, reps)
     agree = fingerprints_equivalent(fp_start, fp_end)
 
     def fp_rows(fp):
@@ -632,6 +655,7 @@ def main(argv=None) -> int:
         report = args.func(args)
     except (
         CliError,
+        EntryLimitError,
         ModulusMismatchError,
         SpecMismatchError,
         ShapeMismatchError,

@@ -123,6 +123,19 @@ from .chaincomplex import (
 # terms over Z/n and 306 over Z/p * Z/p, and 40 random ops over Z/100000 at
 # 7,222.
 MAX_ENTRY_TERMS = 50_000
+# The most bits the largest coefficient of a working entry of the torsion
+# elimination (``torsion._eliminate``) may have.  Its update p*a - f*b does
+# not divide, so an entry can double in size with each pivot step.  The
+# elimination checks each pivot, once per pivot step, and raises
+# ``torsion.EntryLimitError``.  The largest pivot is 454 bits on
+# ``tests/golden/growth13.json`` (ranks (20, 32, 24, 12) over Z/13, 3
+# scramble steps per unit of rank), 7,400 and 7,488 at 4 and 5 steps, at
+# most 3 on the other golden inputs, and 2, 132 and 112 on the benchmark's
+# lens-cli, cert-verify and wide-torsion at seed 4.  At 6 steps (``tests/golden/growth13-6.json``, 133 KB, every document
+# cap passed) entries passed 32,768 bits after 0.7 s and 131,072 after
+# 3.6 s, and the run had not ended after 120 s; the cap refuses it after
+# about 1 s (2-vCPU machine, Python 3.11).
+MAX_ENTRY_BITS = 32_768
 # Largest total rank (the sum of the ranks) of a complex an expansion may
 # build, and of a complex file or certificate end the CLI reads.  Unchecked,
 # 1200 expansions at degree 0 replayed for 14.9 s, and ranks (2000, 2000)
@@ -132,7 +145,7 @@ MAX_TOTAL_RANK = 256
 # longer one before it thaws start, and the CLI checks the ops of a
 # certificate verify-cert reads and the --length of gen-cert on the
 # document.  On L(7,2) and a 2-vCPU machine, gen-cert at the cap takes
-# 0.45 s and verify-cert of its output 0.34 s (medians of 3 runs, start-up
+# 0.39 s and verify-cert of its output 0.21 s (medians of 5 runs, start-up
 # included); the certificate file is 0.8 MB.
 MAX_CERT_OPS = 10_000
 
@@ -713,11 +726,30 @@ def cert_to_obj(cert: OpCertificate) -> dict:
     }
 
 
-def cert_from_obj(obj) -> OpCertificate:
+def _malformed(exc: Exception) -> ShapeMismatchError:
+    return ShapeMismatchError(f"malformed certificate document: {exc}")
+
+
+def cert_part(obj, key: str):
+    """``obj[key]`` of a certificate document; a missing key, or a document
+    that is not an object, raises ShapeMismatchError."""
     try:
-        start = complex_from_obj(obj["start"])
-        end = complex_from_obj(obj["end"])
-        ops = tuple(_op_from_obj(start.spec, o) for o in obj["ops"])
+        return obj[key]
+    except (KeyError, TypeError) as exc:
+        raise _malformed(exc) from exc
+
+
+def ops_from_obj(spec: GroupSpec, obj) -> tuple[SimpleOp, ...]:
+    """The ops a certificate document's op list spells, each read against
+    spec, the group of its start; nothing else of the document is read."""
+    try:
+        return tuple([_op_from_obj(spec, o) for o in obj])
     except (AttributeError, KeyError, TypeError) as exc:
-        raise ShapeMismatchError(f"malformed certificate document: {exc}") from exc
-    return OpCertificate(start, ops, end)
+        raise _malformed(exc) from exc
+
+
+def cert_from_obj(obj) -> OpCertificate:
+    """The certificate a document spells: its start, its end, then its ops."""
+    start = complex_from_obj(cert_part(obj, "start"))
+    end = complex_from_obj(cert_part(obj, "end"))
+    return OpCertificate(start, ops_from_obj(start.spec, cert_part(obj, "ops")), end)

@@ -37,7 +37,10 @@ go through rho as the scan reads them, each straight into its integer
 vector over 1 (``cyclofield.rep_vector``), with no value of Q(zeta_n)
 built to be taken apart, so base change is never built and an entry the
 scan never reaches is never evaluated; then reduction to the unit coset.
-torsion_of_map measures a quasi-isomorphism through its mapping cone;
+The update p*a - f*b does not divide, so an entry can double in size with
+each pivot step; a working entry past ``simpleops.MAX_ENTRY_BITS`` stops the
+elimination with EntryLimitError, which names the degree of the
+differential.  torsion_of_map measures a quasi-isomorphism through its mapping cone;
 fingerprints collect the classes over a family of representations.
 
 Torsion classes carry the Galois action.  For d a unit mod n, sigma_d:
@@ -81,6 +84,20 @@ from .chaincomplex import (
     SpecMismatchError,
     mapping_cone,
 )
+from .simpleops import MAX_ENTRY_BITS
+
+
+class EntryLimitError(ValueError):
+    """A working entry of the elimination of the differential at ``degree``
+    has a coefficient of ``bits`` bits, past ``MAX_ENTRY_BITS``."""
+
+    def __init__(self, degree: int | None, bits: int):
+        self.degree = degree
+        self.bits = bits
+        super().__init__(
+            f"the elimination of the differential at degree {degree} built an entry"
+            f" of {bits} bits, past MAX_ENTRY_BITS = {MAX_ENTRY_BITS}"
+        )
 
 
 class NotAcyclicError(ValueError):
@@ -137,6 +154,14 @@ def _eliminate(mat, rows: list[int], scan: list[int], n: int, entry):
     column's pivot row entry b is split into terms once per step, so an
     update (``terms_mul_sub``) multiplies only nonzero coefficients.
 
+    Size.  Before a pivot step is taken, the bit length of the pivot's
+    largest coefficient is held to ``MAX_ENTRY_BITS``, once per step and
+    never per update; a larger one raises EntryLimitError, whose degree
+    _torsion fills in.  Every update multiplies by a pivot, and in an
+    acyclic complex every row's entry ends as a pivot, so growth shows
+    there; checking each recorded row as well made a wide-torsion pass
+    about 4% slower.
+
     Returns ``(cols, pivot_rows, factors)``: the pivot columns, which form
     a basis of the column space of the restricted matrix, the row each was
     found in, and a pair (p, 1 - k) for each pivot p that updated k != 1
@@ -150,6 +175,7 @@ def _eliminate(mat, rows: list[int], scan: list[int], n: int, entry):
     factors: list[tuple[CycloNum, int]] = []
     if not rows:
         return cols, pivot_rows, factors
+    bound = 1 << MAX_ENTRY_BITS  # a pivot coefficient this large has too many bits
     live = list(range(len(rows)))  # positions in ``rows`` not yet pivots
     scales = [1] * len(rows)  # S_r
     steps: list[tuple[int, list, tuple]] = []  # (q, p's terms, ((k, f's terms), ...))
@@ -167,6 +193,9 @@ def _eliminate(mat, rows: list[int], scan: list[int], n: int, entry):
         if not nonzero:
             continue
         q = min(nonzero, key=lambda k: len(col[k]) - col[k].count(0))
+        pivot = col[q]
+        if max(pivot) >= bound or min(pivot) <= -bound:  # once per pivot step
+            raise EntryLimitError(None, max(max(pivot), -min(pivot)).bit_length())
         cols.append(j)
         pivot_rows.append(rows[q])
         live.remove(q)
@@ -202,7 +231,10 @@ def _torsion(c, modulus: int, entry, pivot_strategy: str) -> CycloNum:
         taken = set(basis)
         rest = [r for r in range(c.rank(i)) if r not in taken]
         scan = _column_scan(c.rank(i - 1), pivot_strategy)
-        cols, pivot_rows, factors = _eliminate(c.diff(i - 1), rest, scan, modulus, entry)
+        try:
+            cols, pivot_rows, factors = _eliminate(c.diff(i - 1), rest, scan, modulus, entry)
+        except EntryLimitError as exc:
+            raise EntryLimitError(i - 1, exc.bits) from None
         defect = len(rest) - len(cols)
         if defect:
             failure = NotAcyclicError(i, defect)
@@ -296,7 +328,9 @@ def fingerprint(c: BasedComplex, reps) -> TorsionFingerprint:
     """The classes of ``c`` under each of ``reps``, from one elimination
     per Galois orbit the reps meet: the class under the first rep of an
     orbit, conjugated for the others (see the module docstring); ``c`` must
-    be a complex (d.d = 0), which is not checked (see reidemeister_torsion)."""
+    be a complex (d.d = 0), which is not checked (see reidemeister_torsion).
+    A NotAcyclicError is recorded as a None class; an EntryLimitError is
+    raised, since it says nothing about acyclicity."""
     reps = list(reps)
     if len(set(reps)) != len(reps):
         raise ValueError("representations must be pairwise distinct")

@@ -579,3 +579,94 @@ def terms_evaluate(rep: Representation, a: TermsElem) -> CycloNum:
         k = sum(exp * rep.generator_exponents[f] for f, exp in w.letters)
         acc = cyclo_add(acc, cyclo_mul(cyclo_int(n, c), zeta(n, k % n)))
     return acc
+
+
+# --- verify-cert as it read every certificate whole ---
+
+
+def reference_verify_cert(args):
+    """The ``verify-cert`` command as it ran before the recorded end was
+    checked on its document: ``cert_from_obj`` reads start, end and ops, the
+    replayed end is compared with the read end and, on a mismatch, searched
+    with ``first_difference``; the fingerprints are taken of start and of
+    the read end.  The document checks, the ``--rep`` parsing and the
+    report are the command's own helpers."""
+    from torsionkit import cli
+    from torsionkit.chaincomplex import first_difference
+    from torsionkit.simpleops import InvalidOpError, OpLimitError, cert_from_obj, replay_end
+    from torsionkit.torsion import fingerprint, fingerprints_equivalent
+
+    path = args.cert_file
+    doc = cli._read_json(path)
+    if isinstance(doc, dict):
+        cli._check_op_count("ops", len(doc["ops"]) if isinstance(doc.get("ops"), list) else 0)
+        cli._check_total_rank(f"{path}: start", cli._total_rank(doc.get("start")))
+        cli._check_total_rank(f"{path}: end", cli._total_rank(doc.get("end")))
+    try:
+        cert = cert_from_obj(doc)
+    except ValueError as exc:
+        raise cli.CliError(f"{path}: {exc}")
+    cli._check_complex(cert.start, path)
+    spec = cert.start.spec
+    if args.rep:
+        reps = []
+        for text in args.rep:
+            rep = cli.parse_rep_spec(text, spec)
+            if rep in reps:
+                raise cli.CliError(f"--rep {cli._rep_label(rep)} is given more than once")
+            reps.append(rep)
+    else:
+        modulus = max(spec.factor_orders)
+        cli._check_modulus("default modulus", modulus)
+        reps = cli._default_reps(spec, modulus)
+    inputs = {"cert_file": path, "reps": [cli._rep_label(r) for r in reps], "ops": len(cert.ops)}
+    try:
+        end = replay_end(cert)
+    except OpLimitError as exc:
+        raise cli.CliError(f"{path}: op {exc.step}: {exc.reason}")
+    except InvalidOpError as exc:
+        raise cli.CliError(f"invalid certificate: {exc}")
+    if end != cert.end:
+        where, replayed, recorded = first_difference(end, cert.end)
+        results = {
+            "replay": False,
+            "fingerprints_agree": None,
+            "mismatch": {**where, "replayed": replayed, "recorded": recorded},
+        }
+        return cli.Report("verify-cert", inputs, results, status=cli.CHECK_FAILED)
+    fp_start, fp_end = fingerprint(cert.start, reps), fingerprint(cert.end, reps)
+    agree = fingerprints_equivalent(fp_start, fp_end)
+
+    def fp_rows(fp):
+        return [{"rep": cli._rep_label(rep), "torsion_class": cli._class_str(cls)} for rep, cls in fp.entries]
+
+    results = {
+        "replay": True,
+        "fingerprints_agree": agree,
+        "fingerprint": fp_rows(fp_start),
+        "end_fingerprint": fp_rows(fp_end),
+    }
+    return cli.Report("verify-cert", inputs, results, status=0 if agree else cli.CROSSCHECK_VIOLATION)
+
+
+def run_main(argv, verify_cert=None):
+    """``cli.main(argv)`` in-process as (status, stdout, stderr); with
+    ``verify_cert`` given, that function runs as the verify-cert command."""
+    import argparse
+    import contextlib
+    import io
+
+    from torsionkit import cli
+
+    action = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    sub = action.choices["verify-cert"]
+    command = sub.get_default("func")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        if verify_cert is not None:
+            sub.set_defaults(func=verify_cert)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main(argv)
+    finally:
+        sub.set_defaults(func=command)
+    return status, out.getvalue(), err.getvalue()

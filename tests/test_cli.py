@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from torsionkit import cli
+from torsionkit import torsion as torsion_module
 from torsionkit.cli import MAX_CERT_OPS, MAX_MODULUS, MAX_TOTAL_RANK, build_parser, main, parse_rep_spec, CliError
 from torsionkit.grouprings import GroupSpec, ONE_ELEM, from_int, generator_elem, ring_sub
 from torsionkit.chaincomplex import (
@@ -702,6 +703,58 @@ class TestCertificates:
         assert mismatch["part"] == part
         assert {k: mismatch[k] for k in where} == where
 
+    def test_recorded_end_is_checked_on_its_document(self, monkeypatch, capsys):
+        """A certificate whose end matches its replay reads only its start
+        into a complex and never the whole certificate; the end's
+        fingerprint is taken from the replayed end."""
+        reads, ends = [], []
+        real, real_fingerprint = cli.complex_from_obj, cli.fingerprint
+        monkeypatch.setattr(cli, "complex_from_obj", lambda obj: reads.append(obj) or real(obj))
+        monkeypatch.setattr(cli, "cert_from_obj", None, raising=False)
+        monkeypatch.setattr(cli, "fingerprint", lambda c, reps: ends.append(c) or real_fingerprint(c, reps))
+        doc = json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))
+        assert main(["verify-cert", str(GOLDEN / "cert.json")]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "verify-cert.text").read_text(encoding="utf-8")
+        assert reads == [doc["start"]]
+        assert ends[1] == complex_from_obj(doc["end"])
+
+    @pytest.mark.parametrize(
+        "second, error",
+        [
+            ({"kind": "expansion", "degree": 0.5, "position": 0}, "expected an integer, got 0.5"),
+            ({"kind": "twist"}, "unknown op kind 'twist'"),
+        ],
+    )
+    def test_an_op_error_comes_before_a_malformed_end(self, tmp_path, capsys, second, error):
+        """The end is read after the replay, so a bad op is reported first."""
+        doc = json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))
+        doc["end"]["ranks"] = "three"
+        op, doc["ops"][1] = doc["ops"][1], second
+        path = tmp_path / "two-faults.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-cert", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {error}\n"
+        doc["ops"][1] = op
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-cert", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: malformed complex document: ")
+
+    def test_entry_size_breach_in_a_fingerprint_exits_1(self, tmp_path, monkeypatch, capsys):
+        """A certificate whose start is growth13.json, under a cap its
+        elimination passes: the breach is no NOT_ACYCLIC entry of the
+        fingerprint but one error line."""
+        c = complex_from_obj(json.loads((GOLDEN / "growth13.json").read_text(encoding="utf-8")))
+        path = tmp_path / "grown.json"
+        path.write_text(dumps_canonical(cert_to_obj(OpCertificate(c, (), c))), encoding="utf-8")
+        monkeypatch.setattr(torsion_module, "MAX_ENTRY_BITS", 100)
+        assert main(["verify-cert", str(path), "--rep", "n=13;g0=1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the elimination of the differential at degree 2 built an entry of 111 bits,"
+            " past MAX_ENTRY_BITS = 100\n"
+        )
+
     def test_invalid_op_exits_1_with_step(self, tmp_path, capsys):
         c = lens_complex(lens_params(7, 2))
         cert = OpCertificate(c, (DeckTransform(0, 5, generator_word(GroupSpec.cyclic(7), 0, 1)),), c)
@@ -924,6 +977,30 @@ class TestGoldenOutput:
         (tmp_path / "growth13.json").write_bytes((GOLDEN / "growth13.json").read_bytes())
         assert main(["torsion", "growth13.json", "--rep", "n=13;g0=1"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "torsion-growth13.text").read_text(encoding="utf-8")
+
+    def test_six_step_growth_input_is_refused(self, tmp_path, monkeypatch, capsys):
+        """Six scramble steps per unit of rank instead of growth13.json's
+        three: the elimination's entries pass MAX_ENTRY_BITS, and the command
+        exits 1 with the recorded error line (the golden text run is a CI step)."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "growth13-6.json").write_bytes((GOLDEN / "growth13-6.json").read_bytes())
+        expected = (GOLDEN / "torsion-growth13-6.stderr").read_text(encoding="utf-8")
+        began = time.perf_counter()
+        assert main(["--json", "torsion", "growth13-6.json", "--rep", "n=13;g0=1"]) == 1
+        assert time.perf_counter() - began < 20  # about 1 s; it ran past 120 s uncapped
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", expected)
+
+    def test_noncanonical_end_prints_the_same_report(self, monkeypatch, capsys):
+        """cert.json with its end's terms reordered and one term split: the
+        check on the document fails, the end is read and equals the
+        replayed one, and the report is verify-cert.text byte for byte."""
+        reads = []
+        real = cli.complex_from_obj
+        monkeypatch.setattr(cli, "complex_from_obj", lambda obj: reads.append(obj) or real(obj))
+        assert main(["verify-cert", str(GOLDEN / "cert-noncanonical.json")]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "verify-cert.text").read_text(encoding="utf-8")
+        assert len(reads) == 2  # start, then the end
 
     @pytest.mark.parametrize("name", list(GOLDEN_CASES))
     @pytest.mark.parametrize("mode", ["text", "json"])

@@ -7,6 +7,12 @@ then goes through ``torsion`` and ``gen-cert`` (complexes) or
 escape ``main``, the status is one of the documented 0, 1 and 2, and a
 status-1 run writes exactly one ``error:`` line to stderr.  The cases are
 drawn from a fixed seed, and each command runs on a document of a few KB.
+
+``verify-cert`` checks the recorded end on its document and reads it only
+when that check fails; every certificate case must give the status, stdout
+and stderr, byte for byte, of ``helpers.reference_verify_cert``, which
+reads the whole certificate first, as the command did before.  So must
+edits of a certificate's end that keep it a valid document.
 """
 import copy
 import json
@@ -16,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from torsionkit.cli import main
+
+from helpers import reference_verify_cert, run_main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -105,10 +113,81 @@ def test_mutated_documents_exit_with_a_documented_status(tmp_path, monkeypatch, 
                 status = main(argv)
             except (Exception, SystemExit) as exc:  # main returns its status, it never exits
                 pytest.fail(f"{case}: {type(exc).__name__} escaped main: {exc}")
-            err = capsys.readouterr().err
+            captured = capsys.readouterr()
+            err = captured.err
+            if argv[0] == "verify-cert":
+                assert (status, captured.out, err) == run_main(argv, reference_verify_cert), case
             assert status in (0, 1, 2), case
             if status == 1:
                 lines = err.splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: "), f"{case}: {err!r}"
             statuses.add(status)
     assert statuses == {0, 1, 2}  # the mutations reach every documented outcome
+
+
+def _entry(doc, at):
+    """The term list of the end's entry at (degree key, row, column)."""
+    key, row, col = at
+    return doc["end"]["differentials"][key][row][col]
+
+
+def _edit_coefficient(doc, at):
+    _entry(doc, at)[0][0] += 1
+
+
+def _reorder_terms(doc, at):
+    _entry(doc, at).reverse()
+
+
+def _split_term(doc, at):
+    terms = _entry(doc, at)
+    c, word = terms[0]
+    terms[0:1] = [[c + 3, word], [-3, copy.deepcopy(word)]]
+
+
+def _add_zero_term(doc, at):
+    terms = _entry(doc, at)
+    terms.append([0, copy.deepcopy(terms[0][1])])
+
+
+def _delete_labels(doc, at):
+    del doc["end"]["labels"]
+
+
+# each valid edit of a recorded end, with the status it gives
+END_EDITS = {
+    "coefficient changed": (_edit_coefficient, 2),
+    "terms reordered": (_reorder_terms, 0),
+    "term split in two with its word": (_split_term, 0),
+    "zero-coefficient term added": (_add_zero_term, 0),
+    "labels deleted": (_delete_labels, 2),
+}
+
+
+def _entries_with_terms(doc, least):
+    """(degree key, row, column) of every end entry with at least ``least`` terms."""
+    return [
+        (key, r, c)
+        for key, m in sorted(doc["end"]["differentials"].items())
+        for r, row in enumerate(m)
+        for c, terms in enumerate(row)
+        if len(terms) >= least
+    ]
+
+
+@pytest.mark.parametrize("name", ["cert.json", "fpcert.json"])
+@pytest.mark.parametrize("edit", list(END_EDITS))
+def test_valid_end_edits_match_the_whole_read(tmp_path, name, edit):
+    """A recorded end spelled another way, or changed, gives the report of
+    the flow that reads the whole certificate, in text and in JSON."""
+    apply, expected = END_EDITS[edit]
+    golden = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    for at in _entries_with_terms(golden, 2)[:3]:
+        doc = copy.deepcopy(golden)
+        apply(doc, at)
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["verify-cert", str(path)], ["--json", "verify-cert", str(path)]):
+            got = run_main(argv)
+            assert got[0] == expected, (edit, at, got)
+            assert got == run_main(argv, reference_verify_cert), (edit, at)

@@ -1,5 +1,6 @@
-"""Hypothesis properties: file round-trips, the two kinds of simple edit,
-field axioms, the Galois action, and the CLI on damaged documents.
+"""Hypothesis properties: file round-trips, the check of a document
+against a complex (``matches_obj``), the two kinds of simple edit, field
+axioms, the Galois action, and the CLI on damaged documents.
 
 The complexes and certificates come from the generators in ``helpers``,
 seeded by hypothesis; the field values are dense, with small coefficients
@@ -13,6 +14,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from torsionkit.grouprings import GroupSpec
@@ -29,11 +31,15 @@ from torsionkit.cyclofield import (
 )
 from torsionkit import cli
 from torsionkit.chaincomplex import (
+    ShapeMismatchError,
     based_complex,
     complex_from_obj,
     complex_to_obj,
     dumps_canonical,
+    matches_obj,
+    two_term_complex,
 )
+from torsionkit.grouprings import elem_from_dict, generator_word
 from torsionkit.simpleops import (
     Expansion,
     HandleSlide,
@@ -91,6 +97,123 @@ def test_complex_round_trip(c):
     back = complex_from_obj(_through_json(obj))
     assert back == c
     assert complex_to_obj(back) == obj
+
+
+def _read_or_none(obj):
+    try:
+        return complex_from_obj(obj)
+    except ShapeMismatchError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(complexes())
+def test_canonical_document_matches(c):
+    assert matches_obj(c, _through_json(complex_to_obj(c)))
+
+
+# what a mutated leaf becomes: its value moved by one, of another JSON type
+# with the same value, or another kind of node
+LEAF_VALUES = (
+    lambda v: v + 1 if type(v) is int else 1,
+    lambda v: v - 1 if type(v) is int else -1,
+    lambda v: float(v) if type(v) is int else 1.0,
+    lambda v: bool(v) if type(v) is int else True,
+    lambda v: str(v),
+    lambda v: None,
+    lambda v: [],
+    lambda v: {},
+    lambda v: [v, v],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes(), st.data())
+def test_a_match_reads_back_the_complex(c, data):
+    """After any one change of one node of the canonical document (a new
+    value, a deletion or a duplicate), a match means the reader builds the
+    complex itself."""
+    doc = _through_json(complex_to_obj(c))
+    path = data.draw(st.sampled_from(list(_node_paths(doc))), label="node")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    how = data.draw(st.sampled_from(["set", "delete", "duplicate"]), label="how")
+    if how == "delete":
+        del parent[key]
+    elif how == "duplicate" and isinstance(parent, list):
+        parent.insert(key, json.loads(json.dumps(parent[key])))
+    else:
+        parent[key] = data.draw(st.sampled_from(LEAF_VALUES), label="value")(parent[key])
+    if matches_obj(c, doc):
+        assert _read_or_none(doc) == c
+
+
+def _trap_complex():
+    """[Z[Z/7] --(g + 2g^3)--> Z[Z/7]] in degrees 0 and 1, and its document."""
+    spec = GroupSpec.cyclic(7)
+    x = elem_from_dict({generator_word(spec, 0, 1): 1, generator_word(spec, 0, 3): 2})
+    c = two_term_complex(spec, 0, x)
+    return c, _through_json(complex_to_obj(c))
+
+
+def _terms(doc):
+    return doc["differentials"]["0"][0][0]  # [[1, [[0, 1]]], [2, [[0, 3]]]]
+
+
+def _set(*path, value):
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+# One edit per trap, each leaving a document that does not spell the complex
+# exactly as it is held.
+TRAPS = {
+    "repeated word, sums to 2g": lambda d: _terms(d).__setitem__(1, [1, [[0, 1]]]),
+    "repeated word, sums to 3g": lambda d: _terms(d).__setitem__(1, [2, [[0, 1]]]),
+    "order 7.0": _set("group", "order", value=7.0),
+    "order true": _set("group", "order", value=True),
+    "min_degree 0.0": _set("min_degree", value=0.0),
+    "min_degree false": _set("min_degree", value=False),
+    "ranks [true, true]": _set("ranks", value=[True, True]),
+    "ranks [1.0, 1]": _set("ranks", value=[1.0, 1]),
+    "coefficient true": lambda d: _terms(d)[0].__setitem__(0, True),
+    "coefficient 2.0": lambda d: _terms(d)[1].__setitem__(0, 2.0),
+    "exponent true": lambda d: _terms(d)[0][1][0].__setitem__(1, True),
+    "exponent 3.0": lambda d: _terms(d)[1][1][0].__setitem__(1, 3.0),
+    "factor false": lambda d: _terms(d)[0][1][0].__setitem__(0, False),
+    "factor 0.0": lambda d: _terms(d)[0][1][0].__setitem__(0, 0.0),
+    "extra key": _set("comment", value="x"),
+    "extra group key": _set("group", "note", value=1),
+    "missing labels": lambda d: d.pop("labels"),
+    "missing differentials": lambda d: d.pop("differentials"),
+    "stray degree key": _set("differentials", "5", value=[]),
+    "missing degree key": lambda d: d["differentials"].pop("0"),
+    "word as an object": lambda d: _terms(d)[0].__setitem__(1, {}),
+    "word as a string": lambda d: _terms(d)[0].__setitem__(1, ""),
+    "zero term": lambda d: _terms(d).append([0, []]),
+    "term as a string": lambda d: _terms(d).__setitem__(0, "ab"),
+}
+
+
+# the traps that still spell the complex, in a form the check need not take
+READ_BACK_THE_SAME = {"extra key", "extra group key", "missing labels", "zero term"}
+
+
+@pytest.mark.parametrize("trap", list(TRAPS))
+def test_trap_documents_do_not_match(trap):
+    """No trap matches.  The reader refuses the retyped ones and reads a
+    repeated word as the sum of its terms, another complex."""
+    c, doc = _trap_complex()
+    assert matches_obj(c, doc)
+    TRAPS[trap](doc)
+    assert not matches_obj(c, doc)
+    assert (_read_or_none(doc) == c) == (trap in READ_BACK_THE_SAME)
 
 
 @settings(max_examples=25, deadline=None)

@@ -52,6 +52,7 @@ from torsionkit.chaincomplex import (
 )
 from torsionkit import torsion as torsion_module
 from torsionkit.torsion import (
+    EntryLimitError,
     NotAcyclicError,
     field_torsion,
     fingerprint,
@@ -931,3 +932,59 @@ class TestFieldTorsionProducts:
             field_torsion(fc)
             assert len(calls["inv"]) <= 1
             self.assert_no_product_by_one(calls, n)
+
+
+class TestEntrySizeCap:
+    """The elimination holds its working entries to MAX_ENTRY_BITS, checked
+    once per pivot step on its pivot."""
+
+    @staticmethod
+    def growth():
+        return complex_from_obj(json.loads((GOLDEN / "growth13.json").read_text(encoding="utf-8")))
+
+    def test_the_cap_lies_above_the_growth_input(self, monkeypatch):
+        """growth13.json's largest pivot, its largest factor, has 454 bits:
+        a cap of 454 passes it, and 453 refuses it at the degree of the
+        differential being eliminated."""
+        c = self.growth()
+        rep = representation(c.spec, 13, [1])
+        assert torsion_module.MAX_ENTRY_BITS > 454
+        monkeypatch.setattr(torsion_module, "MAX_ENTRY_BITS", 454)
+        value = reidemeister_torsion(c, rep)
+        monkeypatch.setattr(torsion_module, "MAX_ENTRY_BITS", 453)
+        with pytest.raises(EntryLimitError) as exc:
+            reidemeister_torsion(c, rep)
+        assert (exc.value.degree, exc.value.bits) == (2, 454)
+        assert str(exc.value) == (
+            "the elimination of the differential at degree 2 built an entry of 454 bits,"
+            " past MAX_ENTRY_BITS = 453"
+        )
+        monkeypatch.undo()
+        assert reidemeister_torsion(c, rep) == value
+
+    def test_fingerprint_does_not_read_a_breach_as_not_acyclic(self, monkeypatch):
+        c = self.growth()
+        monkeypatch.setattr(torsion_module, "MAX_ENTRY_BITS", 100)
+        with pytest.raises(EntryLimitError):
+            fingerprint(c, [representation(c.spec, 13, [1]), representation(c.spec, 13, [0])])
+        assert not issubclass(EntryLimitError, NotAcyclicError)
+
+    def test_field_torsion_holds_the_cap(self, monkeypatch):
+        c = self.growth()
+        fc = base_change(c, representation(c.spec, 13, [1]))
+        monkeypatch.setattr(torsion_module, "MAX_ENTRY_BITS", 100)
+        with pytest.raises(EntryLimitError) as exc:
+            field_torsion(fc)
+        assert exc.value.degree == 2
+
+    def test_not_acyclic_keeps_its_degree_and_defect(self, monkeypatch):
+        """Under the trivial representation the lens complex is not acyclic;
+        a cap it never nears changes nothing."""
+        c = lens_complex(lens_params(7, 2))
+        rep = representation(c.spec, 7, [0])
+        with pytest.raises(NotAcyclicError) as uncapped:
+            reidemeister_torsion(c, rep)
+        monkeypatch.setattr(torsion_module, "MAX_ENTRY_BITS", 8)
+        with pytest.raises(NotAcyclicError) as capped:
+            reidemeister_torsion(c, rep)
+        assert (capped.value.degree, capped.value.defect) == (uncapped.value.degree, uncapped.value.defect) == (0, 1)
