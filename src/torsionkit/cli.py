@@ -12,9 +12,10 @@ JSON document, and text output is labeled lines rendered from it.  Exit codes:
 0 success, 1 parse/validation error, 2 verification or acyclicity failure,
 3 internal cross-check violation (never expected).  A modulus above
 ``MAX_MODULUS``, a certificate longer than ``MAX_CERT_OPS`` and a complex
-whose ranks sum past ``MAX_TOTAL_RANK`` are parse errors, and so is an op
-replay refuses, such as an expansion past the reach rule of ``simpleops``,
-and an elimination whose working entries pass ``MAX_ENTRY_BITS``.
+whose ranks sum past ``MAX_TOTAL_RANK`` are parse errors (the library's
+document readers check the last two), and so is an op replay refuses, such
+as an expansion past the reach rule of ``simpleops``, and an elimination
+whose working entries pass ``MAX_ENTRY_BITS``.
 
 ``verify-cert`` reads a certificate's start and ops, replays, and checks
 the replayed end against the recorded one on the document
@@ -47,6 +48,7 @@ from .cyclofield import (
 )
 from .chaincomplex import (
     NotAComplexError,
+    RankLimitError,
     ShapeMismatchError,
     SpecMismatchError,
     complex_from_obj,
@@ -66,7 +68,6 @@ from .torsion import (
 from .simpleops import (
     InvalidOpError,
     MAX_CERT_OPS,
-    MAX_TOTAL_RANK,
     OpCertificate,
     OpLimitError,
     cert_part,
@@ -121,33 +122,17 @@ def _check_modulus(name: str, value: int) -> None:
         raise CliError(f"{name} = {value} exceeds the modulus cap {MAX_MODULUS}")
 
 
-def _check_op_count(what: str, count: int) -> None:
-    if count > MAX_CERT_OPS:
-        raise CliError(f"{what} = {count} exceeds the certificate cap {MAX_CERT_OPS}")
-
-
-def _total_rank(doc) -> int | None:
-    """The sum of a complex document's ranks; None for a malformed
-    ``ranks``, which is left to complex_from_obj to report."""
-    ranks = doc.get("ranks") if isinstance(doc, dict) else None
-    if isinstance(ranks, list) and all(type(r) is int for r in ranks):
-        return sum(r for r in ranks if r > 0)
-    return None
-
-
-def _check_total_rank(what: str, total: int | None) -> None:
-    if total is not None and total > MAX_TOTAL_RANK:
-        raise CliError(f"{what}: total rank {total} exceeds the rank cap {MAX_TOTAL_RANK}")
-
-
 def _int_arg(text: str) -> int:
-    """An integer argument: ASCII digits with an optional leading sign.
-    int() alone would also take '1_7', non-ASCII digits such as '\u0667'
-    and surrounding spaces."""
+    """An integer argument: ASCII digits with an optional leading sign, no
+    more of them than int() converts.  int() alone would also take '1_7',
+    non-ASCII digits such as '\u0667' and surrounding spaces."""
     digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def parse_rep_spec(text: str, spec: GroupSpec) -> Representation:
@@ -206,6 +191,10 @@ def _read_json(path: str):
         raise CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text (byte {exc.start})")
+    except ValueError:  # the one other: an integer past int()'s digit limit
+        raise CliError(f"{path}: invalid JSON: an integer of more than {sys.get_int_max_str_digits()} digits")
     except RecursionError:
         raise CliError(f"{path}: JSON nested too deeply")
 
@@ -227,10 +216,8 @@ def _check_complex(c, path: str) -> None:
 
 
 def _load_complex_checked(path: str):
-    doc = _read_json(path)
-    _check_total_rank(path, _total_rank(doc))
     try:
-        c = complex_from_obj(doc)
+        c = complex_from_obj(_read_json(path))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
     _check_complex(c, path)
@@ -434,26 +421,21 @@ def _default_reps(spec: GroupSpec, modulus: int):
     return reps
 
 
-def _load_cert(path: str):
-    """A certificate document with its start and ops read, after checking on
-    the document that it has at most ``MAX_CERT_OPS`` ops and that its
-    start and end fit ``MAX_TOTAL_RANK``.  The end is left unread: replay
-    holds each op to the reach rule and the rank cap, and the replayed end
-    is then checked against the document's."""
-    doc = _read_json(path)
-    if isinstance(doc, dict):
-        _check_op_count("ops", len(doc["ops"]) if isinstance(doc.get("ops"), list) else 0)
-        _check_total_rank(f"{path}: start", _total_rank(doc.get("start")))
-        _check_total_rank(f"{path}: end", _total_rank(doc.get("end")))
+def _read_part(path: str, doc, part: str, read):
+    """``read`` of a certificate document's ``part``, which holds it to its
+    cap; an error names the file, and a rank-cap breach the part."""
     try:
-        start = complex_from_obj(cert_part(doc, "start"))
-        return doc, start, ops_from_obj(start.spec, cert_part(doc, "ops"))
+        return read(cert_part(doc, part))
+    except RankLimitError as exc:
+        raise CliError(f"{path}: {part}: {exc}")
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
 
 
 def cmd_verify_cert(args) -> Report:
-    doc, start, ops = _load_cert(args.cert_file)
+    doc = _read_json(args.cert_file)
+    start = _read_part(args.cert_file, doc, "start", complex_from_obj)
+    ops = _read_part(args.cert_file, doc, "ops", lambda obj: ops_from_obj(start.spec, obj))
     # simple operations preserve d.d = 0, so every replayed step is a complex
     _check_complex(start, args.cert_file)
     spec = start.spec
@@ -483,11 +465,7 @@ def cmd_verify_cert(args) -> Report:
     # document is an object here, since its start and ops were read
     difference = None
     if not matches_obj(end, doc.get("end")):
-        try:
-            recorded = complex_from_obj(cert_part(doc, "end"))
-        except ValueError as exc:
-            raise CliError(f"{args.cert_file}: {exc}")
-        difference = first_difference(end, recorded)
+        difference = first_difference(end, _read_part(args.cert_file, doc, "end", complex_from_obj))
     if difference is not None:
         where, replayed, recorded = difference
         return Report(
@@ -556,7 +534,8 @@ def render_verify_cert(report: Report) -> list[str]:
 def cmd_gen_cert(args) -> Report:
     if args.length < 0:
         raise CliError(f"--length must be nonnegative, got {args.length}")
-    _check_op_count("--length", args.length)
+    if args.length > MAX_CERT_OPS:
+        raise CliError(f"--length = {args.length} exceeds the certificate cap {MAX_CERT_OPS}")
     c = _load_complex_checked(args.complex_file)
     try:
         cert = random_op_sequence(c, args.length, args.seed)

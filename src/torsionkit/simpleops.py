@@ -72,10 +72,11 @@ over Z/n changes no term count, so it makes no such check.
 
 Reach.  Only an expansion adds degrees or rank.  It applies at a degree in
 [lo - 1, hi] of the window as it stands (``_window``), while the total rank
-after it stays within ``MAX_TOTAL_RANK``, else ``OpLimitError``; it is
+after it stays within ``MAX_TOTAL_RANK`` (``chaincomplex``'s cap, which
+``complex_from_obj`` holds documents to), else ``OpLimitError``; it is
 checked before the copy is edited, and ``random_op_sequence`` draws by it.
-``replay_end`` refuses a certificate of more than ``MAX_CERT_OPS`` ops
-before it thaws start.
+``ops_from_obj`` refuses more than ``MAX_CERT_OPS`` ops before it reads
+one, and ``replay_end`` before it thaws start.
 """
 from __future__ import annotations
 
@@ -103,6 +104,7 @@ from .grouprings import (
     word_inverse,
 )
 from .chaincomplex import (
+    MAX_TOTAL_RANK,
     BasedComplex,
     ShapeMismatchError,
     _GradedComplex,
@@ -123,30 +125,12 @@ from .chaincomplex import (
 # terms over Z/n and 306 over Z/p * Z/p, and 40 random ops over Z/100000 at
 # 7,222.
 MAX_ENTRY_TERMS = 50_000
-# The most bits the largest coefficient of a working entry of the torsion
-# elimination (``torsion._eliminate``) may have.  Its update p*a - f*b does
-# not divide, so an entry can double in size with each pivot step.  The
-# elimination checks each pivot, once per pivot step, and raises
-# ``torsion.EntryLimitError``.  The largest pivot is 454 bits on
-# ``tests/golden/growth13.json`` (ranks (20, 32, 24, 12) over Z/13, 3
-# scramble steps per unit of rank), 7,400 and 7,488 at 4 and 5 steps, at
-# most 3 on the other golden inputs, and 2, 132 and 112 on the benchmark's
-# lens-cli, cert-verify and wide-torsion at seed 4.  At 6 steps (``tests/golden/growth13-6.json``, 133 KB, every document
-# cap passed) entries passed 32,768 bits after 0.7 s and 131,072 after
-# 3.6 s, and the run had not ended after 120 s; the cap refuses it after
-# about 1 s (2-vCPU machine, Python 3.11).
-MAX_ENTRY_BITS = 32_768
-# Largest total rank (the sum of the ranks) of a complex an expansion may
-# build, and of a complex file or certificate end the CLI reads.  Unchecked,
-# 1200 expansions at degree 0 replayed for 14.9 s, and ranks (2000, 2000)
-# with no differentials made `torsion` run for 16.7 s (2-vCPU machine).
-MAX_TOTAL_RANK = 256
-# Most simple operations a certificate may hold: ``replay_end`` refuses a
-# longer one before it thaws start, and the CLI checks the ops of a
-# certificate verify-cert reads and the --length of gen-cert on the
-# document.  On L(7,2) and a 2-vCPU machine, gen-cert at the cap takes
-# 0.39 s and verify-cert of its output 0.21 s (medians of 5 runs, start-up
-# included); the certificate file is 0.8 MB.
+# Most simple operations a certificate may hold: ``ops_from_obj`` refuses a
+# longer op list before it reads any op, ``replay_end`` a longer certificate
+# built in code before it thaws start, and the CLI the --length of gen-cert.
+# On L(7,2) and a 2-vCPU machine, gen-cert at the cap takes 0.39 s and
+# verify-cert of its output 0.21 s (medians of 5 runs, start-up included);
+# the certificate file is 0.8 MB.
 MAX_CERT_OPS = 10_000
 
 
@@ -741,7 +725,12 @@ def cert_part(obj, key: str):
 
 def ops_from_obj(spec: GroupSpec, obj) -> tuple[SimpleOp, ...]:
     """The ops a certificate document's op list spells, each read against
-    spec, the group of its start; nothing else of the document is read."""
+    spec, the group of its start; more than ``MAX_CERT_OPS`` of them raise
+    OpLimitError before any is read."""
+    if type(obj) is not list:  # an object or a string would iterate
+        raise _malformed(TypeError(f"ops must be a list, got {type(obj).__name__}"))
+    if len(obj) > MAX_CERT_OPS:
+        raise OpLimitError(f"ops = {len(obj)} exceeds the certificate cap {MAX_CERT_OPS}")
     try:
         return tuple([_op_from_obj(spec, o) for o in obj])
     except (AttributeError, KeyError, TypeError) as exc:

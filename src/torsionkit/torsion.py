@@ -38,7 +38,7 @@ vector over 1 (``cyclofield.rep_vector``), with no value of Q(zeta_n)
 built to be taken apart, so base change is never built and an entry the
 scan never reaches is never evaluated; then reduction to the unit coset.
 The update p*a - f*b does not divide, so an entry can double in size with
-each pivot step; a working entry past ``simpleops.MAX_ENTRY_BITS`` stops the
+each pivot step; a working entry past ``MAX_ENTRY_BITS`` stops the
 elimination with EntryLimitError, which names the degree of the
 differential.  torsion_of_map measures a quasi-isomorphism through its mapping cone;
 fingerprints collect the classes over a family of representations.
@@ -84,7 +84,21 @@ from .chaincomplex import (
     SpecMismatchError,
     mapping_cone,
 )
-from .simpleops import MAX_ENTRY_BITS
+
+# The most bits the largest coefficient of a working entry of the
+# elimination (``_eliminate``) may have.  Its update p*a - f*b does not
+# divide, so an entry can double in size with each pivot step.  The
+# elimination checks each pivot, once per pivot step, and raises
+# ``EntryLimitError``.  The largest pivot is 454 bits on
+# ``tests/golden/growth13.json`` (ranks (20, 32, 24, 12) over Z/13, 3
+# scramble steps per unit of rank), 7,400 and 7,488 at 4 and 5 steps, at
+# most 3 on the other golden inputs, and 2, 132 and 112 on the benchmark's
+# lens-cli, cert-verify and wide-torsion at seed 4.  At 6 steps
+# (``tests/golden/growth13-6.json``, 133 KB, every document cap passed)
+# entries passed 32,768 bits after 0.7 s and 131,072 after 3.6 s, and the
+# run had not ended after 120 s; the cap refuses it after about 1 s (2-vCPU
+# machine, Python 3.11).
+MAX_ENTRY_BITS = 32_768
 
 
 class EntryLimitError(ValueError):

@@ -43,6 +43,7 @@ from torsionkit.grouprings import (
     word_multiply,
 )
 from torsionkit.chaincomplex import (
+    MAX_TOTAL_RANK,
     BasedComplex,
     based_complex,
     direct_sum,
@@ -67,7 +68,7 @@ from torsionkit.cyclofield import (
     units,
     zeta,
 )
-from torsionkit.simpleops import DeckTransform, Expansion, HandleSlide, Retraction, apply_op
+from torsionkit.simpleops import MAX_CERT_OPS, DeckTransform, Expansion, HandleSlide, Retraction, apply_op
 
 Z7 = GroupSpec.cyclic(7)
 
@@ -584,13 +585,41 @@ def terms_evaluate(rep: Representation, a: TermsElem) -> CycloNum:
 # --- verify-cert as it read every certificate whole ---
 
 
+# the command's document checks, as it made them before complex_from_obj
+# and ops_from_obj held the caps
+
+
+def _check_op_count(what: str, count: int) -> None:
+    from torsionkit.cli import CliError
+
+    if count > MAX_CERT_OPS:
+        raise CliError(f"{what} = {count} exceeds the certificate cap {MAX_CERT_OPS}")
+
+
+def _total_rank(doc) -> int | None:
+    """The sum of a complex document's ranks; None for a malformed
+    ``ranks``, which is left to complex_from_obj to report."""
+    ranks = doc.get("ranks") if isinstance(doc, dict) else None
+    if isinstance(ranks, list) and all(type(r) is int for r in ranks):
+        return sum(r for r in ranks if r > 0)
+    return None
+
+
+def _check_total_rank(what: str, total: int | None) -> None:
+    from torsionkit.cli import CliError
+
+    if total is not None and total > MAX_TOTAL_RANK:
+        raise CliError(f"{what}: total rank {total} exceeds the rank cap {MAX_TOTAL_RANK}")
+
+
 def reference_verify_cert(args):
     """The ``verify-cert`` command as it ran before the recorded end was
     checked on its document: ``cert_from_obj`` reads start, end and ops, the
     replayed end is compared with the read end and, on a mismatch, searched
     with ``first_difference``; the fingerprints are taken of start and of
-    the read end.  The document checks, the ``--rep`` parsing and the
-    report are the command's own helpers."""
+    the read end.  The document checks are the command's as they were then,
+    made on the whole document before any part is read; the ``--rep``
+    parsing and the report are the command's own helpers."""
     from torsionkit import cli
     from torsionkit.chaincomplex import first_difference
     from torsionkit.simpleops import InvalidOpError, OpLimitError, cert_from_obj, replay_end
@@ -599,9 +628,9 @@ def reference_verify_cert(args):
     path = args.cert_file
     doc = cli._read_json(path)
     if isinstance(doc, dict):
-        cli._check_op_count("ops", len(doc["ops"]) if isinstance(doc.get("ops"), list) else 0)
-        cli._check_total_rank(f"{path}: start", cli._total_rank(doc.get("start")))
-        cli._check_total_rank(f"{path}: end", cli._total_rank(doc.get("end")))
+        _check_op_count("ops", len(doc["ops"]) if isinstance(doc.get("ops"), list) else 0)
+        _check_total_rank(f"{path}: start", _total_rank(doc.get("start")))
+        _check_total_rank(f"{path}: end", _total_rank(doc.get("end")))
     try:
         cert = cert_from_obj(doc)
     except ValueError as exc:

@@ -1,7 +1,9 @@
 import json
 import random
+import time
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,9 @@ from torsionkit.cyclofield import (
     zeta,
 )
 from torsionkit.chaincomplex import (
+    MAX_TOTAL_RANK,
     NotAComplexError,
+    RankLimitError,
     ShapeMismatchError,
     SpecMismatchError,
     base_change,
@@ -36,6 +40,7 @@ from torsionkit.chaincomplex import (
     first_difference,
     identity_chain_map,
     integral_homology,
+    load_complex,
     mapping_cone,
     mat_identity,
     mat_neg,
@@ -397,6 +402,48 @@ class TestFileFormat:
                     "labels": [["a"], ["b"]],
                 }
             )
+
+
+class TestRankCap:
+    """complex_from_obj holds a document's total rank, the sum of its
+    positive ranks, to MAX_TOTAL_RANK before it reads any entry."""
+
+    @staticmethod
+    def doc(ranks):
+        return {"group": {"kind": "cyclic", "order": 7}, "min_degree": 0, "ranks": ranks, "differentials": {}}
+
+    def test_wide_file_is_refused_before_any_matrix_is_built(self):
+        """The 92-byte file asks for a 2000 x 2000 zero differential."""
+        path = Path(__file__).parent / "golden" / "wide.json"
+        t0 = time.perf_counter()
+        with pytest.raises(RankLimitError) as exc:
+            load_complex(path)
+        assert time.perf_counter() - t0 < 0.1
+        assert str(exc.value) == f"total rank 4000 exceeds the rank cap {MAX_TOTAL_RANK}"
+        assert isinstance(exc.value, ShapeMismatchError)
+
+    def test_cap_is_checked_before_any_entry_is_read(self):
+        doc = self.doc([MAX_TOTAL_RANK, 1])
+        doc["differentials"] = {"0": "not a matrix"}
+        with pytest.raises(RankLimitError):
+            complex_from_obj(doc)
+
+    def test_document_at_the_cap_reads(self):
+        half = MAX_TOTAL_RANK // 2
+        c = complex_from_obj(self.doc([half, MAX_TOTAL_RANK - half]))
+        assert c.total_rank() == MAX_TOTAL_RANK
+        with pytest.raises(RankLimitError):
+            complex_from_obj(self.doc([half, MAX_TOTAL_RANK - half + 1]))
+
+    def test_negative_ranks_do_not_count(self):
+        """A negative rank is not summed, and fails as before, in based_complex."""
+        with pytest.raises(ShapeMismatchError) as exc:
+            complex_from_obj(self.doc([MAX_TOTAL_RANK, -5]))
+        assert not isinstance(exc.value, RankLimitError)
+        assert str(exc.value) == "ranks must be nonnegative"
+
+    def test_code_built_complexes_are_not_capped(self):
+        assert based_complex(Z7, 0, (MAX_TOTAL_RANK + 1,), []).total_rank() == MAX_TOTAL_RANK + 1
 
 
 def test_first_difference():

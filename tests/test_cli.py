@@ -10,9 +10,10 @@ import pytest
 
 from torsionkit import cli
 from torsionkit import torsion as torsion_module
-from torsionkit.cli import MAX_CERT_OPS, MAX_MODULUS, MAX_TOTAL_RANK, build_parser, main, parse_rep_spec, CliError
+from torsionkit.cli import MAX_CERT_OPS, MAX_MODULUS, build_parser, main, parse_rep_spec, CliError
 from torsionkit.grouprings import GroupSpec, ONE_ELEM, from_int, generator_elem, ring_sub
 from torsionkit.chaincomplex import (
+    MAX_TOTAL_RANK,
     complex_from_obj,
     complex_to_obj,
     dumps_canonical,
@@ -79,7 +80,14 @@ class TestRepSpecParsing:
                 parse_rep_spec(text, GroupSpec.cyclic(7))
 
     @pytest.mark.parametrize(
-        "text, val", [("n=\u0667;g0=1", "\u0667"), ("n=7;g0=0_1", "0_1"), ("n=7;g0=1\u0660", "1\u0660"), ("n=7;g0=--1", "--1")]
+        "text, val",
+        [
+            ("n=\u0667;g0=1", "\u0667"),
+            ("n=7;g0=0_1", "0_1"),
+            ("n=7;g0=1\u0660", "1\u0660"),
+            ("n=7;g0=--1", "--1"),
+            pytest.param("n=7;g0=" + "1" * 5000, "1" * 5000, id="5000-digits"),  # past int()'s digit limit
+        ],
     )
     def test_value_not_of_ascii_digits_exits_1(self, lens_file, capsys, text, val):
         """int() would read '\u0667' as 7 and '0_1' as 1; the spec refuses both."""
@@ -335,6 +343,31 @@ class TestInputBounds:
         assert captured.out == ""
         assert captured.err == f"error: {path}: JSON nested too deeply\n"
 
+    @pytest.mark.parametrize("command", ["torsion", "gen-cert", "verify-cert"])
+    def test_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys, command):
+        """json reads an integer with int(), which refuses more than
+        sys.get_int_max_str_digits() digits with a ValueError."""
+        path = tmp_path / "long.json"
+        path.write_text('{"min_degree": ' + "1" * 5000 + "}", encoding="utf-8")
+        extra = {"torsion": ["--rep", "n=7;g0=1"], "gen-cert": ["--out", str(tmp_path / "out.json")]}
+        assert main([command, str(path)] + extra.get(command, [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: invalid JSON: an integer of more than {sys.get_int_max_str_digits()} digits\n"
+        )
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["torsion", "verify-cert"])
+    def test_document_not_utf8_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"labels": "\xe9"}')
+        argv = [command, str(path)] + (["--rep", "n=7;g0=1"] if command == "torsion" else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 text (byte 12)\n"
+
     def test_modulus_cap(self, tmp_path, capsys):
         """Each modulus the CLI computes in is checked before any work is done."""
         big = str(MAX_MODULUS + 1)
@@ -376,7 +409,7 @@ class TestInputBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: ops = {too_long} exceeds the certificate cap {MAX_CERT_OPS}\n"
+            f"error: {out}: ops = {too_long} exceeds the certificate cap {MAX_CERT_OPS}\n"
         )
 
     def test_total_rank_cap(self, tmp_path, capsys):
@@ -1023,7 +1056,9 @@ INT_ARGUMENTS = [
 
 
 @pytest.mark.parametrize("argv, name", INT_ARGUMENTS, ids=[name for _, name in INT_ARGUMENTS])
-@pytest.mark.parametrize("bad", ["1_7", "\u0661\u0667", " 17", "+-17", "0x11"])
+@pytest.mark.parametrize(
+    "bad", ["1_7", "\u0661\u0667", " 17", "+-17", "0x11", pytest.param("1" * 5000, id="5000-digits")]
+)
 def test_integer_arguments_take_only_ascii_digits(workdir, capsys, argv, name, bad):
     """int() reads '1_7' and '\u0661\u0667' as 17; an argument refuses them as it
     refuses 'x', before any command runs."""

@@ -13,7 +13,14 @@ from torsionkit.grouprings import (
     word_inverse,
 )
 from torsionkit.cyclofield import representation
-from torsionkit.chaincomplex import based_complex, dumps_canonical, validate
+from torsionkit.chaincomplex import (
+    RankLimitError,
+    ShapeMismatchError,
+    based_complex,
+    complex_to_obj,
+    dumps_canonical,
+    validate,
+)
 from torsionkit.torsion import fingerprint, fingerprints_equivalent, reidemeister_torsion
 from torsionkit import simpleops
 from torsionkit.simpleops import (
@@ -29,6 +36,7 @@ from torsionkit.simpleops import (
     apply_op,
     cert_from_obj,
     cert_to_obj,
+    ops_from_obj,
     random_op_sequence,
     replay,
     replay_end,
@@ -316,7 +324,8 @@ class TestReach:
 
 
 class TestOpCap:
-    """replay_end holds a certificate to MAX_CERT_OPS before any work."""
+    """replay_end holds a certificate, and ops_from_obj an op list, to
+    MAX_CERT_OPS before any work."""
 
     class Thawed(Exception):
         """Raised in place of thawing start, to see whether replay got there."""
@@ -334,3 +343,31 @@ class TestOpCap:
         assert str(exc.value) == f"ops = {MAX_CERT_OPS + 1} exceeds the certificate cap {MAX_CERT_OPS}"
         with pytest.raises(self.Thawed):  # at the cap, replay goes on
             replay_end(OpCertificate(c, (deck,) * MAX_CERT_OPS, c))
+
+    def test_op_list_past_the_cap_is_refused_before_any_op_is_read(self):
+        """None is no op, so reading one would raise the malformed error."""
+        with pytest.raises(OpLimitError) as exc:
+            ops_from_obj(Z7, [None] * (MAX_CERT_OPS + 1))
+        assert str(exc.value) == f"ops = {MAX_CERT_OPS + 1} exceeds the certificate cap {MAX_CERT_OPS}"
+        with pytest.raises(ShapeMismatchError, match="malformed certificate document"):
+            ops_from_obj(Z7, [None] * MAX_CERT_OPS)
+
+    @pytest.mark.parametrize("ops", [{}, "", {"kind": "expansion"}, 7, None])
+    def test_op_list_must_be_a_list(self, ops):
+        """An empty object or string used to read as no ops."""
+        with pytest.raises(ShapeMismatchError) as exc:
+            ops_from_obj(Z7, ops)
+        assert str(exc.value) == f"malformed certificate document: ops must be a list, got {type(ops).__name__}"
+
+    def test_cert_from_obj_holds_both_caps(self):
+        c = lens_complex(lens_params(7, 2))
+        deck = {"kind": "deck_transform", "degree": 0, "index": 0, "word": [[0, 1]]}
+        obj = {"start": complex_to_obj(c), "ops": [deck] * MAX_CERT_OPS, "end": complex_to_obj(c)}
+        assert len(cert_from_obj(obj).ops) == MAX_CERT_OPS
+        with pytest.raises(OpLimitError):
+            cert_from_obj({**obj, "ops": [deck] * (MAX_CERT_OPS + 1)})
+        wide = {**complex_to_obj(c), "ranks": [1, 2000, 1, 1], "differentials": {}}
+        for part in ("start", "end"):
+            with pytest.raises(RankLimitError) as exc:
+                cert_from_obj({**obj, part: wide})
+            assert str(exc.value) == f"total rank 2003 exceeds the rank cap {MAX_TOTAL_RANK}"
