@@ -53,6 +53,13 @@ FieldMatrix = tuple[tuple[CycloNum, ...], ...]
 # Unchecked, ranks (2000, 2000) with no differentials ran `torsion` for
 # 16.7 s and 1200 expansions at degree 0 replayed for 14.9 s (2-vCPU machine).
 MAX_TOTAL_RANK = 256
+# Most degrees, zero ranks included, that a complex document's ranks may
+# list (``complex_from_obj``).  Each listed degree costs a zero matrix and a
+# label tuple however small its rank: ranks [1] + [0] * 200000 + [1], a
+# 400 KB file, passed the rank cap, and `torsion` on it ran 1.2 s and 46 MB
+# before NOT_ACYCLIC, the time growing with the gap.  At the cap that
+# document's `torsion` takes about 5 ms more than a two-degree one.
+MAX_DEGREES = 1024
 
 
 class ShapeMismatchError(ValueError):
@@ -61,6 +68,10 @@ class ShapeMismatchError(ValueError):
 
 class RankLimitError(ShapeMismatchError):
     """A complex document whose ranks sum past ``MAX_TOTAL_RANK``."""
+
+
+class DegreeLimitError(RankLimitError):
+    """A complex document whose ranks list more than ``MAX_DEGREES`` degrees."""
 
 
 class SpecMismatchError(ValueError):
@@ -666,7 +677,8 @@ def complex_to_obj(c: BasedComplex) -> dict:
 
 def complex_from_obj(obj) -> BasedComplex:
     """The complex a document spells; ranks summing past ``MAX_TOTAL_RANK``
-    raise RankLimitError before any entry is read or matrix built."""
+    raise RankLimitError, and ranks listing more than ``MAX_DEGREES``
+    degrees DegreeLimitError, before any entry is read or matrix built."""
     try:
         spec = spec_from_obj(obj["group"])
         min_degree = json_int(obj["min_degree"])
@@ -674,6 +686,8 @@ def complex_from_obj(obj) -> BasedComplex:
         total = sum(r for r in ranks if r > 0)
         if total > MAX_TOTAL_RANK:
             raise RankLimitError(f"total rank {total} exceeds the rank cap {MAX_TOTAL_RANK}")
+        if len(ranks) > MAX_DEGREES:
+            raise DegreeLimitError(f"ranks list {len(ranks)} degrees, past the degree cap {MAX_DEGREES}")
         raw = obj["differentials"]
         if not isinstance(raw, dict):
             raise ValueError("differentials must be an object keyed by degree")

@@ -12,8 +12,9 @@ JSON document, and text output is labeled lines rendered from it.  Exit codes:
 0 success, 1 parse/validation error, 2 verification or acyclicity failure,
 3 internal cross-check violation (never expected).  A modulus above
 ``MAX_MODULUS``, a certificate longer than ``MAX_CERT_OPS`` and a complex
-whose ranks sum past ``MAX_TOTAL_RANK`` are parse errors (the library's
-document readers check the last two), and so is an op replay refuses, such
+whose ranks sum past ``MAX_TOTAL_RANK`` or list more than ``MAX_DEGREES``
+degrees are parse errors (the library's document readers check all but the
+first), and so is an op replay refuses, such
 as an expansion past the reach rule of ``simpleops``, and an elimination
 whose working entries pass ``MAX_ENTRY_BITS``.
 

@@ -27,14 +27,17 @@ nothing writes it once the element holds it, and ``_word_order`` lists it in
 the order of the element's text and document.  Arithmetic runs on working
 maps that the caller owns, keyed by the exponent over Z/n (an int hashes
 faster than a letter tuple) and by the letter tuple over a free product.
-``map_form`` is the one reader: it checks each word and gives the exponent
+``map_form`` is the map reader: it checks each word and gives the exponent
 map over Z/n and a copy of the element's map over a free product.
 ``elem_from_map`` is the writer; over a free product the element keeps the
 working map.  Each group kind has one multiply-add kernel,
 ``exponent_mul_add`` and ``letter_mul_add``, which adds into a non-empty
 accumulator in place; ``map_mul_add`` picks it.  ``ring_mul_add`` reads its
 operands, runs the kernel and writes the result; ``simpleops`` folds simple
-operations on working maps the same way, writing each entry once.
+operations on working maps the same way, writing each entry once.  Over a
+small Z/n ``simpleops`` works on lists of n coefficients indexed by exponent
+instead: ``list_form`` reads an element into one, with ``map_form``'s word
+checks and text, and ``power_keys`` gives the key of each index.
 """
 from __future__ import annotations
 
@@ -271,11 +274,32 @@ def map_form(spec: GroupSpec, a: GroupRingElem) -> dict:
     return out
 
 
+def list_form(n: int, a: GroupRingElem) -> list[int]:
+    """a's coefficients over Z/n as a new list of n integers, the one at
+    index e that of g^e, each word checked as ``map_form`` checks it."""
+    out = [0] * n
+    for l, c in a.coeffs.items():
+        if not l:
+            out[0] = c
+        elif len(l) == 1 and l[0][0] == 0 and 0 < l[0][1] < n:
+            out[l[0][1]] = c
+        else:
+            raise InvalidWordError(f"not a reduced word of Z/{n}: {l}")
+    return out
+
+
 @lru_cache(maxsize=1024)
 def _power_key(k: int) -> tuple:
     """The letter tuple of g^k of factor 0, one object per k for the
     elements that ``elem_from_map`` and ``elem_from_obj`` write."""
     return ((0, k),) if k else ()
+
+
+def power_keys(n: int) -> tuple[tuple, ...]:
+    """The letter tuple of each power g^0, ..., g^(n-1) of factor 0, the
+    objects ``elem_from_map`` writes: the key of each index of a
+    ``list_form`` list."""
+    return tuple([_power_key(k) for k in range(n)])
 
 
 def elem_from_map(spec: GroupSpec, x: dict) -> GroupRingElem:

@@ -25,13 +25,22 @@ shapes).  ``apply_op``, ``replay_end`` and ``random_op_sequence`` all thaw
 once, apply their ops to the one copy in place and freeze once, so each
 op's checks and ``InvalidOpError`` texts exist once.
 
-Entries.  A slide or deck computes on working maps (``grouprings.map_form``
+Entries.  Over Z/n with n*(n+1) <= ``MAX_ENTRY_TERMS`` (n <= 223,
+``_dense_order``) a slide computes on lists of n coefficients indexed by
+exponent (``grouprings.list_form`` reads an element into one): each term
+c*g^e of its coefficient rotates the source entry by e (``x[-e:] +
+x[:-e]``) and adds c times it with C-level ``map`` (``_list_mul_add``).
+Otherwise a slide or deck computes on working maps (``grouprings.map_form``
 reads an element's map into one: group element -> coefficient, keyed by the
 exponent over Z/n and by the letter tuple over a free product) with the
 multiply-add kernel of the group (``grouprings.map_mul_add``).  A slide's
 factors are its coefficient's map and that map negated; over a free
 product a deck's are the one-term maps of its word and of the word's
-inverse.
+inverse.  Of the multiply-adds that replaying the benchmark's seed-4
+certificates made on maps, 84% had a full source entry (all 7 or 13
+terms), where a list beats a map; lists lose on entries of one or two
+terms.  From L(223,2), 20 random ops replayed in 0.43 ms on lists against
+0.24 ms on maps, and 300 ops in 11.8 ms against 27.0 ms (medians).
 
 Exponents.  Over Z/n a deck c_i -> g^e*c_i is a trivial unit of Z[G], so
 it touches no entry: it adds e to the exponent s_i (mod n) that the copy
@@ -51,24 +60,31 @@ benchmark's 24 seed-4 free-product certificates about 17% slower (23-24 ->
 the freeze multiplies every term by the units, where an eager deck
 multiplies an entry while it is small.
 
-Ownership.  An entry is read (``map_form``) the first time an op touches
-it, and written back (``elem_from_map``) only when the copy is frozen.  So
+Ownership.  An entry is read (``list_form`` or ``map_form``) the first
+time an op touches it, and written back only when the copy is frozen
+(through ``power_keys``, built once per freeze, or ``elem_from_map``).  So
 an entry is either an unread ``GroupRingElem``, which is immutable and may
-be shared (the zeros and pivot ones that a block edit inserts are), or a
-working map that its slot owns and that the kernels add into in place;
-writing out an exponent puts a new map in the slot.  Reading makes a new
+be shared (the zeros and pivot ones that a block edit inserts are), a list,
+or a working map that its slot owns and that the kernels add into in
+place.  A list is never written once made, so slots may share one: a slide
+by 1 into a zero entry stores the source's list itself.  Writing out an
+exponent puts a new list or map in the slot.  Reading makes a new list or
 map, so ``start``, ``end`` and the ops are never mutated; over a free
 product the frozen element keeps its slot's map, which is safe because the
-copy is dropped once frozen.  An unread zero is read as the shared empty
-map ``_NO_TERMS``, which no slot holds: the kernels never write an empty
-accumulator but return a new map.
+copy is dropped once frozen.  A zero is read as the shared empty map
+``_NO_TERMS``: the map kernels never write an empty accumulator but return
+a new map, and a list sum that cancels to zero is stored as ``_NO_TERMS``,
+so an entry is zero exactly when it is falsy, read or not.
 
 Size.  No entry may hold more than ``MAX_ENTRY_TERMS`` terms.  Over a large
 group products rarely collide, so each slide by a two-term coefficient can
-double an entry.  ``_change_basis`` checks each multiply-add before it runs:
-acc's terms plus the product of its factors' counts, the most terms the
-result can hold, must stay within the cap, else ``InvalidOpError``.  A deck
-over Z/n changes no term count, so it makes no such check.
+double an entry.  On maps ``_change_basis`` checks each multiply-add before
+it runs: acc's terms plus the product of its factors' counts, the most
+terms the result can hold, must stay within the cap, else
+``InvalidOpError``.  An entry over Z/n holds at most n terms, so on lists
+that bound is at most n + n*n, which the dense range keeps within the cap:
+the check could never fire there, and lists make none.  A deck over Z/n
+changes no term count, so it makes no such check.
 
 Reach.  Only an expansion adds degrees or rank.  It applies at a degree in
 [lo - 1, hi] of the window as it stands (``_window``), while the total rank
@@ -82,6 +98,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, mul, sub
 
 from .grouprings import (
     GroupRingElem,
@@ -97,8 +115,10 @@ from .grouprings import (
     elem_to_obj,
     generator_word,
     json_int,
+    list_form,
     map_form,
     map_mul_add,
+    power_keys,
     validate_word,
     word_from_obj,
     word_inverse,
@@ -123,7 +143,8 @@ from .chaincomplex import (
 # entry run 61 s and build 48.8M terms.  The cap lies well above what the
 # tests and the benchmark build: the benchmark's certificates peak at 13
 # terms over Z/n and 306 over Z/p * Z/p, and 40 random ops over Z/100000 at
-# 7,222.
+# 7,222.  It also sets where entries over Z/n are lists: up to n = 223,
+# since 223*224 <= 50,000 < 224*225 (see Entries and Size).
 MAX_ENTRY_TERMS = 50_000
 # Most simple operations a certificate may hold: ``ops_from_obj`` refuses a
 # longer op list before it reads any op, ``replay_end`` a longer certificate
@@ -195,11 +216,14 @@ class _Work(_GradedComplex):
     Over Z/n, once a deck has run, ``shifts`` holds one list per degree of
     the window with the exponent s (mod n) of each basis vector (see
     Exponents in the module docstring).  Before that, and always over a
-    free product, it is None."""
+    free product, it is None.
 
-    __slots__ = ("spec", "min_degree", "max_degree", "ranks", "differentials", "labels", "shifts")
+    ``dense`` is n over a Z/n whose entries are worked on as lists (see
+    Entries), else 0."""
 
-    def __init__(self, spec, min_degree, max_degree, ranks, differentials, labels, shifts):
+    __slots__ = ("spec", "min_degree", "max_degree", "ranks", "differentials", "labels", "shifts", "dense")
+
+    def __init__(self, spec, min_degree, max_degree, ranks, differentials, labels, shifts, dense):
         self.spec = spec
         self.min_degree = min_degree
         self.max_degree = max_degree
@@ -207,6 +231,7 @@ class _Work(_GradedComplex):
         self.differentials = differentials
         self.labels = labels
         self.shifts = shifts
+        self.dense = dense
 
     def _zero(self):
         return ZERO_ELEM
@@ -229,26 +254,43 @@ def _row(m: list, i: int) -> list:
     return row
 
 
-# The map of every unread zero entry.  No slot holds it, and the kernels
-# never write an empty accumulator, so it stays empty.
+# The working form of every zero entry: a read zero, and a list entry that
+# a slide cancels.  The map kernels never write an empty accumulator and
+# lists are never written, so it stays empty.
 _NO_TERMS: dict = {}
 
 
-def _read(spec: GroupSpec, x) -> dict:
-    """Entry x as a coefficient map: x itself once read, else a new map read
-    from its element (``_NO_TERMS`` for a zero)."""
-    if type(x) is dict:
+def _read(spec: GroupSpec, dense: int, x):
+    """Entry x as a working entry: x itself once read, else read from its
+    element into a new list of ``dense`` coefficients when dense is nonzero,
+    into a new map when it is 0 (``_NO_TERMS`` for a zero either way)."""
+    if type(x) is not GroupRingElem:
         return x
-    return map_form(spec, x) if x else _NO_TERMS
+    if not x:
+        return _NO_TERMS
+    return list_form(dense, x) if dense else map_form(spec, x)
+
+
+def _dense_order(spec: GroupSpec) -> int:
+    """n when spec is a Z/n whose entries are worked on as lists, else 0:
+    over Z/n an entry holds at most n terms, so when n*(n+1) is within
+    ``MAX_ENTRY_TERMS`` no multiply-add can pass the cap (see Size)."""
+    n = spec.factor_orders[0]
+    return n if spec.kind == "cyclic" and n * (n + 1) <= MAX_ENTRY_TERMS else 0
 
 
 def _thaw(c: BasedComplex) -> _Work:
     """A working copy of c; a row is copied only when an op first writes it."""
-    return _Work(c.spec, c.min_degree, c.max_degree, c.ranks, list(c.differentials), c.labels, None)
+    return _Work(
+        c.spec, c.min_degree, c.max_degree, c.ranks, list(c.differentials), c.labels, None, _dense_order(c.spec)
+    )
 
 
-def _shifted(n: int, x: dict, e: int) -> dict:
-    """g^e * x over Z/n, as a new map keyed by exponent."""
+def _shifted(n: int, x, e: int):
+    """g^e * x over Z/n, for a list entry and 0 <= e < n a rotation, for a
+    map keyed by exponent a new map."""
+    if type(x) is list:
+        return x[-e:] + x[:-e]
     return {(k + e) % n: c for k, c in x.items()}
 
 
@@ -256,7 +298,7 @@ def _write_shifts(w: _Work) -> None:
     """Multiply each stored entry (i, j) of each d_d by g^(s_(d,j) - s_(d+1,i))
     and drop the exponents.  Only the columns and rows of basis vectors
     with a nonzero exponent are visited, and each entry at most once."""
-    spec, lo, shifts = w.spec, w.min_degree, w.shifts
+    spec, dense, lo, shifts = w.spec, w.dense, w.min_degree, w.shifts
     n = spec.factor_orders[0]
     for at in range(len(shifts) - 1):  # d_d for d = lo + at
         cols, rows = shifts[at], shifts[at + 1]
@@ -270,20 +312,28 @@ def _write_shifts(w: _Work) -> None:
                 for j, x in enumerate(row):
                     e = (cols[j] - t) % n
                     if x and e:
-                        row[j] = _shifted(n, _read(spec, x), e)
+                        row[j] = _shifted(n, _read(spec, dense, x), e)
             else:
                 for j, e in hot:
                     x = m[i][j]
                     if x:
-                        _row(m, i)[j] = _shifted(n, _read(spec, x), e)
+                        _row(m, i)[j] = _shifted(n, _read(spec, dense, x), e)
     w.shifts = None
 
 
-def _frozen_row(spec: GroupSpec, row) -> tuple:
-    """A row of a working copy as a tuple of elements, each map written back."""
+def _frozen_row(spec: GroupSpec, keys: tuple, row) -> tuple:
+    """A row of a working copy as a tuple of elements, each map or list
+    written back; keys[e] is the letter tuple of g^e for a list."""
     if type(row) is tuple:
         return row
-    return tuple([elem_from_map(spec, x) if type(x) is dict else x for x in row])
+    out = []
+    for x in row:
+        if type(x) is list:
+            x = GroupRingElem(dict(compress(zip(keys, x), x)))
+        elif type(x) is dict:
+            x = elem_from_map(spec, x)
+        out.append(x)
+    return tuple(out)
 
 
 def _freeze(w: _Work) -> BasedComplex:
@@ -301,7 +351,8 @@ def _freeze(w: _Work) -> BasedComplex:
         first, last = window
         ranks, labels = tuple(ranks[first:last + 1]), tuple(labels[first:last + 1])
         lo, mats = lo + first, mats[first:last]
-    mats = tuple([m if type(m) is tuple else tuple([_frozen_row(spec, row) for row in m]) for m in mats])
+    keys = power_keys(w.dense)
+    mats = tuple([m if type(m) is tuple else tuple([_frozen_row(spec, keys, row) for row in m]) for m in mats])
     return BasedComplex(spec, lo, lo + len(ranks) - 1, ranks, mats, labels)
 
 
@@ -394,6 +445,8 @@ def _apply_expansion(w: _Work, op: Expansion) -> None:
 
 def _is_signed_word(x) -> bool:
     """Whether entry x, read or unread, is +-g: one term, coefficient +-1."""
+    if type(x) is list:
+        return x.count(0) == len(x) - 1 and (1 in x or -1 in x)
     m = x if type(x) is dict else x.coeffs
     return len(m) == 1 and next(iter(m.values())) in (1, -1)
 
@@ -444,11 +497,13 @@ def _change_basis(w: _Work, d: int, target: int, source: int, left: dict, right:
     each product goes into ``_NO_TERMS``, so the old entry is never updated
     in place while it is read.
 
-    Before each multiply-add, the most terms its result can hold, acc's plus
-    the product of the factors' counts, is checked against
+    On maps, before each multiply-add, the most terms its result can hold,
+    acc's plus the product of the factors' counts, is checked against
     ``MAX_ENTRY_TERMS``, so no step does more work or builds a larger entry.
+    On lists (Z/n is abelian, so x*right is right*x) that bound is at most
+    n*(n+1), which ``_dense_order`` keeps within the cap.
     """
-    spec, same = w.spec, target == source
+    spec, dense, same = w.spec, w.dense, target == source
     if d < w.max_degree:
         m, width = w.rows(d), len(left)
         for i, row in enumerate(m):
@@ -456,8 +511,11 @@ def _change_basis(w: _Work, d: int, target: int, source: int, left: dict, right:
             if x:
                 if type(row) is tuple:
                     row = m[i] = list(row)
-                x = row[source] = _read(spec, x)
-                acc = _NO_TERMS if same else _read(spec, row[target])
+                x = row[source] = _read(spec, dense, x)
+                acc = _NO_TERMS if same else _read(spec, dense, row[target])
+                if dense:
+                    row[target] = _list_mul_add(acc, left, x)
+                    continue
                 bound = len(acc) + width * len(x)
                 if bound > MAX_ENTRY_TERMS:
                     raise _too_many_terms(d, bound)
@@ -467,12 +525,33 @@ def _change_basis(w: _Work, d: int, target: int, source: int, left: dict, right:
         src, out = _row(m, target), _row(m, source)
         for j, x in enumerate(src):
             if x:
-                x = src[j] = _read(spec, x)
-                acc = _NO_TERMS if same else _read(spec, out[j])
+                x = src[j] = _read(spec, dense, x)
+                acc = _NO_TERMS if same else _read(spec, dense, out[j])
+                if dense:
+                    out[j] = _list_mul_add(acc, right, x)
+                    continue
                 bound = len(acc) + len(x) * width
                 if bound > MAX_ENTRY_TERMS:
                     raise _too_many_terms(d - 1, bound)
                 out[j] = map_mul_add(spec, acc, x, right)
+
+
+def _list_mul_add(acc, a: dict, x: list):
+    """acc + a*x over Z/n, for an exponent map a and a list entry x (acc a
+    list entry or ``_NO_TERMS``): a new list, x itself when acc is zero and
+    a is 1, or ``_NO_TERMS`` when the sum is zero.  Each term c*g^e of a
+    rotates x by e and adds c times it; neither acc nor x is written."""
+    for e, c in a.items():
+        y = x[-e:] + x[:-e] if e else x
+        if not acc:
+            acc = y if c == 1 else list(map(mul, y, repeat(c)))
+        elif c == 1:
+            acc = list(map(add, acc, y))
+        elif c == -1:
+            acc = list(map(sub, acc, y))
+        else:
+            acc = list(map(add, acc, map(mul, y, repeat(c))))
+    return acc if any(acc) else _NO_TERMS
 
 
 def _too_many_terms(degree: int, bound: int) -> InvalidOpError:

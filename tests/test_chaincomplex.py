@@ -23,8 +23,11 @@ from torsionkit.cyclofield import (
     representation,
     zeta,
 )
+from torsionkit import chaincomplex
 from torsionkit.chaincomplex import (
+    MAX_DEGREES,
     MAX_TOTAL_RANK,
+    DegreeLimitError,
     NotAComplexError,
     RankLimitError,
     ShapeMismatchError,
@@ -444,6 +447,52 @@ class TestRankCap:
 
     def test_code_built_complexes_are_not_capped(self):
         assert based_complex(Z7, 0, (MAX_TOTAL_RANK + 1,), []).total_rank() == MAX_TOTAL_RANK + 1
+
+
+class TestDegreeCap:
+    """complex_from_obj holds the number of degrees a document's ranks list,
+    zero ranks included, to MAX_DEGREES, right after it reads ranks."""
+
+    @staticmethod
+    def doc(gap):
+        """Rank 1 at degrees 0 and gap + 1, and rank 0 between."""
+        return TestRankCap.doc([1] + [0] * gap + [1])
+
+    def test_long_file_is_refused(self):
+        """``long.json`` lists 1026 degrees of total rank 2."""
+        with pytest.raises(DegreeLimitError) as exc:
+            load_complex(Path(__file__).parent / "golden" / "long.json")
+        assert str(exc.value) == f"ranks list 1026 degrees, past the degree cap {MAX_DEGREES}"
+        assert isinstance(exc.value, RankLimitError) and isinstance(exc.value, ShapeMismatchError)
+
+    def test_a_long_gap_is_refused_before_any_matrix_is_built(self, monkeypatch):
+        """Uncapped, this 400 KB document ran ``torsion`` for 1.2 s and
+        46 MB before NOT_ACYCLIC, the time growing with the gap."""
+        built = []
+        monkeypatch.setattr(chaincomplex, "mat_zero", lambda *shape: built.append(shape))
+        doc = self.doc(200_000)
+        doc["differentials"] = {"0": "not a matrix"}
+        with pytest.raises(DegreeLimitError) as exc:
+            complex_from_obj(doc)
+        assert str(exc.value) == f"ranks list 200002 degrees, past the degree cap {MAX_DEGREES}"
+        assert built == []
+
+    def test_document_at_the_cap_reads(self):
+        c = complex_from_obj(self.doc(MAX_DEGREES - 2))
+        assert (c.min_degree, c.max_degree, c.total_rank()) == (0, MAX_DEGREES - 1, 2)
+        with pytest.raises(DegreeLimitError):
+            complex_from_obj(self.doc(MAX_DEGREES - 1))
+
+    def test_the_rank_cap_is_checked_first(self):
+        """A document past both caps keeps the rank cap's text."""
+        with pytest.raises(RankLimitError) as exc:
+            complex_from_obj(TestRankCap.doc([MAX_TOTAL_RANK + 1] + [0] * MAX_DEGREES))
+        assert not isinstance(exc.value, DegreeLimitError)
+
+    def test_code_built_complexes_are_not_capped(self):
+        ranks = (1,) + (0,) * MAX_DEGREES + (1,)
+        diffs = [()] * MAX_DEGREES + [((),)]  # d_i is rank(i + 1) x rank(i)
+        assert based_complex(Z7, 0, ranks, diffs).max_degree == MAX_DEGREES + 1
 
 
 def test_first_difference():

@@ -13,6 +13,7 @@ from torsionkit import torsion as torsion_module
 from torsionkit.cli import MAX_CERT_OPS, MAX_MODULUS, build_parser, main, parse_rep_spec, CliError
 from torsionkit.grouprings import GroupSpec, ONE_ELEM, from_int, generator_elem, ring_sub
 from torsionkit.chaincomplex import (
+    MAX_DEGREES,
     MAX_TOTAL_RANK,
     complex_from_obj,
     complex_to_obj,
@@ -445,6 +446,36 @@ class TestInputBounds:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["torsion", str(path), "--rep", "n=7;g0=1"]) == 2
         assert capsys.readouterr().out == f"NOT_ACYCLIC at degree 0 (defect {half})\n"
+
+    def test_degree_cap(self, tmp_path, monkeypatch, capsys):
+        """``long.json`` lists 1026 degrees (rank 1 at both ends, 0 between)
+        and is refused with the recorded error line; its end past the cap
+        names the certificate's part.  Uncapped, a gap of 200,000 zero
+        degrees ran ``torsion`` for 1.2 s and 46 MB before NOT_ACYCLIC."""
+        monkeypatch.chdir(tmp_path)
+        doc = json.loads((GOLDEN / "long.json").read_text(encoding="utf-8"))
+        (tmp_path / "long.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["torsion", "long.json", "--rep", "n=7;g0=1"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (GOLDEN / "torsion-long.stderr").read_text(encoding="utf-8"))
+        assert main(["gen-cert", "long.json", "--out", "out.json"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: long.json: ranks list 1026 degrees, past the degree cap {MAX_DEGREES}\n"
+        )
+        assert not (tmp_path / "out.json").exists()
+        cert = json.loads((GOLDEN / "cert.json").read_text(encoding="utf-8"))
+        for part in ("start", "end"):
+            (tmp_path / "c.json").write_text(json.dumps({**cert, part: doc}), encoding="utf-8")
+            assert main(["verify-cert", "c.json"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: c.json: {part}: ranks list 1026 degrees, past the degree cap {MAX_DEGREES}\n"
+            )
+        doc["ranks"] = doc["ranks"][:MAX_DEGREES - 1] + [1]
+        (tmp_path / "long.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["torsion", "long.json", "--rep", "n=7;g0=1"]) == 2
+        assert capsys.readouterr().out == "NOT_ACYCLIC at degree 0 (defect 1)\n"
 
     def test_golden_and_benchmark_complexes_fit_the_rank_cap(self):
         """The golden complexes, and the largest the benchmark verifies: a
