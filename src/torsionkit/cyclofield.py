@@ -7,17 +7,27 @@ denominator.
 Field arithmetic works in the lift Z[x]/(x^n - 1), where zeta^k is slot
 k mod n of an n-long coefficient list, and reduces mod Phi_n once per
 result, in ``_reduce_mod_phi``.  A product is one schoolbook convolution
-over the nonzero coefficients of its sparser factor (``cyclo_mul``); the
+over the nonzero coefficients of its sparser factor (``cyclo_mul``); a
+chain of them stays on integer numerators over the product of the
+denominators and is brought to lowest terms once (``cyclo_product``); the
 elimination step p*a - f*b adds two products of integer numerators, each
 over nonzero terms only, into one buffer (``terms_mul_sub``); a group-ring
 element scatters each term's coefficient into the slot of its exponent,
-read off its letter keys, and is reduced once to its integer vector
-(``rep_vector``, which the elimination reads; ``evaluate_rep`` wraps that
-vector as a value); zeta -> zeta^k moves slot j to slot j*k mod n
-(``galois_conjugate``).  Phi_n divides x^n - 1, so the reduction first
-adds slot k onto slot k mod n and then clears what is left above x^phi by
-Phi_n: at most n - phi coefficients, one for prime n, so a product
-reduces in O(n) there.
+found by its letter tuple (``_slot_table``), and is reduced once to its
+integer vector (``rep_vector``, which the elimination reads;
+``evaluate_rep`` wraps that vector as a value); zeta -> zeta^k moves slot
+j to slot j*k mod n (``galois_conjugate``).  Phi_n divides x^n - 1, so
+the reduction first adds slot k onto slot k mod n.
+
+The block identity.  For n = p^a, with m = n/p, Phi_n is the sum over
+j < p of x^(j*m), so x^n - 1 = (x^m - 1) * Phi_n, and the kernel of
+Z[x]/(x^n - 1) -> Z[zeta_n] is the vectors constant on each residue class
+mod m.  So an n-long lift w reduces by subtracting its top block: slot
+k < phi = n - m of the power-basis vector is w_k - w_(phi + k mod m), one
+pass over slices.  For n = 1 or n with two distinct prime factors the
+reduction clears what is left above x^phi from the top by the monic
+Phi_n, at most n - phi coefficients.
+
 Inversion goes through the Galois conjugates, so no polynomial gcd is ever
 needed: 1/a = (prod of conjugates of a) / norm(a).  The product comes from
 Itoh-Tsujii doubling chains, one per pair (d, o) of a coset decomposition
@@ -29,12 +39,12 @@ Also here: representations of group rings into Q(zeta_n), the finite unit
 subgroups +-rho(G), and torsion classes (units modulo that subgroup).
 +-rho(G) is {+-zeta^(jg)}, stored by its step g (the least g with zeta^g in
 it), so it is visibly stable under every zeta -> zeta^d.  Units act by
-rotation.  For n = p^a, with m = n/p, a value's cyclic difference sequence
-delta_i = w_i - w_(i-m) of any lift w is the same for every lift, zeta^k
-rotates it and its stride-m prefix sum is the power-basis vector; so the
-coset representative, the least point of the orbit, is the least rotation
-of delta or -delta by a multiple of g, found by comparing slices of the
-doubled sequence (``canonical_rep``).  A twist of a class at n = p^a
+rotation.  For n = p^a, by the block identity, a value's cyclic
+difference sequence delta_i = w_i - w_(i-m) is the same for every lift w,
+zeta^k rotates it and its stride-m prefix sum is the power-basis vector;
+so the coset representative, the least point of the orbit, is the least
+rotation of delta or -delta by a multiple of g, found by comparing slices
+of the doubled sequence (``canonical_rep``).  A twist of a class at n = p^a
 (``TorsionClass.conjugate``) permutes the representative's zero-padded
 lift by j -> j*d mod n, which is sigma_d on the lift, and takes the least
 rotation of that lift directly: no reduction mod Phi_n and no second
@@ -50,7 +60,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from operator import neg, sub
+from operator import add, neg, sub
 
 from .grouprings import GroupRingElem, GroupSpec, GroupWord, InvalidWordError, validate_word
 
@@ -113,13 +123,41 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
+@lru_cache(maxsize=64)
+def _prime_power_stride(n: int) -> int:
+    """n/p when n = p^a for a prime p and a >= 1, else 0 (n = 1, or n with
+    two distinct prime factors).  Phi_n is then sum over j < p of x^(j*n/p)."""
+    if n < 2:
+        return 0
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    rest = n
+    while rest % p == 0:
+        rest //= p
+    return n // p if rest == 1 else 0
+
+
 def _reduce_mod_phi(n: int, coeffs: list[int]) -> tuple[int, ...]:
     """The power-basis vector of a dense integer polynomial mod Phi_n.
 
-    Phi_n divides x^n - 1, so coefficient k first moves onto slot k mod n;
-    what is left above x^phi, at most n - phi coefficients (one for prime
-    n), is then cleared from the top by the monic Phi_n."""
+    Phi_n divides x^n - 1, so coefficient k first moves onto slot k mod n.
+    For n = p^a, with m = n/p, the lift is then n long, and subtracting
+    its top block of m coefficients from each of the p - 1 blocks below
+    clears it (the block identity of the module docstring).  For n = 1 or
+    n with two distinct prime factors what is left above x^phi, at most
+    n - phi coefficients, is cleared from the top by the monic Phi_n."""
     phi = euler_phi(n)
+    m = _prime_power_stride(n)
+    if m:
+        tmp, hi = coeffs[:n], coeffs[n:]
+        while hi:  # once for a product, whose length is below 2n
+            tmp[:len(hi)] = map(add, tmp, hi)
+            hi = hi[n:]
+        if len(tmp) < n:
+            tmp += [0] * (n - len(tmp))
+        if m == 1:
+            c = tmp[phi]
+            return tuple([x - c for x in tmp[:phi]] if c else tmp[:phi])
+        return tuple(map(sub, tmp[:phi], tmp[phi:] * (phi // m)))
     mod = cyclotomic_polynomial(n)
     if len(coeffs) > n:
         tmp = coeffs[:n]
@@ -261,6 +299,23 @@ def cyclo_mul(a: CycloNum, b: CycloNum) -> CycloNum:
     prod = [0] * (2 * len(a.nums) - 1)
     _poly_mul_add(prod, a.nums, b.nums, 1)
     return _make(a.n, _reduce_mod_phi(a.n, prod), a.den * b.den)
+
+
+def cyclo_product(xs) -> CycloNum:
+    """The product of a non-empty sequence of values of one Q(zeta_n), as
+    ``reduce(cyclo_mul, xs)`` gives it: the integer numerators are
+    multiplied and reduced one factor at a time over the product of the
+    denominators, and the result is brought to lowest terms once."""
+    first, *rest = xs
+    n = first.n
+    nums, den = first.nums, first.den
+    for x in rest:
+        _check_same_modulus(first, x)
+        prod = [0] * (2 * len(nums) - 1)
+        _poly_mul_add(prod, nums, x.nums, 1)
+        nums = _reduce_mod_phi(n, prod)
+        den *= x.den
+    return _make(n, nums, den)
 
 
 def terms_mul_sub(n: int, p, a, f, b) -> tuple[int, ...]:
@@ -447,27 +502,50 @@ def representation(spec: GroupSpec, modulus: int, exponents) -> Representation:
     return Representation(spec, modulus, tuple(int(e) for e in exponents))
 
 
+@lru_cache(maxsize=64)
+def _slot_table(m: int, g: int, n: int) -> dict[tuple, tuple[tuple, int]]:
+    """Each word of Z/m that ``rep_vector`` has read under g -> zeta_n^g,
+    by letter tuple: the tuple object last checked for it, and its lift
+    slot, e*g mod n for g^e.  Words enter when first read (``_check_slot``),
+    so the table holds one entry per word the input has used, not m."""
+    return {(): ((), 0)}
+
+
+def _check_slot(slots: dict, l, m: int, g: int, n: int) -> int:
+    """The lift slot of the word ``l`` of Z/m, entered into ``slots`` with
+    ``l`` as its checked object, if ``l`` is g^e with 0 <= e < m and int
+    letters; else ``InvalidWordError`` with ``map_form``'s text."""
+    if not l:
+        return 0
+    if len(l) == 1 and type(l[0][0]) is type(l[0][1]) is int and l[0][0] == 0 and 0 < l[0][1] < m:
+        k = l[0][1] * g % n
+        slots[l] = (l, k)
+        return k
+    raise InvalidWordError(f"not a reduced word of Z/{m}: {l}")
+
+
 def rep_vector(rep: Representation, x: GroupRingElem) -> tuple[int, ...]:
     """The power-basis integer vector of rho(x), reduced: each term's
     coefficient goes to the slot of its exponent in the lift, then one
-    reduction mod Phi_n.  The element's letter keys are read directly.
-    Over Z/m a word must be g^e with 0 <= e < m, and any other raises
-    ``InvalidWordError`` with ``map_form``'s text; free-product words go
-    through ``validate_word``."""
+    reduction mod Phi_n.  A word over Z/m must be g^e with 0 <= e < m and
+    int letters, and any other raises ``InvalidWordError`` with
+    ``map_form``'s text.  Its slot comes from ``_slot_table``, without a
+    check when the term's letter tuple is the very object checked last for
+    that word, as the shared keys of the element writers are; an equal
+    tuple is checked again, since 1.0 and True equal 1.  Free-product
+    words go through ``validate_word``."""
     n = rep.modulus
     spec = rep.spec
     exps = rep.generator_exponents
     acc = [0] * n
     if spec.kind == "cyclic":
         m = spec.factor_orders[0]
-        g = exps[0]
+        slots = _slot_table(m, exps[0], n)
         for l, c in x.coeffs.items():
-            if not l:
-                acc[0] += c
-            elif len(l) == 1 and l[0][0] == 0 and 0 < l[0][1] < m:
-                acc[l[0][1] * g % n] += c
-            else:
-                raise InvalidWordError(f"not a reduced word of Z/{m}: {l}")
+            checked, k = slots.get(l, (None, 0))
+            if checked is not l:
+                k = _check_slot(slots, l, m, exps[0], n)
+            acc[k] += c
     else:
         for l, c in x.coeffs.items():
             validate_word(spec, GroupWord(l))
@@ -517,19 +595,6 @@ def unit_subgroup(rep: Representation) -> UnitSubgroup:
     every one ever asked about."""
     n = rep.modulus
     return UnitSubgroup(n, gcd(n, *rep.generator_exponents))
-
-
-@lru_cache(maxsize=64)
-def _prime_power_stride(n: int) -> int:
-    """n/p when n = p^a for a prime p and a >= 1, else 0 (n = 1, or n with
-    two distinct prime factors).  Phi_n is then sum over j < p of x^(j*n/p)."""
-    if n < 2:
-        return 0
-    p = next(d for d in range(2, n + 1) if n % d == 0)
-    rest = n
-    while rest % p == 0:
-        rest //= p
-    return n // p if rest == 1 else 0
 
 
 def canonical_rep(u: CycloNum, units: UnitSubgroup) -> CycloNum:

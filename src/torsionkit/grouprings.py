@@ -12,7 +12,9 @@ their operands on every call.  Over Z/n the readers check a document word
 ``[]`` or ``[[0, e]]`` in place, as plain JSON ints (no bools) with factor 0
 and 0 < e < n, and read it at once; every other word takes the word path
 (``_word_from_obj``, then ``validate_word``), so a refused word gets the
-same error text either way.
+same error text either way.  Every word check, in code as in documents,
+takes int letters only: 1.0 and True equal 1, so a word built in code as
+((0, 1.0),) would otherwise read as g^1.
 ``ring_mul`` and ``ring_mul_add`` check each operand word once per product,
 not once per pair of terms, and raise ``InvalidWordError`` for a word that
 is not reduced.  Over Z/n, for every n, that check is reading the exponent
@@ -112,15 +114,17 @@ IDENTITY_WORD = GroupWord()
 
 
 def validate_word(spec: GroupSpec, w: GroupWord) -> None:
+    """Raise ``InvalidWordError`` unless ``w`` is a reduced word of ``spec``
+    whose factors and exponents are ints (not bools, not floats)."""
     orders = spec.factor_orders
     prev_factor = -1
     for factor, exp in w.letters:
-        if not 0 <= factor < len(orders):
+        if type(factor) is not int or not 0 <= factor < len(orders):
             raise InvalidWordError(f"factor index {factor} out of range")
         if factor == prev_factor:
             raise InvalidWordError("adjacent letters share a factor")
         order = orders[factor]
-        if not 1 <= exp <= order - 1:
+        if type(exp) is not int or not 1 <= exp <= order - 1:
             raise InvalidWordError(f"exponent {exp} not reduced mod {order}")
         prev_factor = factor
 
@@ -256,8 +260,9 @@ def ring_sub(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingEl
 
 def map_form(spec: GroupSpec, a: GroupRingElem) -> dict:
     """a's coefficients as a new working map that the caller owns, each word
-    checked: over Z/n a word that is not g^e with 0 <= e < n raises, over a
-    free product each word goes through ``validate_word``."""
+    checked: over Z/n a word that is not g^e with 0 <= e < n, in int
+    letters, raises; over a free product each word goes through
+    ``validate_word``."""
     if spec.kind != "cyclic":
         for l in a.coeffs:
             validate_word(spec, GroupWord(l))
@@ -267,7 +272,7 @@ def map_form(spec: GroupSpec, a: GroupRingElem) -> dict:
     for l, c in a.coeffs.items():
         if not l:
             out[0] = c
-        elif len(l) == 1 and l[0][0] == 0 and 0 < l[0][1] < n:
+        elif len(l) == 1 and type(l[0][0]) is type(l[0][1]) is int and l[0][0] == 0 and 0 < l[0][1] < n:
             out[l[0][1]] = c
         else:
             raise InvalidWordError(f"not a reduced word of Z/{n}: {l}")
@@ -281,7 +286,7 @@ def list_form(n: int, a: GroupRingElem) -> list[int]:
     for l, c in a.coeffs.items():
         if not l:
             out[0] = c
-        elif len(l) == 1 and l[0][0] == 0 and 0 < l[0][1] < n:
+        elif len(l) == 1 and type(l[0][0]) is type(l[0][1]) is int and l[0][0] == 0 and 0 < l[0][1] < n:
             out[l[0][1]] = c
         else:
             raise InvalidWordError(f"not a reduced word of Z/{n}: {l}")

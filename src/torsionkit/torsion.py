@@ -11,7 +11,8 @@ the basis (d_{i-1} e_j for j in S_{i-1}, then e_j for j in S_i) of C_i, and
 it enters with exponent (-1)^(i-1).  The value does not depend on which
 pivots are chosen.  Each minor is a product of pivot powers p^e (see
 _eliminate), so the value is one product of the factors with e > 0 over one
-product of those with e < 0: nothing is divided until the end, which
+product of those with e < 0 (``cyclofield.cyclo_product``, which brings
+each to lowest terms once): nothing is divided until the end, which
 inverts once, and only when some factor lands in the denominator.
 
 The elimination is left-looking (Golub and Van Loan, Matrix Computations,
@@ -58,7 +59,6 @@ every unit twist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import lcm
 
 from .cyclofield import (
@@ -67,8 +67,8 @@ from .cyclofield import (
     TorsionClass,
     cyclo_from_nums,
     cyclo_inv,
-    cyclo_mul,
     cyclo_one,
+    cyclo_product,
     cyclo_zero,
     rep_vector,
     terms_mul_sub,
@@ -267,8 +267,8 @@ def _torsion(c, modulus: int, entry, pivot_strategy: str) -> CycloNum:
     if failure is not None:
         raise failure
     if den:
-        num.append(cyclo_inv(reduce(cyclo_mul, den)))
-    value = reduce(cyclo_mul, num) if num else cyclo_one(modulus)
+        num.append(cyclo_inv(cyclo_product(den)))
+    value = cyclo_product(num) if num else cyclo_one(modulus)
     return -value if odd else value
 
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -939,6 +940,9 @@ class TestCertificates:
 
 
 GOLDEN = Path(__file__).parent / "golden"
+# sha256 of ``gen-cert l25-2.json --length 200 --seed 3``; the CI workflow
+# pins the same digest
+CERT_25_SHA256 = "46563ad3062b443c4cc799179c12e2bce756482ff1efd4e7ca3ff6e7ba271831"
 
 GOLDEN_CASES = {
     "lens-classify": (["lens-classify", "7", "1", "2", "--all-d"], 0),
@@ -1041,6 +1045,28 @@ class TestGoldenOutput:
         (tmp_path / "growth13.json").write_bytes((GOLDEN / "growth13.json").read_bytes())
         assert main(["torsion", "growth13.json", "--rep", "n=13;g0=1"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "torsion-growth13.text").read_text(encoding="utf-8")
+
+    def test_lens_space_at_a_prime_power(self, tmp_path, monkeypatch, capsys):
+        """L(25,2) over Q(zeta_25): n = 5^2, so every reduction mod Phi_25
+        subtracts a top block of m = 5 coefficients, a path no benchmark
+        workload takes (their moduli are prime).  The complex, its torsion
+        class, a 200-op certificate (by sha256) and its verification, each
+        byte for byte as recorded before the block reduction."""
+        monkeypatch.chdir(tmp_path)
+
+        def golden(name):
+            return (GOLDEN / name).read_text(encoding="utf-8")
+
+        assert main(["lens-emit", "25", "2", "--out", "l25-2.json"]) == 0
+        assert capsys.readouterr().out == golden("lens-emit-25.text")
+        assert (tmp_path / "l25-2.json").read_bytes() == (GOLDEN / "l25-2.json").read_bytes()
+        assert main(["torsion", "l25-2.json", "--rep", "n=25;g0=1"]) == 0
+        assert capsys.readouterr().out == golden("torsion-l25-2.text")
+        assert main(["gen-cert", "l25-2.json", "--length", "200", "--seed", "3", "--out", "cert25.json"]) == 0
+        assert capsys.readouterr().out == golden("gen-cert-25.text")
+        assert hashlib.sha256((tmp_path / "cert25.json").read_bytes()).hexdigest() == CERT_25_SHA256
+        assert main(["verify-cert", "cert25.json"]) == 0
+        assert capsys.readouterr().out == golden("verify-cert-25.text")
 
     def test_six_step_growth_input_is_refused(self, tmp_path, monkeypatch, capsys):
         """Six scramble steps per unit of rank instead of growth13.json's

@@ -2,6 +2,7 @@ import dataclasses
 import pickle
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 import pytest
@@ -497,7 +498,7 @@ def test_rendering():
 
 # --- the lift Z[x]/(x^n - 1) against the row arithmetic it replaced ---
 
-LIFT_MODULI = [1, 2, 3, 4, 6, 8, 9, 12, 15, 30, 31, 61, 127]
+LIFT_MODULI = [1, 2, 3, 4, 6, 8, 9, 12, 15, 25, 27, 30, 31, 49, 61, 125, 127]
 
 
 def reference_reduce(n, coeffs):
@@ -569,7 +570,7 @@ def lift_values(n, count, seed):
 class TestLift:
     def test_reduction_matches_unfolded(self, n):
         rng = random.Random(n)
-        for length in (1, euler_phi(n), n, 2 * euler_phi(n) - 1, 2 * n + 3, 3 * n):
+        for length in (0, 1, euler_phi(n), n, 2 * euler_phi(n) - 1, 2 * n + 3, 3 * n, 4 * n + 1):
             coeffs = [rng.randint(-99, 99) for _ in range(length)]
             assert list(cyclofield._reduce_mod_phi(n, coeffs)) == reference_reduce(n, coeffs)
 
@@ -582,6 +583,18 @@ class TestLift:
         for a in values:
             for b in values:
                 assert cyclo_mul(a, b) == reference_mul(a, b)
+
+    def test_product_matches_a_chain_of_products(self, n):
+        """``cyclo_product`` normalises once; ``reduce(cyclo_mul, xs)`` after
+        every product.  Chains of 1 to 6 values, zero among them at times,
+        over denominators up to 30."""
+        values = lift_values(n, 4 if n > 60 else 8, n + 3)
+        rng = random.Random(n)
+        for length in range(1, 7):
+            for _ in range(2 if n > 60 else 4):
+                xs = [rng.choice(values) for _ in range(length)]
+                got = cyclofield.cyclo_product(xs)
+                assert got == reduce(cyclo_mul, xs)
 
     def test_mul_sub_matches_two_products(self, n):
         """The elimination's update p*a - f*b on integer numerators, with
@@ -650,6 +663,12 @@ def test_evaluate_rep_matches_rows_beyond_the_regular_rep(rep):
         (representation(FP77, 7, [1, 1]), ((2, 1),)),
         (representation(FP77, 7, [1, 1]), ((1, 7),)),
         (representation(GroupSpec.cyclic(12), 4, [1]), ((0, 12),)),
+        (representation(Z7, 7, [1]), ((0, 1.0),)),
+        (representation(Z7, 7, [1]), ((0, True),)),
+        (representation(Z7, 7, [1]), ((False, 1),)),
+        (representation(GroupSpec.cyclic(25), 25, [2]), ((0, 3.0),)),
+        (representation(FP77, 7, [1, 1]), ((0, 1.0),)),
+        (representation(FP77, 7, [1, 1]), ((True, 1),)),
     ],
     ids=lambda v: rep_id(v) if hasattr(v, "spec") else str(v),
 )
@@ -668,6 +687,24 @@ def test_evaluate_rep_rejects_invalid_words(rep, letters):
             reader(rep, x)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+
+def test_a_word_read_before_admits_no_equal_word_of_other_letter_types():
+    """rep_vector's slot table keeps each word it has checked; a term whose
+    letter tuple equals one of them with a float or bool letter is still
+    refused, and an equal tuple of ints still reads."""
+    rep = representation(Z7, 7, [3])
+    assert callable(cyclofield._slot_table.cache_clear)  # so perfbench clears it
+    cyclofield._slot_table.cache_clear()
+    good = elem_from_dict({GroupWord(((0, 1),)): 2, GroupWord(): 1})
+    want = rep_vector(rep, good)
+    for letters in (((0, 1.0),), ((0, True),), ((False, 1),), ((0.0, True),)):
+        x = elem_from_dict({GroupWord(letters): 2, GroupWord(): 1})
+        with pytest.raises(InvalidWordError, match=r"^not a reduced word of Z/7: "):
+            rep_vector(rep, x)
+    again = elem_from_dict({GroupWord(tuple([(0, int("1"))])): 2, GroupWord(): 1})
+    assert next(iter(again.coeffs)) is not next(iter(good.coeffs))
+    assert rep_vector(rep, again) == rep_vector(rep, good) == want
 
 
 def rep_vector_families():

@@ -17,6 +17,8 @@ from torsionkit.grouprings import (
     from_int,
     generator_elem,
     generator_word,
+    list_form,
+    map_form,
     norm_elem,
     ring_add,
     ring_mul,
@@ -104,6 +106,33 @@ class TestWordMultiply:
             validate_word(FP77, GroupWord(((0, 1), (0, 2))))
         with pytest.raises(InvalidWordError):
             word_multiply(Z7, GroupWord(((0, 1), (0, 1))), IDENTITY_WORD)
+
+
+NON_INT_LETTERS = [
+    (((0, 1.0),), "exponent 1.0 not reduced mod 7"),
+    (((0, True),), "exponent True not reduced mod 7"),
+    (((False, 1),), "factor index False out of range"),
+    (((0.0, 1),), "factor index 0.0 out of range"),
+    (((0, 1), (1, 2.0)), "exponent 2.0 not reduced mod 7"),
+]
+
+
+@pytest.mark.parametrize("letters, text", NON_INT_LETTERS, ids=[str(l) for l, _ in NON_INT_LETTERS])
+def test_word_readers_refuse_non_int_letters(letters, text):
+    """1.0 and True equal 1 and hash alike, so each reader checks the type
+    of every factor and exponent: over Z/7 map_form and list_form refuse
+    with their text, and validate_word with its own (over Z/7 * Z/7, where
+    every letter here is in range)."""
+    x = elem_from_dict({GroupWord(letters): 2, GroupWord(): 1})
+    for read in (lambda: map_form(Z7, x), lambda: list_form(7, x)):
+        with pytest.raises(InvalidWordError) as exc:
+            read()
+        assert str(exc.value) == f"not a reduced word of Z/7: {letters}"
+    with pytest.raises(InvalidWordError):
+        validate_word(Z7, GroupWord(letters))
+    with pytest.raises(InvalidWordError) as exc:
+        validate_word(FP77, GroupWord(letters))
+    assert str(exc.value) == text
 
 
 class TestRingOps:

@@ -21,6 +21,7 @@ from torsionkit.cyclofield import (
     cyclo_inv,
     cyclo_mul,
     cyclo_one,
+    cyclo_product,
     cyclo_zero,
     cyclo_pow,
     evaluate_rep,
@@ -869,35 +870,39 @@ def test_fraction_entries_match_reference(n, strategy):
 
 class TestFieldTorsionProducts:
     """field_torsion makes one product of the numerator factors and one of
-    the denominator factors, starting from neither one, and inverts only a
-    non-empty denominator."""
+    the denominator factors (``cyclo_product``), starting from neither one,
+    and inverts only a non-empty denominator."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        calls = {"mul": [], "inv": []}
+        calls = {"product": [], "inv": []}
 
-        def mul(a, b):
-            calls["mul"].append((a, b))
-            return cyclo_mul(a, b)
+        def product(xs):
+            calls["product"].append(list(xs))
+            return cyclo_product(xs)
 
         def inv(a):
             calls["inv"].append(a)
             return cyclo_inv(a)
 
-        monkeypatch.setattr(torsion_module, "cyclo_mul", mul)
+        monkeypatch.setattr(torsion_module, "cyclo_product", product)
         monkeypatch.setattr(torsion_module, "cyclo_inv", inv)
         return calls
 
     @staticmethod
+    def multiplications(calls):
+        return sum(len(xs) - 1 for xs in calls["product"])
+
+    @staticmethod
     def assert_no_product_by_one(calls, n):
         one = cyclo_one(n)
-        assert all(one not in pair for pair in calls["mul"])
+        assert all(one not in xs for xs in calls["product"])
 
     def test_lens_72_inverts_nothing(self, calls):
         fc = base_change(lens_complex(lens_params(7, 2)), REP)
         assert field_torsion(fc) == cyclo_mul(one_minus_zeta(4), one_minus_zeta(1))
         assert calls["inv"] == []
-        assert len(calls["mul"]) == 1
+        assert len(calls["product"]) == 1 and self.multiplications(calls) == 1
         self.assert_no_product_by_one(calls, 7)
 
     def test_a_denominator_factor_inverts_once(self, calls):
@@ -906,17 +911,18 @@ class TestFieldTorsionProducts:
         fc = FieldComplex(7, 1, 2, (1, 1), (((u,),),), (("a",), ("b",)))
         assert field_torsion(fc) == cyclo_inv(u)
         assert calls["inv"] == [u]
-        assert calls["mul"] == []
+        assert self.multiplications(calls) == 0
 
     def test_one_product_per_side(self, calls):
         """Pieces u_0..u_3 from degree k+1 to k: u_0 and u_2 are numerator
-        factors, u_1 and u_3 denominator factors, so three products and
-        one inversion in all."""
+        factors, u_1 and u_3 denominator factors, so three multiplications
+        in two products, and one inversion in all."""
         n = 13
         us = [cyclo_fraction(n, Fraction(k + 2, 3)) - zeta(n, k + 1) for k in range(4)]
         fc = scrambled_field_complex(n, random.Random(5), list(enumerate(us)), steps=0)
         value = field_torsion(fc)
-        assert len(calls["mul"]) == 3 and len(calls["inv"]) == 1
+        assert len(calls["product"]) == 2 and self.multiplications(calls) == 3
+        assert len(calls["inv"]) == 1
         self.assert_no_product_by_one(calls, n)
         assert value == reference_field_torsion(fc)
 
@@ -927,7 +933,7 @@ class TestFieldTorsionProducts:
             entries = [(rng.randrange(3), fraction_entry(n, rng, 0)) for _ in range(4)]
             entries = [(k, u) for k, u in entries if u]  # two terms may cancel
             fc = scrambled_field_complex(n, rng, entries)
-            calls["mul"].clear()
+            calls["product"].clear()
             calls["inv"].clear()
             field_torsion(fc)
             assert len(calls["inv"]) <= 1
