@@ -228,9 +228,12 @@ def based_complex(
     """Build a complex from ranks and differential matrices, shape-checked.
 
     ``differentials`` lists the matrices for degrees min_degree .. top-1; use
-    ``validate`` to additionally check d.d = 0.
+    ``validate`` to additionally check d.d = 0.  Ranks are nonnegative ints;
+    a float or bool rank is refused rather than truncated.
     """
-    ranks = tuple(int(r) for r in ranks)
+    ranks = tuple(ranks)
+    if any(type(r) is not int for r in ranks):
+        raise ShapeMismatchError(f"ranks must be ints, got {ranks!r}")
     if any(r < 0 for r in ranks):
         raise ShapeMismatchError("ranks must be nonnegative")
     if not ranks:
@@ -266,9 +269,7 @@ def based_complex(
         )
     else:
         labels = tuple(tuple(ls) for ls in labels)
-        if len(labels) != len(ranks) or any(
-            len(ls) != r for ls, r in zip(labels, ranks)
-        ):
+        if any(len(ls) != r for ls, r in zip(labels, ranks)):
             raise ShapeMismatchError("labels must match ranks degreewise")
     return BasedComplex(spec, min_degree, max_degree, ranks, mats, labels)
 

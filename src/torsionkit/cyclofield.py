@@ -13,7 +13,8 @@ denominators and is brought to lowest terms once (``cyclo_product``); the
 elimination step p*a - f*b adds two products of integer numerators, each
 over nonzero terms only, into one buffer (``terms_mul_sub``); a group-ring
 element scatters each term's coefficient into the slot of its exponent,
-found by its letter tuple (``_slot_table``), and is reduced once to its
+found by its letter tuple in a memo of the words ``grouprings``'s one
+checker has accepted (``_lift_slots``), and is reduced once to its
 integer vector (``rep_vector``, which the elimination reads;
 ``evaluate_rep`` wraps that vector as a value); zeta -> zeta^k moves slot
 j to slot j*k mod n (``galois_conjugate``).  Phi_n divides x^n - 1, so
@@ -62,7 +63,7 @@ from itertools import accumulate
 from math import gcd
 from operator import add, neg, sub
 
-from .grouprings import GroupRingElem, GroupSpec, GroupWord, InvalidWordError, validate_word
+from .grouprings import GroupRingElem, GroupSpec, GroupWord, cyclic_exponent, validate_word
 
 
 class ModulusMismatchError(ValueError):
@@ -485,6 +486,8 @@ class Representation:
 
     def __post_init__(self) -> None:
         n = self.modulus
+        if type(n) is not int or any(type(e) is not int for e in self.generator_exponents):
+            raise ValueError(f"modulus and exponents must be ints, got {n!r} and {self.generator_exponents!r}")
         if n < 1:
             raise ValueError(f"modulus must be >= 1, got {n}")
         exps = tuple(e % n for e in self.generator_exponents)
@@ -499,52 +502,41 @@ class Representation:
 
 
 def representation(spec: GroupSpec, modulus: int, exponents) -> Representation:
-    return Representation(spec, modulus, tuple(int(e) for e in exponents))
+    return Representation(spec, modulus, tuple(exponents))
 
 
 @lru_cache(maxsize=64)
-def _slot_table(m: int, g: int, n: int) -> dict[tuple, tuple[tuple, int]]:
+def _lift_slots(m: int, g: int, n: int) -> dict[tuple, tuple[tuple, int]]:
     """Each word of Z/m that ``rep_vector`` has read under g -> zeta_n^g,
-    by letter tuple: the tuple object last checked for it, and its lift
-    slot, e*g mod n for g^e.  Words enter when first read (``_check_slot``),
-    so the table holds one entry per word the input has used, not m."""
-    return {(): ((), 0)}
-
-
-def _check_slot(slots: dict, l, m: int, g: int, n: int) -> int:
-    """The lift slot of the word ``l`` of Z/m, entered into ``slots`` with
-    ``l`` as its checked object, if ``l`` is g^e with 0 <= e < m and int
-    letters; else ``InvalidWordError`` with ``map_form``'s text."""
-    if not l:
-        return 0
-    if len(l) == 1 and type(l[0][0]) is type(l[0][1]) is int and l[0][0] == 0 and 0 < l[0][1] < m:
-        k = l[0][1] * g % n
-        slots[l] = (l, k)
-        return k
-    raise InvalidWordError(f"not a reduced word of Z/{m}: {l}")
+    by letter tuple: the tuple object ``cyclic_exponent`` accepted for it,
+    and its lift slot, e*g mod n for g^e.  Read as ``grouprings``'s word
+    table is, and kept beside it so that a read costs no product."""
+    return {}
 
 
 def rep_vector(rep: Representation, x: GroupRingElem) -> tuple[int, ...]:
     """The power-basis integer vector of rho(x), reduced: each term's
     coefficient goes to the slot of its exponent in the lift, then one
-    reduction mod Phi_n.  A word over Z/m must be g^e with 0 <= e < m and
-    int letters, and any other raises ``InvalidWordError`` with
-    ``map_form``'s text.  Its slot comes from ``_slot_table``, without a
-    check when the term's letter tuple is the very object checked last for
-    that word, as the shared keys of the element writers are; an equal
-    tuple is checked again, since 1.0 and True equal 1.  Free-product
-    words go through ``validate_word``."""
+    reduction mod Phi_n.  Over Z/m a term's slot comes from ``_lift_slots``
+    when its letter tuple is the object accepted for that word; any other
+    key is checked by ``cyclic_exponent``, which refuses what is not a word
+    of Z/m with ``map_form``'s error, and its slot enters the memo.
+    Free-product words go through ``validate_word``."""
     n = rep.modulus
     spec = rep.spec
     exps = rep.generator_exponents
     acc = [0] * n
     if spec.kind == "cyclic":
         m = spec.factor_orders[0]
-        slots = _slot_table(m, exps[0], n)
+        slots = _lift_slots(m, exps[0], n)
         for l, c in x.coeffs.items():
-            checked, k = slots.get(l, (None, 0))
-            if checked is not l:
-                k = _check_slot(slots, l, m, exps[0], n)
+            try:
+                checked, k = slots[l]
+                if checked is not l:
+                    raise KeyError(l)
+            except KeyError:
+                k = cyclic_exponent(m, l) * exps[0] % n
+                slots[l] = (l, k)
             acc[k] += c
     else:
         for l, c in x.coeffs.items():

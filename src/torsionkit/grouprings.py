@@ -15,13 +15,22 @@ and 0 < e < n, and read it at once; every other word takes the word path
 same error text either way.  Every word check, in code as in documents,
 takes int letters only: 1.0 and True equal 1, so a word built in code as
 ((0, 1.0),) would otherwise read as g^1.
-``ring_mul`` and ``ring_mul_add`` check each operand word once per product,
-not once per pair of terms, and raise ``InvalidWordError`` for a word that
-is not reduced.  Over Z/n, for every n, that check is reading the exponent
-e (0 <= e < n) off the word, and elements multiply as sums indexed by the
-exponent, a cyclic convolution.  Over a free product two words
-concatenate when the seam letters lie in different factors and merge on a
-stack when they share one.
+
+An element's words are checked where its map is read.  Over Z/n one
+function, ``cyclic_exponent``, decides: a key is the word g^e only if it is
+the tuple ``()`` (e = 0) or ``((0, e),)`` with int letters and 0 < e < n,
+and any other key, such as None, 0 or a letter that is not a pair, raises
+``InvalidWordError`` with the text ``not a reduced word of Z/n: ...``.  It
+enters each tuple object it accepts into the word table of Z/n
+(``_word_table``), and the map readers ``map_form``, ``list_form`` (which
+``int_value`` reads the trivial group Z/1 with) and
+``cyclofield.rep_vector`` check a term only when its letter tuple is not
+that object.  Over a free product each word goes through
+``validate_word``.  So ``ring_mul`` and ``ring_mul_add`` check each operand
+word once per product, not once per pair of terms.  Over Z/n elements
+multiply as sums indexed by the exponent, a cyclic convolution.  Over a
+free product two words concatenate when the seam letters lie in different
+factors and merge on a stack when they share one.
 
 Coefficient maps.  An element is one map, ``GroupRingElem.coeffs``, from the
 letter tuple of each word to its coefficient, none zero, over every group;
@@ -29,8 +38,8 @@ nothing writes it once the element holds it, and ``_word_order`` lists it in
 the order of the element's text and document.  Arithmetic runs on working
 maps that the caller owns, keyed by the exponent over Z/n (an int hashes
 faster than a letter tuple) and by the letter tuple over a free product.
-``map_form`` is the map reader: it checks each word and gives the exponent
-map over Z/n and a copy of the element's map over a free product.
+``map_form`` is the map reader: it gives the exponent map over Z/n and a
+copy of the element's map over a free product.
 ``elem_from_map`` is the writer; over a free product the element keeps the
 working map.  Each group kind has one multiply-add kernel,
 ``exponent_mul_add`` and ``letter_mul_add``, which adds into a non-empty
@@ -38,8 +47,8 @@ accumulator in place; ``map_mul_add`` picks it.  ``ring_mul_add`` reads its
 operands, runs the kernel and writes the result; ``simpleops`` folds simple
 operations on working maps the same way, writing each entry once.  Over a
 small Z/n ``simpleops`` works on lists of n coefficients indexed by exponent
-instead: ``list_form`` reads an element into one, with ``map_form``'s word
-checks and text, and ``power_keys`` gives the key of each index.
+instead: ``list_form`` reads an element into one, and ``power_keys`` gives
+the key of each index.
 """
 from __future__ import annotations
 
@@ -164,11 +173,12 @@ def word_inverse(spec: GroupSpec, w: GroupWord) -> GroupWord:
 
 
 def generator_word(spec: GroupSpec, factor: int = 0, exp: int = 1) -> GroupWord:
-    """The word g_factor^exp, reduced (exp taken mod the factor order)."""
+    """The word g_factor^exp, reduced (exp taken mod the factor order); a
+    power of factor 0 spells its letters with the shared ``_power_key``."""
     exp %= spec.order_of(factor)
     if exp == 0:
         return IDENTITY_WORD
-    w = GroupWord(((factor, exp),))
+    w = GroupWord(_power_key(exp) if factor == 0 else ((factor, exp),))
     validate_word(spec, w)
     return w
 
@@ -258,45 +268,69 @@ def ring_sub(spec: GroupSpec, a: GroupRingElem, b: GroupRingElem) -> GroupRingEl
 # the exponent over Z/n and by the letter tuple over a free product.
 
 
+@lru_cache(maxsize=64)
+def _word_table(n: int) -> dict[tuple, tuple[tuple, int]]:
+    """Each word of Z/n read so far, by letter tuple: the tuple object
+    ``cyclic_exponent`` checked for it, and its exponent.  Words enter when
+    first read, so the table holds the words the input has used, not n.  A
+    reader takes a key that is missing, or equal to an entry's tuple but not
+    that object (1.0 and True equal 1), as not read, and checks it."""
+    return {}
+
+
+def cyclic_exponent(n: int, l) -> int:
+    """e when l is the letter tuple of g^e in Z/n, ``()`` or ``((0, e),)``
+    with int letters and 0 < e < n, entered into the word table of Z/n
+    with l as its checked object; any other key raises
+    ``InvalidWordError``."""
+    if type(l) is tuple and (not l or len(l) == 1 and type(l[0]) is tuple and len(l[0]) == 2):
+        f, e = l[0] if l else (0, 0)
+        if type(f) is type(e) is int and f == 0 and (0 < e < n or not l):
+            _word_table(n)[l] = (l, e)
+            return e
+    raise InvalidWordError(f"not a reduced word of Z/{n}: {l}")
+
+
 def map_form(spec: GroupSpec, a: GroupRingElem) -> dict:
     """a's coefficients as a new working map that the caller owns, each word
-    checked: over Z/n a word that is not g^e with 0 <= e < n, in int
-    letters, raises; over a free product each word goes through
-    ``validate_word``."""
+    checked: over Z/n by ``cyclic_exponent`` through the word table
+    (``_read_exponents``), into the exponent map; over a free product by
+    ``validate_word``, into a copy of a's map."""
     if spec.kind != "cyclic":
         for l in a.coeffs:
             validate_word(spec, GroupWord(l))
         return dict(a.coeffs)
-    n = spec.factor_orders[0]
-    out = {}
-    for l, c in a.coeffs.items():
-        if not l:
-            out[0] = c
-        elif len(l) == 1 and type(l[0][0]) is type(l[0][1]) is int and l[0][0] == 0 and 0 < l[0][1] < n:
-            out[l[0][1]] = c
-        else:
-            raise InvalidWordError(f"not a reduced word of Z/{n}: {l}")
-    return out
+    return _read_exponents(spec.factor_orders[0], a, {})
 
 
 def list_form(n: int, a: GroupRingElem) -> list[int]:
     """a's coefficients over Z/n as a new list of n integers, the one at
     index e that of g^e, each word checked as ``map_form`` checks it."""
-    out = [0] * n
+    return _read_exponents(n, a, [0] * n)
+
+
+def _read_exponents(n: int, a: GroupRingElem, out):
+    """out, an empty map or a list of n zeros, with a's coefficient of each
+    g^e at e.  A term whose letter tuple is the object the word table of Z/n
+    holds for its word is read from the table; any other goes through
+    ``cyclic_exponent``."""
+    table = _word_table(n)
     for l, c in a.coeffs.items():
-        if not l:
-            out[0] = c
-        elif len(l) == 1 and type(l[0][0]) is type(l[0][1]) is int and l[0][0] == 0 and 0 < l[0][1] < n:
-            out[l[0][1]] = c
-        else:
-            raise InvalidWordError(f"not a reduced word of Z/{n}: {l}")
+        try:
+            checked, e = table[l]
+            if checked is not l:
+                raise KeyError(l)
+        except KeyError:
+            e = cyclic_exponent(n, l)
+        out[e] = c
     return out
 
 
 @lru_cache(maxsize=1024)
 def _power_key(k: int) -> tuple:
-    """The letter tuple of g^k of factor 0, one object per k for the
-    elements that ``elem_from_map`` and ``elem_from_obj`` write."""
+    """The letter tuple of g^k of factor 0, one object per k for the words
+    and elements that ``generator_word``, ``elem_from_map`` and
+    ``elem_from_obj`` write, so that a word table's check holds for them."""
     return ((0, k),) if k else ()
 
 
@@ -403,11 +437,9 @@ def norm_elem(spec: GroupSpec, factor: int = 0) -> GroupRingElem:
 
 
 def int_value(a: GroupRingElem) -> int:
-    """The integer an element over the trivial group represents."""
-    for l in a.coeffs:
-        if l:
-            raise InvalidWordError("element has non-identity terms")
-    return augmentation(a)
+    """The integer an element over the trivial group Z/1 represents, its
+    words read as ``list_form`` reads them: any key but ``()`` raises."""
+    return list_form(1, a)[0]
 
 
 # --- serialization: [[coeff, [[factor, exp], ...]], ...], identity word [] ---

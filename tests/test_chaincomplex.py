@@ -87,6 +87,12 @@ class TestValidate:
         with pytest.raises(ShapeMismatchError):
             based_complex(Z7, 0, (1, 1), [((ONE_ELEM,),)], labels=[("a",), ()])
 
+    @pytest.mark.parametrize("ranks", [(1.9, 1.2), (1.0, 1), (True, 1), (1, "1")], ids=str)
+    def test_non_int_ranks_refused(self, ranks):
+        """A rank 1.9 would truncate to 1 and True read as 1."""
+        with pytest.raises(ShapeMismatchError, match=r"^ranks must be ints, got "):
+            based_complex(Z7, 0, ranks, [((ONE_ELEM,),)])
+
     def test_fuzzed_entry_breaks_validation_overwhelmingly(self):
         rng = random.Random(13)
         c = lens_complex(lens_params(7, 2))

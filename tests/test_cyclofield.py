@@ -18,12 +18,13 @@ from torsionkit.grouprings import (
     monomial,
     ONE_ELEM,
     generator_elem,
+    list_form,
     map_form,
     ring_mul,
     ring_sub,
     validate_word,
 )
-from torsionkit import cyclofield
+from torsionkit import cyclofield, grouprings
 from torsionkit.cyclofield import (
     CycloNum,
     UnitSubgroup,
@@ -44,6 +45,7 @@ from torsionkit.cyclofield import (
     evaluate_rep,
     galois_conjugate,
     rep_vector,
+    Representation,
     representation,
     torsion_class,
     unit_chains,
@@ -195,6 +197,18 @@ class TestRepresentations:
     def test_invalid_exponent_rejected(self):
         with pytest.raises(ValueError):
             representation(Z7, 12, [1])  # order 7 generator cannot go to zeta_12
+
+    @pytest.mark.parametrize(
+        "modulus, exponents",
+        [(7, (1.9,)), (7, (True,)), (7, (1.0,)), (7.0, (1,)), (True, (0,)), (7, ("1",))],
+        ids=str,
+    )
+    def test_non_int_modulus_or_exponent_rejected(self, modulus, exponents):
+        """A float, bool or string modulus or exponent is refused, not
+        truncated: 1.9 would read as 1 and True as 1."""
+        for build in (representation, Representation):
+            with pytest.raises(ValueError, match="^modulus and exponents must be ints"):
+                build(Z7, modulus, exponents)
 
     def test_unit_subgroup_sizes(self):
         assert len(unit_subgroup(representation(Z7, 7, [1])).elements) == 14
@@ -669,8 +683,9 @@ def test_evaluate_rep_matches_rows_beyond_the_regular_rep(rep):
         (representation(GroupSpec.cyclic(25), 25, [2]), ((0, 3.0),)),
         (representation(FP77, 7, [1, 1]), ((0, 1.0),)),
         (representation(FP77, 7, [1, 1]), ((True, 1),)),
+        *((representation(Z7, 7, [1]), key) for key in (None, 0, "", False, (5,), ((5,),), ((0,),), ((0, 1, 2),))),
     ],
-    ids=lambda v: rep_id(v) if hasattr(v, "spec") else str(v),
+    ids=lambda v: rep_id(v) if hasattr(v, "spec") else str(v) or repr(v),
 )
 def test_evaluate_rep_rejects_invalid_words(rep, letters):
     """evaluate_rep and rep_vector refuse a word with the class and text of
@@ -690,21 +705,25 @@ def test_evaluate_rep_rejects_invalid_words(rep, letters):
 
 
 def test_a_word_read_before_admits_no_equal_word_of_other_letter_types():
-    """rep_vector's slot table keeps each word it has checked; a term whose
-    letter tuple equals one of them with a float or bool letter is still
-    refused, and an equal tuple of ints still reads."""
+    """The word table of Z/7, which map_form and list_form read, and
+    rep_vector's memo of slots keep each word checked; a term whose letter
+    tuple equals one of them with a float or bool letter is still refused
+    by every reader, and an equal tuple of ints still reads."""
     rep = representation(Z7, 7, [3])
-    assert callable(cyclofield._slot_table.cache_clear)  # so perfbench clears it
-    cyclofield._slot_table.cache_clear()
+    for cache in (grouprings._word_table, cyclofield._lift_slots):
+        assert callable(cache.cache_clear)  # so perfbench clears it
+        cache.cache_clear()
+    readers = (lambda x: rep_vector(rep, x), lambda x: map_form(Z7, x), lambda x: list_form(7, x))
     good = elem_from_dict({GroupWord(((0, 1),)): 2, GroupWord(): 1})
-    want = rep_vector(rep, good)
+    want = [read(good) for read in readers]
     for letters in (((0, 1.0),), ((0, True),), ((False, 1),), ((0.0, True),)):
         x = elem_from_dict({GroupWord(letters): 2, GroupWord(): 1})
-        with pytest.raises(InvalidWordError, match=r"^not a reduced word of Z/7: "):
-            rep_vector(rep, x)
+        for read in readers:
+            with pytest.raises(InvalidWordError, match=r"^not a reduced word of Z/7: "):
+                read(x)
     again = elem_from_dict({GroupWord(tuple([(0, int("1"))])): 2, GroupWord(): 1})
     assert next(iter(again.coeffs)) is not next(iter(good.coeffs))
-    assert rep_vector(rep, again) == rep_vector(rep, good) == want
+    assert [read(again) for read in readers] == [read(good) for read in readers] == want
 
 
 def rep_vector_families():

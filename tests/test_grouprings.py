@@ -17,11 +17,13 @@ from torsionkit.grouprings import (
     from_int,
     generator_elem,
     generator_word,
+    int_value,
     list_form,
     map_form,
     norm_elem,
     ring_add,
     ring_mul,
+    ring_mul_add,
     ring_sub,
     validate_word,
     word_inverse,
@@ -114,25 +116,49 @@ NON_INT_LETTERS = [
     (((False, 1),), "factor index False out of range"),
     (((0.0, 1),), "factor index 0.0 out of range"),
     (((0, 1), (1, 2.0)), "exponent 2.0 not reduced mod 7"),
+    # keys that are no letter tuple, or whose letter is not a pair: only the
+    # Z/n readers are asked about these (text None)
+    (None, None),
+    (0, None),
+    ("", None),
+    (False, None),
+    ((5,), None),
+    (((5,),), None),
+    (((0,),), None),
+    (((0, 1, 2),), None),
 ]
 
 
-@pytest.mark.parametrize("letters, text", NON_INT_LETTERS, ids=[str(l) for l, _ in NON_INT_LETTERS])
+@pytest.mark.parametrize("letters, text", NON_INT_LETTERS, ids=[str(l) or repr(l) for l, _ in NON_INT_LETTERS])
 def test_word_readers_refuse_non_int_letters(letters, text):
     """1.0 and True equal 1 and hash alike, so each reader checks the type
-    of every factor and exponent: over Z/7 map_form and list_form refuse
-    with their text, and validate_word with its own (over Z/7 * Z/7, where
-    every letter here is in range)."""
+    of every factor and exponent: over Z/7 map_form, list_form and
+    ring_mul_add, which reads through map_form, refuse with the one text of
+    the Z/n check, and validate_word with its own (over Z/7 * Z/7, where
+    every letter here is in range).  A falsy key is no identity word, and a
+    letter that is not a pair leaks no TypeError or IndexError."""
     x = elem_from_dict({GroupWord(letters): 2, GroupWord(): 1})
-    for read in (lambda: map_form(Z7, x), lambda: list_form(7, x)):
+    for read in (lambda: map_form(Z7, x), lambda: list_form(7, x), lambda: ring_mul_add(Z7, ZERO_ELEM, ONE_ELEM, x)):
         with pytest.raises(InvalidWordError) as exc:
             read()
         assert str(exc.value) == f"not a reduced word of Z/7: {letters}"
+    if text is None:
+        return
     with pytest.raises(InvalidWordError):
         validate_word(Z7, GroupWord(letters))
     with pytest.raises(InvalidWordError) as exc:
         validate_word(FP77, GroupWord(letters))
     assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("letters", [((0, 1),), None, 0, ((0,),)], ids=str)
+def test_int_value_reads_the_identity_word_only(letters):
+    """Over the trivial group the only word is (); a falsy key is not it."""
+    assert int_value(from_int(3)) == 3 and int_value(ZERO_ELEM) == 0
+    x = elem_from_dict({GroupWord(letters): 2, GroupWord(): 1})
+    with pytest.raises(InvalidWordError) as exc:
+        int_value(x)
+    assert str(exc.value) == f"not a reduced word of Z/1: {letters}"
 
 
 class TestRingOps:
